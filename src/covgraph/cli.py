@@ -138,7 +138,12 @@ def _run_method(method, stats, data, g, args, cfg):
             ll = profile_loglik(stats, fit.sigma, n_adjust=args.n_adjust)
         except ModelError:
             ll = float("nan")
-        return fit.sigma, ll, True, {"el_log_ratio": fit.weighted.el_log_ratio}
+        extras = {
+            "iterations": fit.outer_iterations,
+            "inner_solves": fit.inner_solves,
+            "el_log_ratio": fit.weighted.el_log_ratio,
+        }
+        return fit.sigma, ll, fit.converged, extras
     if method == "ml-icf":
         res = fit_icf(stats, g, cfg)
     elif method == "ml-icf-multi":
@@ -189,6 +194,8 @@ def cmd_fit(args) -> int:
     print(f"converged {str(converged).lower()}", file=out)
     if extras.get("iterations") is not None:
         print(f"iterations {extras['iterations']}", file=out)
+    if extras.get("inner_solves") is not None:
+        print(f"inner-solves {extras['inner_solves']}", file=out)
     if ll is not None:
         print(f"loglik {format(ll, '.17g')}", file=out)
     if sigma is not None:

@@ -5,8 +5,16 @@ maximized subject to the weights being a probability vector, the
 weighted mean matching a profiled location vector, and the weighted
 covariance vanishing on every missing edge.  For a fixed location the
 inner problem is solved in its Lagrange dual, whose dimension equals
-the number of constraints; the location is then profiled by an outer
-numerical search started at the sample mean.
+the number of constraints.  Each constraint column is divided by its
+root mean square first, so the dual's stop rule and its feasibility
+checks do not depend on the units of the data.
+
+The location is profiled by BFGS from the sample mean.  The gradient of
+the profile objective comes from the inner multipliers by the envelope
+theorem: at the optimal weights the weighted deviations sum to zero, so
+the product constraints drop out and the gradient with respect to the
+location is -n times the mean multipliers (Qin & Lawless 1994; Owen
+2001, ch. 3).
 """
 
 from __future__ import annotations
@@ -15,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .graphs import CovarianceGraph
 from .model import ModelError
@@ -32,6 +39,16 @@ __all__ = [
 ]
 
 
+# Outer stationarity, max_i n |lambda_mean,i| sd_i: the gradient of the
+# profile objective over the location in sample standard deviations.
+_STATIONARY_TOL = 1e-5
+# BFGS's own stop on the same gradient, ten times tighter.  Stopping there
+# leaves sigma within about 2e-8 of a fully polished fit, and the margin
+# lets a fit that BFGS ends on a line-search failure at its precision
+# floor count as converged.
+_BFGS_GTOL = 1e-6
+
+
 class ELInfeasibleError(ModelError):
     """No location admitted a feasible weighting."""
 
@@ -42,6 +59,14 @@ class ELConvergenceError(ModelError):
 
 @dataclass(frozen=True)
 class ELConfig:
+    """Solver settings.
+
+    ``tol`` stops the inner dual once every constraint, scaled to unit
+    root mean square, holds to it; ``constraint_tol`` is the acceptance
+    check on the same scale.  ``outer_max_iter`` caps the BFGS
+    iterations of the location search.
+    """
+
     tol: float = 1e-10
     max_iter: int = 200
     outer_max_iter: int = 400
@@ -65,11 +90,20 @@ class WeightedSample:
 
 @dataclass(frozen=True)
 class ELFit:
-    """Profiled solution and the induced weighted covariance estimate."""
+    """Profiled solution and the induced weighted covariance estimate.
+
+    ``converged`` holds when the returned location is stationary on a
+    unit-free scale: max_i n |lambda_mean,i| sd_i <= 1e-5, with sd the
+    sample standard deviations.  ``inner_solves`` counts the inner dual
+    problems solved, the sample mean included.
+    """
 
     weighted: WeightedSample
     sigma: np.ndarray
     sigma_singular: bool
+    converged: bool
+    outer_iterations: int
+    inner_solves: int
 
 
 def missing_pairs(g: CovarianceGraph) -> tuple[tuple[int, int], ...]:
@@ -107,6 +141,7 @@ def _log_star(z: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.nda
 def _solve_dual(gmat: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     """Damped Newton minimization of the safeguarded dual objective.
 
+    Stops once every weighted constraint mean is within ``tol`` of zero.
     Returns the best multiplier vector found; the caller decides
     validity by checking the primal constraints, since near the
     optimum the gradient stalls at the floating-point floor.
@@ -114,8 +149,7 @@ def _solve_dual(gmat: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     n, m = gmat.shape
     eps = 1.0 / n
     lam = np.zeros(m)
-    scale = max(1.0, float(np.abs(gmat).max()))
-    gtol = tol * n * scale
+    gtol = tol * n  # the gradient is -n times the weighted constraint means
     for _ in range(max_iter):
         z = 1.0 + gmat @ lam
         val, d1, d2 = _log_star(z, eps)
@@ -133,6 +167,12 @@ def _solve_dual(gmat: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
                 return lam
         f0 = -val.sum()
         slope = grad @ step
+        if -slope <= 1e-12 * max(1.0, abs(f0)):
+            # The predicted decrease is below what the objective can
+            # resolve, so a sufficient-decrease test would only see
+            # rounding; this close, the full Newton step is safe.
+            lam = lam + step
+            continue
         t = 1.0
         for _ in range(50):
             cand = lam + t * step
@@ -153,6 +193,8 @@ def _interior_feasible(gmat: np.ndarray, tol: float) -> bool:
     actually satisfies the moment equations to ``tol``; near-ties that
     pass only by the solver's own slack are treated as infeasible.
     """
+    import scipy.optimize
+
     n, m = gmat.shape
     c = np.zeros(n + 1)
     c[-1] = -1.0
@@ -173,28 +215,22 @@ def _interior_feasible(gmat: np.ndarray, tol: float) -> bool:
     return bool(np.abs(w @ gmat).max() <= tol and abs(w.sum() - 1.0) <= tol)
 
 
-def inner_el(
+def _solve_at(
     data: np.ndarray,
     mu: np.ndarray,
-    g: CovarianceGraph,
-    cfg: ELConfig | None = None,
+    pairs: Sequence[tuple[int, int]],
+    cfg: ELConfig,
 ) -> WeightedSample | None:
-    """Maximize the weight log-likelihood ratio for a fixed location.
-
-    Returns None when the problem is infeasible: either the sample size
-    does not exceed the constraint count, or zero is not interior to
-    the convex hull of the per-observation constraint values.
-    """
-    cfg = cfg or ELConfig()
-    data = np.asarray(data, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    n, p = data.shape
-    if p != g.p or mu.shape != (p,):
-        raise ModelError("data, location, and graph dimensions disagree")
-    pairs = missing_pairs(g)
+    """``inner_el`` on checked inputs, with the missing pairs given."""
+    n = data.shape[0]
     if n <= 1 + len(pairs):
         return None  # more constraints than the sample can carry
     gmat = _constraint_columns(data, mu, pairs)
+    # Unit root mean square per column makes every tolerance below
+    # unit-free; z, and with it the weights, is unchanged by the scaling.
+    rms = np.sqrt((gmat**2).mean(axis=0))
+    scale = np.where(rms > 0.0, rms, 1.0)
+    gmat = gmat / scale
     lam = _solve_dual(gmat, cfg.tol, cfg.max_iter)
     z = 1.0 + gmat @ lam
     valid = False
@@ -219,9 +255,28 @@ def inner_el(
     return WeightedSample(
         weights=w,
         mean=mu.copy(),
-        multipliers=lam.copy(),
+        multipliers=lam / scale,  # back in the units of the raw constraints
         el_log_ratio=float(-np.log(z).sum()),
     )
+
+
+def inner_el(
+    data: np.ndarray,
+    mu: np.ndarray,
+    g: CovarianceGraph,
+    cfg: ELConfig | None = None,
+) -> WeightedSample | None:
+    """Maximize the weight log-likelihood ratio for a fixed location.
+
+    Returns None when the problem is infeasible: either the sample size
+    does not exceed the constraint count, or zero is not interior to
+    the convex hull of the per-observation constraint values.
+    """
+    data = np.asarray(data, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    if data.ndim != 2 or data.shape[1] != g.p or mu.shape != (g.p,):
+        raise ModelError("data, location, and graph dimensions disagree")
+    return _solve_at(data, mu, missing_pairs(g), cfg or ELConfig())
 
 
 def fit_el(
@@ -232,11 +287,15 @@ def fit_el(
 ) -> ELFit:
     """Profile the location and return weights plus the weighted covariance.
 
-    The outer search is a quasi-Newton pass from the sample mean with a
-    derivative-free polish; infeasible locations are penalized.  Raises
-    when no probed location is feasible, mirroring the small-sample
-    failure mode of the method.
+    BFGS minimizes -el_log_ratio from the sample mean, over the location
+    measured in sample standard deviations, with the gradient taken from
+    the inner multipliers.  A location that admits no weighting scores
+    +inf, and the line search backs away from it.  The best location
+    probed is returned.  Raises when the sample mean itself is
+    infeasible, the small-sample failure mode of the method.
     """
+    import scipy.optimize
+
     cfg = cfg or ELConfig()
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -251,44 +310,49 @@ def fit_el(
     n, p = data.shape
     if p != g.p:
         raise ModelError("data and graph dimensions disagree")
+    pairs = missing_pairs(g)
     ybar = data.mean(axis=0)
-    penalty = 1e8
-
-    def neg_ratio(mu: np.ndarray) -> float:
-        # a solver failure on one probed location only penalizes the
-        # probe; the final solve below surfaces real failures
-        try:
-            ws = inner_el(data, mu, g, cfg)
-        except ELConvergenceError:
-            return penalty
-        if ws is None:
-            return penalty
-        return -ws.el_log_ratio
-
-    base_ws = inner_el(data, ybar, g, cfg)  # solver errors here are real
-    if base_ws is None:
+    sd = data.std(axis=0)
+    sd = np.where(sd > 0.0, sd, 1.0)
+    best = _solve_at(data, ybar, pairs, cfg)  # solver errors here are real
+    if best is None:
         raise ELInfeasibleError(
             "no feasible weights at the sample mean; sample too small for the constraint set"
         )
-    best_mu, best_val = ybar, -base_ws.el_log_ratio
+    solves = 1
+
+    def neg_ratio(t: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal best, solves
+        mu = ybar + sd * t
+        if np.array_equal(mu, best.mean):
+            ws = best
+        else:
+            solves += 1
+            try:
+                ws = _solve_at(data, mu, pairs, cfg)
+            except ELConvergenceError:
+                ws = None  # a failed probe only rules out that location
+            if ws is None:
+                return np.inf, np.zeros(p)
+            if ws.el_log_ratio > best.el_log_ratio:
+                best = ws
+        return -ws.el_log_ratio, -n * sd * ws.multipliers[:p]
+
     res = scipy.optimize.minimize(
-        neg_ratio, ybar, method="BFGS",
-        options={"maxiter": cfg.outer_max_iter, "xrtol": 1e-10},
+        neg_ratio, np.zeros(p), jac=True, method="BFGS",
+        options={"maxiter": cfg.outer_max_iter, "gtol": _BFGS_GTOL},
     )
-    if res.fun < best_val:
-        best_mu, best_val = res.x, float(res.fun)
-    polish = scipy.optimize.minimize(
-        neg_ratio, best_mu, method="Nelder-Mead",
-        options={"maxiter": cfg.outer_max_iter * p, "xatol": 1e-10, "fatol": 1e-12},
-    )
-    if polish.fun < best_val:
-        best_mu, best_val = polish.x, float(polish.fun)
-    ws = inner_el(data, best_mu, g, cfg)
-    if ws is None:
-        raise ELInfeasibleError("profiled location became infeasible")
-    d = data - ws.mean
-    sigma = d.T @ (ws.weights[:, None] * d)
+    stationarity = float((n * np.abs(best.multipliers[:p]) * sd).max())
+    d = data - best.mean
+    sigma = d.T @ (best.weights[:, None] * d)
     sigma = (sigma + sigma.T) / 2.0
     eigs = np.linalg.eigvalsh(sigma)
     singular = bool(eigs.min() <= 1e-10 * max(eigs.max(), 1e-300))
-    return ELFit(weighted=ws, sigma=sigma, sigma_singular=singular)
+    return ELFit(
+        weighted=best,
+        sigma=sigma,
+        sigma_singular=singular,
+        converged=stationarity <= _STATIONARY_TOL,
+        outer_iterations=int(res.nit),
+        inner_solves=solves,
+    )

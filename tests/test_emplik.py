@@ -12,6 +12,7 @@ from covgraph.emplik import (
 from covgraph.graphs import CovarianceGraph
 from covgraph.icf import fit_icf
 from covgraph.model import sample_stats
+from covgraph.simulate import _rep_rng, sample_t
 
 from conftest import SIGMA_CHAIN
 from oracles import primal_el
@@ -40,6 +41,23 @@ def forced_moment_data(n, seed):
     cov = x.T @ x / n
     vals, vecs = np.linalg.eigh(cov)
     return x @ vecs  # now exactly uncorrelated columns, mean zero
+
+
+def t5_chain_data(seed, stream):
+    """One replication of the t5 chain simulation at n=100."""
+    return sample_t(SIGMA_CHAIN, 5, 100, _rep_rng(seed, stream))
+
+
+def profile_fd_gradient(data, mu, g, h):
+    """Central differences of -el_log_ratio over the location, step h[i]."""
+    grad = np.empty(len(mu))
+    for i in range(len(mu)):
+        e = np.zeros(len(mu))
+        e[i] = h[i]
+        up = inner_el(data, mu + e, g)
+        down = inner_el(data, mu - e, g)
+        grad[i] = (down.el_log_ratio - up.el_log_ratio) / (2.0 * h[i])
+    return grad
 
 
 def check_weight_invariants(data, ws, pairs, tol=1e-8):
@@ -101,6 +119,30 @@ class TestInnerEl:
         data = draw_chain_data(4, 5)
         assert inner_el(data, data.mean(axis=0), fig1) is None
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mean_multipliers_give_profile_gradient(self, fig1, seed):
+        # envelope theorem: d(-el_log_ratio)/dmu = -n * lambda_mean
+        data = t5_chain_data(20260810, seed + 1)
+        sd = data.std(axis=0)
+        rng = np.random.default_rng(seed)
+        mu = data.mean(axis=0) + 0.05 * sd * rng.standard_normal(4)
+        ws = inner_el(data, mu, fig1)
+        assert ws is not None
+        analytic = -len(data) * ws.multipliers[:4]
+        fd = profile_fd_gradient(data, mu, fig1, 1e-5 * sd)
+        assert np.abs(analytic - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
+
+    @pytest.mark.parametrize("c", [1e-2, 1.0, 10.0, 100.0])
+    def test_units_do_not_change_the_solution(self, fig1, c):
+        data = t5_chain_data(1000, 1)
+        mu = data.mean(axis=0) + 0.05 * data.std(axis=0)
+        ref = inner_el(data, mu, fig1)
+        ws = inner_el(c * data, c * mu, fig1)
+        assert ws is not None
+        assert ws.el_log_ratio == pytest.approx(ref.el_log_ratio, abs=1e-10)
+        assert np.abs(ws.weights - ref.weights).max() <= 1e-12
+        check_weight_invariants(c * data, ws, missing_pairs(fig1), tol=1e-8 * max(1.0, c**2))
+
     def test_multiplier_count(self, fig1):
         data = draw_chain_data(30, 6)
         ws = inner_el(data, data.mean(axis=0), fig1)
@@ -137,6 +179,31 @@ class TestFitEl:
         assert np.abs(fit.sigma - ml.sigma).max() < 0.5  # same data, same target
         check_weight_invariants(data, fit.weighted, missing_pairs(fig1))
         assert not fit.sigma_singular
+
+    @pytest.mark.parametrize("c", [1e-2, 10.0, 100.0])
+    def test_rescaled_data_gives_rescaled_sigma(self, fig1, c):
+        data = t5_chain_data(1000, 1)
+        ref = fit_el(data, fig1)
+        fit = fit_el(c * data, fig1)
+        assert fit.converged and ref.converged
+        assert fit.weighted.el_log_ratio == pytest.approx(ref.weighted.el_log_ratio, abs=1e-10)
+        assert np.abs(fit.sigma / c**2 - ref.sigma).max() <= 1e-7 * np.abs(ref.sigma).max()
+
+    def test_hard_replication_ends_stationary(self, fig1):
+        # replication 118 of the acceptance simulation: a raw-unit dual
+        # check used to wall off the outer search short of the optimum
+        data = t5_chain_data(20260810, 118)
+        fit = fit_el(data, fig1)
+        assert fit.converged
+        sd = data.std(axis=0)
+        fd = profile_fd_gradient(data, fit.weighted.mean, fig1, 1e-5 * sd)
+        assert np.abs(fd * sd).max() <= 1e-4
+
+    def test_outer_search_is_cheap_and_reported(self, fig1):
+        fit = fit_el(draw_chain_data(100, 14), fig1)
+        assert fit.converged
+        assert 1 <= fit.outer_iterations <= ELConfig().outer_max_iter
+        assert fit.inner_solves < 100
 
     def test_monotone_degradation_when_removing_edges(self):
         rng = np.random.default_rng(10)

@@ -263,8 +263,9 @@ class TestCliFit:
             "--header", "yes", "--method", "el",
         ])
         out = capsys.readouterr().out
-        assert rc == 0
+        assert rc == 0 and "converged true" in out
         assert any(l.startswith("el-log-ratio") for l in out.splitlines())
+        assert any(l.startswith("inner-solves") for l in out.splitlines())
 
     def test_n_adjust_scales_loglik(self, tmp_path, capsys):
         vals = {}
