@@ -7,7 +7,7 @@ linear-equation iteration), by dual estimation, and by empirical
 likelihood, and ships a Monte-Carlo harness comparing them.
 """
 
-from .anderson import AndersonState, anderson_system, fit_anderson
+from .anderson import fit_anderson
 from .dual import dual_residual, fit_dual, is_decomposable
 from .emplik import (
     ELConfig,

@@ -12,12 +12,11 @@ the conditional-fitting estimate.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .graphs import CovarianceGraph, FreeIndexSet, free_index_set
+from .graphs import CovarianceGraph, free_index_set
 from .model import (
     ConstrainedCovariance,
     DuplicationMap,
@@ -30,53 +29,7 @@ from .model import (
 )
 from .results import FitConfig, FitResult
 
-__all__ = ["AndersonState", "anderson_system", "fit_anderson"]
-
-
-class SingularSystemError(ModelError):
-    """The linear system of one iteration could not be solved."""
-
-
-@dataclass(frozen=True)
-class AndersonState:
-    """Raw iterate of the linear iteration; not necessarily PD."""
-
-    sigma: np.ndarray
-    iteration: int
-    pd_flags: tuple[bool, ...]
-
-
-def anderson_system(
-    sigma: np.ndarray, stats: SampleStats, fis: FreeIndexSet
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient matrix and right-hand side of one iteration.
-
-    With k the inverse of ``sigma``, the row for pair (i, j) has
-    entries k_ik k_jk at column (k, k) and k_ik k_jl + k_jk k_il at
-    column (k, l), k != l; the right-hand side is the (i, j) entry of
-    k S k.  A patterned matrix solves this system at its own free
-    vector exactly when it solves the likelihood equations.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    try:
-        k = np.linalg.inv(sigma)
-    except np.linalg.LinAlgError:
-        raise SingularSystemError("iterate is singular") from None
-    if not np.all(np.isfinite(k)):
-        raise SingularSystemError("iterate inverse overflowed")
-    pairs = fis.pairs
-    m = len(pairs)
-    a = np.empty((m, m))
-    for col, (kk, ll) in enumerate(pairs):
-        if kk == ll:
-            for row, (i, j) in enumerate(pairs):
-                a[row, col] = k[i, kk] * k[j, kk]
-        else:
-            for row, (i, j) in enumerate(pairs):
-                a[row, col] = k[i, kk] * k[j, ll] + k[j, kk] * k[i, ll]
-    t = k @ stats.s @ k
-    b = np.array([t[i, j] for i, j in pairs])
-    return a, b
+__all__ = ["fit_anderson"]
 
 
 def fit_anderson(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None = None) -> FitResult:

@@ -150,9 +150,9 @@ def _solve_dual(gmat: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     eps = 1.0 / n
     lam = np.zeros(m)
     gtol = tol * n  # the gradient is -n times the weighted constraint means
+    at_lam = _log_star(1.0 + gmat @ lam, eps)
     for _ in range(max_iter):
-        z = 1.0 + gmat @ lam
-        val, d1, d2 = _log_star(z, eps)
+        val, d1, d2 = at_lam
         grad = -gmat.T @ d1
         if np.abs(grad).max() <= gtol:
             return lam
@@ -172,17 +172,18 @@ def _solve_dual(gmat: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
             # resolve, so a sufficient-decrease test would only see
             # rounding; this close, the full Newton step is safe.
             lam = lam + step
+            at_lam = _log_star(1.0 + gmat @ lam, eps)
             continue
         t = 1.0
         for _ in range(50):
             cand = lam + t * step
-            v, _, _ = _log_star(1.0 + gmat @ cand, eps)
-            if -v.sum() <= f0 + 1e-4 * t * slope:
+            at_cand = _log_star(1.0 + gmat @ cand, eps)
+            if -at_cand[0].sum() <= f0 + 1e-4 * t * slope:
                 break
             t *= 0.5
         else:
             return lam  # no measurable descent left
-        lam = lam + t * step
+        lam, at_lam = cand, at_cand
     return lam
 
 

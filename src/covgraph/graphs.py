@@ -187,14 +187,6 @@ class FreeIndexSet:
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.pairs)
 
-    def find(self, i: int, j: int) -> int:
-        """Position of the pair (min(i,j), max(i,j)) within the set."""
-        key = (i, j) if i <= j else (j, i)
-        try:
-            return self.pairs.index(key)
-        except ValueError:
-            raise KeyError(f"pair {key} is not free") from None
-
 
 def free_index_set(g: CovarianceGraph) -> FreeIndexSet:
     """Diagonal pairs plus edge pairs, in deterministic order."""

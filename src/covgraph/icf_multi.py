@@ -1,127 +1,20 @@
-"""Iterative conditional fitting with block updates.
+"""Iterative conditional fitting with block updates: the family front end.
 
 Instead of refitting one vertex at a time, a whole complete set of
-vertices is refit jointly.  The conditional model of the block given
-the rest is a system of seemingly unrelated regressions: each block
-variable regresses on the pseudo-variables of its own spouses, with a
-joint residual covariance.  One two-step pass (generalized least
-squares with the incoming residual covariance as weight, then a
-residual-covariance refresh) per block is enough for a convergent
-ascent; the two-step estimator is deliberately not iterated within a
-block.
+vertices is refit jointly.  The block update itself is the engine in
+:mod:`covgraph.icf`, shared with the vertexwise fitter (and
+re-exported here); this module chooses and validates the family of
+complete sets that one sweep cycles through.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-
 from .graphs import CompleteSetFamily, CovarianceGraph, cliques, validate_family
-from .icf import _restricted_inverse, _sweep_fit
-from .model import ConstrainedCovariance, ModelError, SampleStats
+from .icf import BlockSelector, _sweep_fit, block_update
+from .model import ModelError, SampleStats
 from .results import FitConfig, FitResult
 
 __all__ = ["BlockSelector", "block_update", "fit_icf_multi"]
-
-
-@dataclass(frozen=True)
-class BlockSelector:
-    """Positions of the unrestricted coefficients of one block.
-
-    The free coefficients are the pairs (i in block, j in spouses of
-    the block) joined by an edge; ``rows`` and ``cols`` hold their
-    positions inside the block and spouse orderings, listed
-    column-major so they follow matrix vectorization order.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-
-    @classmethod
-    def from_graph(cls, g: CovarianceGraph, block: np.ndarray, spo: np.ndarray) -> "BlockSelector":
-        rows, cols = [], []
-        for b, j in enumerate(spo):
-            for a, i in enumerate(block):
-                if g.adjacency[i, j]:
-                    rows.append(a)
-                    cols.append(b)
-        return cls(np.array(rows, dtype=int), np.array(cols, dtype=int))
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
-def block_update(
-    stats: SampleStats, sigma: ConstrainedCovariance, c: Iterable[str]
-) -> ConstrainedCovariance:
-    """Refit the rows and columns of a complete set with the rest fixed."""
-    g = sigma.graph
-    cidx = sorted({g.index(v) for v in c})
-    if not cidx:
-        raise ModelError("block must be nonempty")
-    if not g.is_complete(cidx):
-        raise ModelError(f"block {tuple(g.vertices[i] for i in cidx)} is not complete")
-    block = np.array(cidx, dtype=int)
-    m = np.array(sigma.sigma)
-    s = stats.s
-
-    spo_set: set[int] = set()
-    for i in cidx:
-        spo_set.update(int(v) for v in g.spouse_idx(i))
-    spo = np.array(sorted(spo_set - set(cidx)), dtype=int)
-
-    if spo.size == 0:
-        # The block is a union of whole components: no regressors, the
-        # residual covariance is the sample block itself.
-        m[np.ix_(block, block)] = s[np.ix_(block, block)]
-        return ConstrainedCovariance(g, m)
-
-    rest = np.array([v for v in range(g.p) if v not in set(cidx)], dtype=int)
-    keep, inv_block, spo_in_keep = _restricted_inverse(
-        g, m[np.ix_(rest, rest)], set(cidx), spo
-    )
-    kept_vertices = rest[keep]
-    w = inv_block[:, spo_in_keep]
-    cross = s[np.ix_(block, kept_vertices)] @ w
-    gram = w.T @ s[np.ix_(kept_vertices, kept_vertices)] @ w
-    gram = (gram + gram.T) / 2.0
-    inv_spo = inv_block[np.ix_(spo_in_keep, spo_in_keep)]
-
-    # Weight matrix: inverse conditional covariance of the incoming iterate.
-    sig_cr = m[np.ix_(block, kept_vertices)]
-    lam_in = m[np.ix_(block, block)] - sig_cr @ inv_block @ sig_cr.T
-    lam_in = (lam_in + lam_in.T) / 2.0
-    try:
-        omega = cho_solve(cho_factor(lam_in, lower=True), np.eye(block.size))
-    except np.linalg.LinAlgError:
-        raise ModelError("incoming conditional covariance is singular") from None
-    omega = (omega + omega.T) / 2.0
-
-    sel = BlockSelector.from_graph(g, block, spo)
-    normal = gram[np.ix_(sel.cols, sel.cols)] * omega[np.ix_(sel.rows, sel.rows)]
-    rhs = (omega @ cross)[sel.rows, sel.cols]
-    try:
-        coef_free = cho_solve(cho_factor(normal, lower=True), rhs)
-    except np.linalg.LinAlgError:
-        raise ModelError("generalized least squares system is not positive definite") from None
-
-    coef = np.zeros((block.size, spo.size))
-    coef[sel.rows, sel.cols] = coef_free
-    lam_new = (
-        s[np.ix_(block, block)] - coef @ cross.T - cross @ coef.T + coef @ gram @ coef.T
-    )
-    lam_new = (lam_new + lam_new.T) / 2.0
-
-    m[np.ix_(block, np.arange(g.p))] = 0.0
-    m[np.ix_(np.arange(g.p), block)] = 0.0
-    m[np.ix_(block, spo)] = coef
-    m[np.ix_(spo, block)] = coef.T
-    block_cov = lam_new + coef @ inv_spo @ coef.T
-    m[np.ix_(block, block)] = (block_cov + block_cov.T) / 2.0
-    return ConstrainedCovariance(g, m)
 
 
 def fit_icf_multi(
@@ -134,18 +27,11 @@ def fit_icf_multi(
 
     ``family`` must cover every vertex with complete sets; the default
     is the family of cliques, the largest admissible blocks.  With an
-    all-singleton family the trajectory coincides with the vertexwise
-    fitter.
+    all-singleton family the trajectory is the vertexwise fitter's.
     """
-    cfg = cfg or FitConfig()
     family = family if family is not None else cliques(g)
     bad = validate_family(g, family)
     if bad is not None:
         raise ModelError(f"invalid complete-set family: {bad.message}")
-
-    def one_sweep(st: SampleStats, cur: ConstrainedCovariance) -> ConstrainedCovariance:
-        for block in family:
-            cur = block_update(st, cur, block)
-        return cur
-
-    return _sweep_fit(stats, g, cfg, one_sweep, "ml-icf-multi")
+    blocks = [[g.index(v) for v in block] for block in family]
+    return _sweep_fit(stats, g, cfg or FitConfig(), blocks, "ml-icf-multi")

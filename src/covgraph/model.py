@@ -328,8 +328,9 @@ def stationarity_residual(stats: SampleStats, sigma: ConstrainedCovariance) -> f
     """
     k = _inv_pd(sigma.sigma, "covariance")
     m = k - k @ stats.s @ k
-    dup = DuplicationMap.from_graph(sigma.graph)
-    return float(np.abs(dup.restrict(m)).max())
+    g = sigma.graph
+    free = np.triu(g.adjacency | np.eye(g.p, dtype=bool))
+    return float(np.abs(m[free]).max())
 
 
 @dataclass(frozen=True)

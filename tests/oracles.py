@@ -277,3 +277,39 @@ def root_find_dual(stats, g):
     x0 = dup.restrict(np.diag(np.diag(stats.s)))
     sol = scipy.optimize.root(equations, x0, method="hybr", tol=1e-13)
     return dup.expand(sol.x, g.p), sol
+
+
+class SingularSystemError(cg.ModelError):
+    """The linear system of one Anderson iteration could not be solved."""
+
+
+def anderson_system(sigma, stats, fis):
+    """Coefficient matrix and right-hand side of one Anderson iteration.
+
+    Element-by-element double loop.  With k the inverse of ``sigma``,
+    the row for pair (i, j) has entries k_ik k_jk at column (k, k) and
+    k_ik k_jl + k_jk k_il at column (k, l), k != l; the right-hand side
+    is the (i, j) entry of k S k.  A patterned matrix solves this
+    system at its own free vector exactly when it solves the likelihood
+    equations.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    try:
+        k = np.linalg.inv(sigma)
+    except np.linalg.LinAlgError:
+        raise SingularSystemError("iterate is singular") from None
+    if not np.all(np.isfinite(k)):
+        raise SingularSystemError("iterate inverse overflowed")
+    pairs = fis.pairs
+    m = len(pairs)
+    a = np.empty((m, m))
+    for col, (kk, ll) in enumerate(pairs):
+        if kk == ll:
+            for row, (i, j) in enumerate(pairs):
+                a[row, col] = k[i, kk] * k[j, kk]
+        else:
+            for row, (i, j) in enumerate(pairs):
+                a[row, col] = k[i, kk] * k[j, ll] + k[j, kk] * k[i, ll]
+    t = k @ stats.s @ k
+    b = np.array([t[i, j] for i, j in pairs])
+    return a, b

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 import covgraph as cg
-from covgraph.anderson import SingularSystemError, anderson_system, fit_anderson
+from covgraph.anderson import fit_anderson
 from covgraph.graphs import CovarianceGraph, free_index_set
 from covgraph.icf import fit_icf
 from covgraph.model import ModelError, stats_from_moments, stationarity_residual
 from covgraph.results import FitConfig
 
 from conftest import SIGMA_CHAIN, random_spd
+from oracles import SingularSystemError, anderson_system
 
 
 def complete_graph(p):

@@ -120,12 +120,6 @@ class TestFreeIndexSet:
         g = CovarianceGraph(["1", "2", "3"], [("1", "2"), ("1", "3"), ("2", "3")])
         assert len(free_index_set(g)) == 6
 
-    def test_find_symmetric_lookup(self, fig1):
-        fis = free_index_set(fig1)
-        assert fis.find(2, 0) == fis.find(0, 2) == 4
-        with pytest.raises(KeyError):
-            fis.find(0, 1)
-
     @given(small_graphs())
     def test_idempotent_and_sized(self, g):
         a = free_index_set(g)

@@ -4,9 +4,11 @@ import pytest
 import covgraph as cg
 from covgraph.graphs import CovarianceGraph, free_index_set
 from covgraph.icf import fit_best_start, fit_icf, icf_update_vertex, pseudo_variables_gram
+from covgraph.icf_multi import fit_icf_multi
 from covgraph.model import (
     ConstrainedCovariance,
     ModelError,
+    PatternViolationError,
     profile_loglik,
     sample_stats,
     stats_from_moments,
@@ -86,6 +88,13 @@ class TestPseudoVariablesGram:
         assert gram.shape == (1, 1) and np.isfinite(gram[0, 0])
         assert cross[0] == pytest.approx(st.s[0, 1])  # identity spouse block
 
+    def test_off_pattern_sigma_rest_rejected(self, fig1):
+        st = stats_from_moments(50, SIGMA_CHAIN)
+        sigma_rest = np.eye(3)  # rest order 2, 3, 4
+        sigma_rest[0, 1] = sigma_rest[1, 0] = 0.1  # 2 and 3 are not adjacent
+        with pytest.raises(PatternViolationError, match=r"\(2, 3\)"):
+            pseudo_variables_gram(st, fig1, sigma_rest, "1")
+
 
 class TestVertexUpdate:
     def test_isolated_vertex_takes_sample_variance(self):
@@ -115,7 +124,7 @@ class TestVertexUpdate:
         assert after >= before - 1e-10
         # the section for vertex 3 varies the free pairs (3,3), (1,3), (3,4)
         fis = free_index_set(fig1)
-        idx = [fis.find(2, 2), fis.find(0, 2), fis.find(2, 3)]
+        idx = [fis.pairs.index(pair) for pair in ((2, 2), (0, 2), (2, 3))]
         oracle_val, _ = section_maximize(st, start, idx, seed=0)
         assert after == pytest.approx(oracle_val, abs=1e-7)
 
@@ -269,3 +278,22 @@ class TestFitIcf:
         r1 = fit_icf(st, fig1)
         r2 = fit_icf(st_shuffled, fig1)
         assert np.abs(r1.sigma - r2.sigma).max() < 1e-12
+
+
+class TestStopReason:
+    @pytest.mark.parametrize("fitter", [fit_icf, fit_icf_multi])
+    def test_converged_and_max_iter(self, fitter, yeast_stats, yeast_gd):
+        res = fitter(yeast_stats, yeast_gd)
+        assert res.converged and res.detail == "converged"
+        res = fitter(yeast_stats, yeast_gd, cfg=FitConfig(max_iter=1))
+        assert not res.converged and res.detail == "max-iter"
+
+    def test_stalled_when_tol_is_below_rounding(self):
+        # the single clique block takes the sample covariance exactly, so
+        # the second sweep does not move while the residual stays at
+        # rounding level, far above 100 * tol
+        rng = np.random.default_rng(17)
+        st = stats_from_moments(40, random_spd(3, 40, rng))
+        res = fit_icf_multi(st, complete_graph(3), cfg=FitConfig(tol=1e-30))
+        assert res.detail == "stalled" and res.iterations == 2
+        assert not res.converged and 0.0 < res.residual < 1e-12

@@ -71,7 +71,7 @@ class TestBlockUpdate:
         # maximizer over (sigma_13, sigma_24) under that same section
         lam_fixed = conditional_params(start, {"3", "4"}).conditional_cov
         fis = free_index_set(fig1)
-        idx = [fis.find(0, 2), fis.find(1, 3)]
+        idx = [fis.pairs.index((0, 2)), fis.pairs.index((1, 3))]
         dup = cg.DuplicationMap.from_graph(fig1)
 
         def complete_with_fixed_lam(coef_vals):
@@ -124,6 +124,14 @@ class TestFitIcfMulti:
         assert a.iterations == b.iterations
         assert np.allclose(np.array(a.trace), np.array(b.trace), atol=1e-9)
         assert np.abs(a.sigma - b.sigma).max() < 1e-9
+
+    @pytest.mark.parametrize("graph", ["yeast_gd", "yeast_gs"])
+    def test_singleton_family_bitwise_on_yeast(self, graph, yeast_stats, request):
+        g = request.getfixturevalue(graph)
+        a = fit_icf(yeast_stats, g)
+        b = fit_icf_multi(yeast_stats, g, singleton_family(g))
+        assert a.iterations == b.iterations
+        assert np.array_equal(a.sigma, b.sigma)
 
     def test_clique_family_same_loglik(self, fig1):
         rng = np.random.default_rng(5)
