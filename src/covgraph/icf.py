@@ -14,6 +14,15 @@ block, and for a single vertex it is the plain least-squares refit.
 Every sweep keeps the iterate inside the constraint cone and never
 decreases the log-likelihood.
 
+A sweep keeps K, the inverse of the iterate, next to it.  K is
+recomputed from the iterate once at the start of each sweep and
+refreshed after every update, so an update factorises nothing larger
+than its block: the inverse incoming conditional covariance is K's
+block, the inverse of the fixed rest is the Schur complement of that
+block in K, and two rank-|C| terms turn K into the inverse of the
+refitted iterate.  An update of a block C with spouses S costs
+O(p^2 (|C| + |S|)) instead of the O(p^3) of inverting the rest.
+
 What an update needs from the graph alone is planned once per fit.
 All regressions are expressed through the empirical covariance
 matrix, so the sample size never enters the per-sweep cost.
@@ -21,11 +30,12 @@ matrix, so the sample size never enters the per-sweep cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dtrsm
 
 from .graphs import CovarianceGraph
 from .model import (
@@ -80,17 +90,14 @@ class BlockSelector:
 class _BlockPlan:
     """The graph-only part of one block update.
 
-    ``kept`` holds the rest vertices in those connected components of
-    the graph without the block that contain spouses.  A patterned
-    covariance is exactly zero across components, so its fixed block
-    is block-diagonal and only the kept part of its inverse reaches
-    the regression.  ``spo_in_kept`` locates the spouses inside it.
+    ``block`` is the complete set C, ``spo`` its spouses (the vertices
+    outside C adjacent to a member) and ``sel`` the positions of its
+    free coefficients.  Everything that depends on the iterate is read
+    from the maintained inverse when the update runs.
     """
 
     block: np.ndarray
     spo: np.ndarray
-    kept: np.ndarray
-    spo_in_kept: np.ndarray
     sel: BlockSelector
 
 
@@ -98,58 +105,59 @@ def _plan(g: CovarianceGraph, idx: Iterable[int]) -> _BlockPlan:
     block = np.array(sorted(idx), dtype=int)
     spo_set = {int(j) for i in block for j in g.spouse_idx(i)} - set(block.tolist())
     spo = np.array(sorted(spo_set), dtype=int)
-    comps = [comp.tolist() for comp in g.components_excluding(block.tolist())]
-    kept = np.array(
-        sorted(v for comp in comps if spo_set.intersection(comp) for v in comp), dtype=int
-    )
-    sel = BlockSelector.from_graph(g, block, spo)
-    return _BlockPlan(block, spo, kept, np.searchsorted(kept, spo), sel)
+    return _BlockPlan(block, spo, BlockSelector.from_graph(g, block, spo))
+
+
+def _inverse(m: np.ndarray) -> np.ndarray:
+    """Exactly symmetric inverse of a positive-definite iterate."""
+    k = cho_solve(cho_factor(m, lower=True), np.eye(len(m)))
+    return (k + k.T) / 2.0
 
 
 def _pseudo_moments(
-    s: np.ndarray, m: np.ndarray, plan: _BlockPlan
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of the kept fixed block, cross moments, and Gram matrix."""
-    kept = plan.kept
-    try:
-        c = cho_factor(m[np.ix_(kept, kept)], lower=True)
-    except np.linalg.LinAlgError:
-        raise ModelError("fixed covariance block is singular") from None
-    inv_kept = cho_solve(c, np.eye(kept.size))
-    inv_kept = (inv_kept + inv_kept.T) / 2.0
-    w = inv_kept[:, plan.spo_in_kept]
-    cross = s[np.ix_(plan.block, kept)] @ w
-    gram = w.T @ s[np.ix_(kept, kept)] @ w
-    return inv_kept, cross, (gram + gram.T) / 2.0
+    s: np.ndarray, block: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cross moments and Gram matrix of the spouse pseudo-variables.
+
+    Column j of ``w`` is the column of the inverse fixed rest block
+    that belongs to spouse j, spread over all p rows with zeros on the
+    block, so ``w.T @ x`` holds the pseudo-variables of an observation x.
+    """
+    sw = s @ w
+    gram = w.T @ sw
+    return sw[block], (gram + gram.T) / 2.0
 
 
-def _update(s: np.ndarray, m: np.ndarray, plan: _BlockPlan) -> None:
-    """Refit the block's rows and columns of ``m`` in place, the rest fixed."""
+def _update(s: np.ndarray, m: np.ndarray, k: np.ndarray, plan: _BlockPlan) -> None:
+    """Refit the block's rows and columns of ``m`` in place, the rest fixed.
+
+    ``k`` holds the inverse of ``m`` on entry and is refreshed in place
+    to the inverse of the refitted ``m``.
+    """
     block, spo, sel = plan.block, plan.spo, plan.sel
-    if spo.size == 0:
-        # The block is a union of whole components: no regressors, the
-        # residual covariance is the sample block itself.
-        m[np.ix_(block, block)] = s[np.ix_(block, block)]
-        return
-    inv_kept, cross, gram = _pseudo_moments(s, m, plan)
-
-    # Weight matrix: inverse conditional covariance of the incoming iterate.
-    sig_cr = m[np.ix_(block, plan.kept)]
-    lam_in = m[np.ix_(block, block)] - sig_cr @ inv_kept @ sig_cr.T
-    lam_in = (lam_in + lam_in.T) / 2.0
+    # Weight matrix: the inverse incoming conditional covariance is K_CC.
+    omega = k[np.ix_(block, block)]
     try:
-        omega = cho_solve(cho_factor(lam_in, lower=True), np.eye(block.size))
+        low_omega = np.linalg.cholesky(omega)
     except np.linalg.LinAlgError:
         raise ModelError("incoming conditional covariance is singular") from None
-    omega = (omega + omega.T) / 2.0
-
+    # Inverse of the fixed rest block, the Schur complement of K_CC,
+    # with zero block rows and columns.  The triangular solves call BLAS
+    # trsm: OpenBLAS runs LAPACK's trtrs on its thread pool even for a
+    # 1x1 triangle, and waking the pool costs more than the whole update.
+    z = dtrsm(1.0, low_omega, k[block], lower=1)
+    inv_rest = k - z.T @ z
+    inv_rest[block, :] = 0.0
+    inv_rest[:, block] = 0.0
+    # A block without spouses is a union of whole components: the
+    # arrays below are empty and the residual covariance is the sample block.
+    cross, gram = _pseudo_moments(s, block, inv_rest[:, spo])
     normal = gram[np.ix_(sel.cols, sel.cols)] * omega[np.ix_(sel.rows, sel.rows)]
     rhs = (omega @ cross)[sel.rows, sel.cols]
     try:
         coef_free = cho_solve(cho_factor(normal, lower=True), rhs)
     except np.linalg.LinAlgError:
         raise ModelError("generalized least squares system is not positive definite") from None
-
     coef = np.zeros((block.size, spo.size))
     coef[sel.rows, sel.cols] = coef_free
     lam_new = (
@@ -157,19 +165,25 @@ def _update(s: np.ndarray, m: np.ndarray, plan: _BlockPlan) -> None:
     )
     lam_new = (lam_new + lam_new.T) / 2.0
     try:
-        np.linalg.cholesky(lam_new)
+        low_lam = np.linalg.cholesky(lam_new)
     except np.linalg.LinAlgError:
         raise ModelError(
             "conditional covariance collapsed; sample covariance ill-conditioned"
         ) from None
 
-    inv_spo = inv_kept[np.ix_(plan.spo_in_kept, plan.spo_in_kept)]
     m[block, :] = 0.0
     m[:, block] = 0.0
     m[np.ix_(block, spo)] = coef
     m[np.ix_(spo, block)] = coef.T
-    block_cov = lam_new + coef @ inv_spo @ coef.T
+    block_cov = lam_new + coef @ inv_rest[np.ix_(spo, spo)] @ coef.T
     m[np.ix_(block, block)] = (block_cov + block_cov.T) / 2.0
+
+    # Block inverse of the refitted m: the rest inverse plus E^T lam^-1 E
+    # with E = [I on the block, -coef times the spouse rows of inv_rest].
+    e = -coef @ inv_rest[spo]
+    e[:, block] = np.eye(block.size)
+    y = dtrsm(1.0, low_lam, e, lower=1)
+    np.add(inv_rest, y.T @ y, out=k)
 
 
 def pseudo_variables_gram(
@@ -179,13 +193,16 @@ def pseudo_variables_gram(
 
     ``sigma_rest`` is the fixed covariance of the variables other than
     ``i``, in vertex order with ``i`` removed; it must be exactly zero
-    between non-adjacent vertices.  The returned pair is the
-    response/covariate cross moment row and the covariate Gram matrix,
-    both expressed through the empirical covariance.
+    between non-adjacent vertices.  It is block-diagonal over the
+    components of the graph without ``i``, so only the components that
+    hold spouses of ``i`` are factorised; the others may even be
+    singular.  The returned pair is the response/covariate cross moment
+    row and the covariate Gram matrix, both expressed through the
+    empirical covariance.
     """
     iv = g.index(i)
-    plan = _plan(g, [iv])
-    if plan.spo.size == 0:
+    spo = _plan(g, [iv]).spo
+    if spo.size == 0:
         raise ModelError(f"vertex {i!r} has no spouses; the regression is empty")
     sigma_rest = np.asarray(sigma_rest, dtype=float)
     if sigma_rest.shape != (g.p - 1, g.p - 1):
@@ -198,9 +215,17 @@ def pseudo_variables_gram(
         raise PatternViolationError(
             f"sigma_rest entry ({g.vertices[a]}, {g.vertices[b]}) must be zero"
         )
-    m = np.zeros((g.p, g.p))
-    m[np.ix_(rest, rest)] = sigma_rest
-    _, cross, gram = _pseudo_moments(stats.s, m, plan)
+    spo_set = set(spo.tolist())
+    comps = [c for c in g.components_excluding([iv]) if spo_set.intersection(c.tolist())]
+    kept = np.sort(np.concatenate(comps))
+    in_rest = np.searchsorted(rest, kept)
+    try:
+        c = cho_factor(sigma_rest[np.ix_(in_rest, in_rest)], lower=True)
+    except np.linalg.LinAlgError:
+        raise ModelError("fixed covariance block is singular") from None
+    w = np.zeros((g.p, spo.size))
+    w[kept] = cho_solve(c, np.eye(kept.size)[:, np.searchsorted(kept, spo)])
+    cross, gram = _pseudo_moments(stats.s, np.array([iv]), w)
     return cross[0], gram
 
 
@@ -215,7 +240,7 @@ def block_update(
     if not g.is_complete(cidx):
         raise ModelError(f"block {tuple(g.vertices[i] for i in cidx)} is not complete")
     m = np.array(sigma.sigma)
-    _update(stats.s, m, _plan(g, cidx))
+    _update(stats.s, m, _inverse(m), _plan(g, cidx))
     return ConstrainedCovariance(g, m)
 
 
@@ -268,8 +293,9 @@ def _sweep_fit(
     residual = None
     sweeps = 0
     for sweeps in range(1, cfg.max_iter + 1):
+        k = _inverse(m)
         for plan in plans:
-            _update(stats.s, m, plan)
+            _update(stats.s, m, k, plan)
         prev, current = current, ConstrainedCovariance(g, m.copy())
         if cfg.record_trace:
             trace.append(profile_loglik(stats, current, n_adjust=cfg.n_adjust))
@@ -338,13 +364,7 @@ def fit_best_start(
     best: FitResult | None = None
     best_ll = -np.inf
     for start in starts:
-        res = fitter(stats, g, FitConfig(
-            tol=cfg.tol,
-            max_iter=cfg.max_iter,
-            start=start,
-            record_trace=cfg.record_trace,
-            n_adjust=cfg.n_adjust,
-        ))
+        res = fitter(stats, g, replace(cfg, start=start))
         ll = -np.inf if res.loglik is None else res.loglik
         if best is None or ll > best_ll:
             best, best_ll = res, ll

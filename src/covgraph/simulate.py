@@ -99,6 +99,10 @@ class SimReport:
     # Raw per-replication error stacks keyed by (method, n); NaN rows mark
     # failed replications.  Not part of the serialized table.
     raw_errors: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
+    # Per-replication failure reasons keyed like ``raw_errors``: the
+    # exception type name, ``not-pd`` for an estimate that is not
+    # positive definite, None for a success.  Not serialized either.
+    failure_reasons: dict[tuple[str, int], list[str | None]] = field(default_factory=dict)
 
     def to_table(self) -> str:
         """Serialize as the delimited report table, byte-deterministic."""
@@ -184,26 +188,29 @@ def _run_one_rep(
     n: int,
     stream: int,
     fitters: Mapping[str, Callable[[np.ndarray], np.ndarray]],
-) -> dict[str, np.ndarray | None]:
-    """Draw one data set and fit every method; None marks a failure."""
+) -> dict[str, np.ndarray | str]:
+    """Draw one data set and fit every method.
+
+    Each method maps to its error matrix, or to a string naming why it
+    failed: the exception type, or ``not-pd``.
+    """
     rng = _rep_rng(spec.seed, stream)
     if spec.distribution == "t":
         data = sample_t(spec.sigma_true, spec.df, n, rng)
     else:
         data = sample_gaussian(spec.sigma_true, n, rng)
     truth = spec.truth
-    out: dict[str, np.ndarray | None] = {}
+    out: dict[str, np.ndarray | str] = {}
     for name in spec.methods:
         try:
             est = fitters[name](data)
-        except (ModelError, np.linalg.LinAlgError):
-            out[name] = None
+        except (ModelError, np.linalg.LinAlgError) as exc:
+            out[name] = type(exc).__name__
             continue
-        if name != "el":
-            if not is_pos_def(est):
-                out[name] = None
-                continue
-        out[name] = est - truth
+        if name != "el" and not is_pos_def(est):
+            out[name] = "not-pd"
+        else:
+            out[name] = est - truth
     return out
 
 
@@ -226,13 +233,17 @@ def run_simulation(
     p = graph.p
     entries: list[SimEntry] = []
     raw: dict[tuple[str, int], np.ndarray] = {}
+    reasons: dict[tuple[str, int], list[str | None]] = {}
     for size_idx, n in enumerate(spec.sample_sizes):
         errors = {m: np.full((spec.replications, p, p), np.nan) for m in spec.methods}
+        reasons.update(((m, n), [None] * spec.replications) for m in spec.methods)
         for rep in range(spec.replications):
             stream = size_idx * spec.replications + rep + 1
             rep_out = _run_one_rep(spec, graph, n, stream, fitters)
             for m, err in rep_out.items():
-                if err is not None:
+                if isinstance(err, str):
+                    reasons[(m, n)][rep] = err
+                else:
                     errors[m][rep] = err
         for m in spec.methods:
             raw[(m, n)] = errors[m]
@@ -258,4 +269,6 @@ def run_simulation(
                             failures=failures,
                         )
                     )
-    return SimReport(spec=spec, labels=graph.vertices, entries=entries, raw_errors=raw)
+    return SimReport(
+        spec=spec, labels=graph.vertices, entries=entries, raw_errors=raw, failure_reasons=reasons
+    )

@@ -313,3 +313,45 @@ def anderson_system(sigma, stats, fis):
     t = k @ stats.s @ k
     b = np.array([t[i, j] for i, j in pairs])
     return a, b
+
+
+def icf_sweep(s, sigma, adjacency, blocks):
+    """One sweep of conditional block refits, the rest block inverted directly.
+
+    For each block C (a list of vertex positions) with rest R, the
+    pseudo-variables are the spouse rows of inv(sigma_RR) applied to
+    X_R.  The block regresses on them by generalized least squares,
+    written in vectorized form: the normal matrix is
+    kron(Gram, Omega) restricted to the edge coefficients, with Omega
+    the inverse incoming conditional covariance of the block.  The
+    block's rows and columns are then rebuilt from the coefficients
+    and the refreshed residual covariance.
+    """
+    m = np.array(sigma, dtype=float)
+    adjacency = np.asarray(adjacency, dtype=bool)
+    p = m.shape[0]
+    for block in blocks:
+        c = sorted(block)
+        r = [v for v in range(p) if v not in c]
+        spo = [v for v in r if adjacency[c, v].any()]
+        inv_r = np.linalg.inv(m[np.ix_(r, r)])
+        pos = [r.index(v) for v in spo]
+        loadings = inv_r[pos]
+        cross = s[np.ix_(c, r)] @ loadings.T
+        gram = loadings @ s[np.ix_(r, r)] @ loadings.T
+        lam_in = m[np.ix_(c, c)] - m[np.ix_(c, r)] @ inv_r @ m[np.ix_(r, c)]
+        omega = np.linalg.inv(lam_in)
+        free = adjacency[np.ix_(c, spo)].flatten(order="F")
+        vec = np.zeros(len(c) * len(spo))
+        if free.any():
+            normal = np.kron(gram, omega)[np.ix_(free, free)]
+            rhs = (omega @ cross).flatten(order="F")[free]
+            vec[free] = np.linalg.solve(normal, rhs)
+        coef = vec.reshape((len(c), len(spo)), order="F")
+        resid = s[np.ix_(c, c)] - coef @ cross.T - cross @ coef.T + coef @ gram @ coef.T
+        m[c, :] = 0.0
+        m[:, c] = 0.0
+        m[np.ix_(c, spo)] = coef
+        m[np.ix_(spo, c)] = coef.T
+        m[np.ix_(c, c)] = resid + coef @ inv_r[np.ix_(pos, pos)] @ coef.T
+    return m

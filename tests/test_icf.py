@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import covgraph as cg
-from covgraph.graphs import CovarianceGraph, free_index_set
-from covgraph.icf import fit_best_start, fit_icf, icf_update_vertex, pseudo_variables_gram
+from covgraph.graphs import CovarianceGraph, cliques, free_index_set
+from covgraph.icf import (
+    _inverse,
+    _plan,
+    _update,
+    fit_best_start,
+    fit_icf,
+    icf_update_vertex,
+    pseudo_variables_gram,
+)
 from covgraph.icf_multi import fit_icf_multi
 from covgraph.model import (
     ConstrainedCovariance,
@@ -17,12 +26,37 @@ from covgraph.model import (
 from covgraph.results import FitConfig
 
 from conftest import SIGMA_CHAIN, random_graph, random_patterned_cov, random_spd
-from oracles import brute_force_ml, section_maximize
+from oracles import brute_force_ml, icf_sweep, section_maximize
 
 
 def complete_graph(p):
     labels = [str(i + 1) for i in range(p)]
     return CovarianceGraph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]])
+
+
+def lattice_graph(side):
+    labels = [f"L{r}_{c}" for r in range(side) for c in range(side)]
+    edges = [(labels[k], labels[k + 1]) for k in range(len(labels)) if (k + 1) % side]
+    edges += [(labels[k], labels[k + side]) for k in range(len(labels) - side)]
+    return CovarianceGraph(labels, edges)
+
+
+def family_blocks(g, family):
+    if family == "vertex":
+        return [[v] for v in range(g.p)]
+    return [[g.index(v) for v in block] for block in cliques(g)]
+
+
+def assert_inverse_kept(stats, g, blocks, sweeps):
+    """Drive the engine as a fit does and check K after every update."""
+    plans = [_plan(g, b) for b in blocks]
+    m = np.eye(g.p)
+    for _ in range(sweeps):
+        k = _inverse(m)
+        for plan in plans:
+            _update(stats.s, m, k, plan)
+            exact = np.linalg.inv(m)
+            assert np.abs(k - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
 class TestPseudoVariablesGram:
@@ -297,3 +331,63 @@ class TestStopReason:
         res = fit_icf_multi(st, complete_graph(3), cfg=FitConfig(tol=1e-30))
         assert res.detail == "stalled" and res.iterations == 2
         assert not res.converged and 0.0 < res.residual < 1e-12
+
+
+class TestMaintainedInverse:
+    @pytest.mark.parametrize("family", ["vertex", "clique"])
+    @pytest.mark.parametrize("graph", ["gd", "gs"])
+    def test_tracks_inverse_on_yeast(self, graph, family, yeast_stats, request):
+        g = request.getfixturevalue(f"yeast_{graph}")
+        st_ = yeast_stats.aligned_to(g.vertices)
+        assert_inverse_kept(st_, g, family_blocks(g, family), sweeps=5)
+
+    @pytest.mark.parametrize("family", ["vertex", "clique"])
+    def test_tracks_inverse_on_lattice(self, family):
+        g = lattice_graph(6)
+        rng = np.random.default_rng(61)
+        sigma = random_patterned_cov(g, rng)
+        data = rng.standard_normal((150, g.p)) @ np.linalg.cholesky(sigma).T
+        assert_inverse_kept(sample_stats(data), g, family_blocks(g, family), sweeps=3)
+
+    def test_whole_component_blocks(self):
+        # {a, b} is a component and f is isolated: clique blocks with no
+        # spouses take the sample block, in both fitters and in K
+        g = CovarianceGraph(list("abcdef"), [("a", "b"), ("c", "d"), ("d", "e")])
+        rng = np.random.default_rng(62)
+        low = np.linalg.cholesky(random_spd(6, 60, rng))
+        st_ = sample_stats(rng.standard_normal((50, 6)) @ low.T)
+        cfg = FitConfig(tol=1e-12)
+        single, multi = fit_icf(st_, g, cfg), fit_icf_multi(st_, g, cfg=cfg)
+        assert single.converged and multi.converged
+        assert np.abs(single.sigma - multi.sigma).max() < 1e-10
+        assert np.array_equal(multi.sigma[:2, :2], st_.s[:2, :2])
+        assert multi.sigma[5, 5] == st_.s[5, 5]
+        for family in ("vertex", "clique"):
+            assert_inverse_kept(st_, g, family_blocks(g, family), sweeps=3)
+
+
+@st.composite
+def patterned_problems(draw):
+    p = draw(st.integers(min_value=2, max_value=7))
+    labels = [f"v{k}" for k in range(p)]
+    pairs = [(labels[i], labels[j]) for i in range(p) for j in range(i + 1, p)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    family = draw(st.sampled_from(["vertex", "clique"]))
+    return CovarianceGraph(labels, edges), seed, family
+
+
+@given(patterned_problems())
+def test_one_sweep_matches_direct_inverse_oracle(problem):
+    g, seed, family = problem
+    rng = np.random.default_rng(seed)
+    st_ = stats_from_moments(3 * g.p + 10, random_spd(g.p, 3 * g.p + 10, rng))
+    start = random_patterned_cov(g, rng)
+    blocks = family_blocks(g, family)
+    cfg = FitConfig(max_iter=1, start=start)
+    if family == "vertex":
+        res = fit_icf(st_, g, cfg)
+    else:
+        res = fit_icf_multi(st_, g, cliques(g), cfg)
+    expected = icf_sweep(st_.s, start, g.adjacency, blocks)
+    assert np.abs(res.sigma - expected).max() <= 1e-10 * np.abs(expected).max()

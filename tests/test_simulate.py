@@ -142,6 +142,27 @@ class TestRunSimulation:
         assert rep.entries[0].failures == 3
         assert rep.entries[0].rmse == 0.0
 
+    def test_failure_reasons_name_the_cause(self):
+        spec = SimSpec(
+            sigma_true=SIGMA_CHAIN, sample_sizes=(20,), replications=4, seed=3,
+            methods=("ml-icf", "dual"),
+        )
+        outcomes = iter([
+            SIGMA_CHAIN.copy(), ModelError("boom"), -np.eye(4), np.linalg.LinAlgError("x"),
+        ])
+
+        def scripted(data):
+            out = next(outcomes)
+            if isinstance(out, Exception):
+                raise out
+            return out
+
+        rep = run_simulation(spec, fitters={"ml-icf": scripted, "dual": lambda d: SIGMA_CHAIN})
+        assert rep.failure_reasons[("ml-icf", 20)] == [None, "ModelError", "not-pd", "LinAlgError"]
+        assert rep.failure_reasons[("dual", 20)] == [None] * 4
+        ok = ~np.isnan(rep.raw_errors[("ml-icf", 20)][:, 0, 0])
+        assert ok.tolist() == [True, False, False, False]
+
     def test_fits_are_pattern_respecting(self):
         spec = SimSpec(
             sigma_true=SIGMA_CHAIN, sample_sizes=(40,), replications=4, seed=4,
