@@ -28,25 +28,21 @@ from .graphs import (
     cliques,
     free_index_set,
     graph_from_matrix,
-    non_spouses,
     parse_family_text,
     parse_graph_text,
     singleton_family,
     spouses,
-    spouses_of_set,
     validate_family,
 )
-from .icf import fit_best_start, fit_icf, icf_update_vertex, pseudo_variables_gram, random_starts
+from .icf import fit_icf, icf_update_vertex
 from .icf_multi import BlockSelector, block_update, fit_icf_multi
 from .model import (
-    ConditionalParams,
     ConstrainedCovariance,
     DuplicationMap,
     ModelError,
     NotPositiveDefiniteError,
     PatternViolationError,
     SampleStats,
-    conditional_params,
     deviance,
     fisher_information,
     hessian,

@@ -27,7 +27,7 @@ from .model import (
     profile_loglik,
     stationarity_residual,
 )
-from .results import FitConfig, FitResult
+from .results import FitConfig, FitResult, stop_reason
 
 __all__ = ["fit_anderson"]
 
@@ -37,8 +37,9 @@ def fit_anderson(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None =
 
     The per-iterate positive-definiteness record is kept, and the
     log-likelihood trace holds None wherever the iterate was not PD.
-    ``detail`` distinguishes converged-pd, converged-non-pd, diverged,
-    and singular-system outcomes.
+    ``stop_reason`` decides the stop, as for conditional fitting; an
+    overflowing iterate stops as ``diverged`` and an unsolvable system
+    as ``singular-system``.
     """
     cfg = cfg or FitConfig()
     if stats.labels is not None and stats.labels != g.vertices:
@@ -59,8 +60,7 @@ def fit_anderson(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None =
 
     pd_flags: list[bool] = []
     trace: list[float | None] = []
-    detail = "diverged"
-    converged = False
+    detail = None
     iteration = 0
     for iteration in range(1, cfg.max_iter + 1):
         try:
@@ -91,38 +91,22 @@ def fit_anderson(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None =
         pd_flags.append(pd)
         if cfg.record_trace:
             trace.append(profile_loglik(stats, new_sigma) if pd else None)
-        delta = float(np.abs(new_sigma - sigma).max())
-        sigma = new_sigma
-        if delta < cfg.tol:
-            if not pd:
-                detail = "converged-non-pd"
-                break
-            estimate = ConstrainedCovariance(g, sigma)
-            residual = stationarity_residual(stats, estimate)
-            if residual <= 100.0 * cfg.tol:
-                detail = "converged-pd"
-                converged = True
-            else:
-                detail = "diverged"
+        sigma, old = new_sigma, sigma
+        detail = stop_reason(
+            sigma, old, lambda: stationarity_residual(stats, ConstrainedCovariance(g, sigma)), cfg.tol
+        )
+        if detail:
             break
-    estimate = None
-    loglik = None
-    residual = None
-    if converged:
-        estimate = ConstrainedCovariance(g, sigma)
-        loglik = profile_loglik(stats, estimate, n_adjust=cfg.n_adjust)
-        residual = stationarity_residual(stats, estimate)
-    elif pd_flags and pd_flags[-1] and is_pos_def(sigma):
-        loglik = profile_loglik(stats, sigma, n_adjust=cfg.n_adjust)
+    # A converged iterate is positive definite; the last flag is sigma's.
+    estimate = ConstrainedCovariance(g, sigma) if detail == "converged" else None
     return FitResult(
         method="ml-anderson",
         estimate=estimate,
-        loglik=loglik,
+        loglik=profile_loglik(stats, sigma, n_adjust=cfg.n_adjust) if pd_flags and pd_flags[-1] else None,
         iterations=iteration,
-        converged=converged,
         final_sigma=sigma,
         trace=tuple(trace) if cfg.record_trace else None,
-        detail=detail,
+        detail=detail or "max-iter",
         pd_flags=tuple(pd_flags),
-        residual=residual,
+        residual=None if estimate is None else stationarity_residual(stats, estimate),
     )

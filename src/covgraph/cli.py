@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 import time
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -141,6 +142,7 @@ def _run_method(method, stats, data, g, args, cfg):
         extras = {
             "iterations": fit.outer_iterations,
             "inner_solves": fit.inner_solves,
+            "detail": fit.detail,
             "el_log_ratio": fit.weighted.el_log_ratio,
         }
         return fit.sigma, ll, fit.converged, extras
@@ -254,6 +256,10 @@ def cmd_simulate(args) -> int:
         report = run_simulation(spec, labels=labels)
     except (cio.InputError, GraphError, ModelError, ValueError) as exc:
         return _fail(str(exc))
+    for (method, n), reasons in report.failure_reasons.items():
+        counts = Counter(r for r in reasons if r is not None)
+        if counts:
+            _note(f"failures {method} n={n}: " + ", ".join(f"{r} {c}" for r, c in sorted(counts.items())))
     text = report.to_table()
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -92,18 +92,25 @@ class WeightedSample:
 class ELFit:
     """Profiled solution and the induced weighted covariance estimate.
 
-    ``converged`` holds when the returned location is stationary on a
-    unit-free scale: max_i n |lambda_mean,i| sd_i <= 1e-5, with sd the
-    sample standard deviations.  ``inner_solves`` counts the inner dual
-    problems solved, the sample mean included.
+    ``detail`` is the stop reason: ``converged`` when the returned
+    location is stationary on a unit-free scale, max_i n |lambda_mean,i|
+    sd_i <= 1e-5 with sd the sample standard deviations; ``max-iter``
+    when the location search used ``outer_max_iter`` iterations; and
+    ``stalled`` when it ended earlier without reaching stationarity.
+    ``inner_solves`` counts the inner dual problems solved, the sample
+    mean included.
     """
 
     weighted: WeightedSample
     sigma: np.ndarray
     sigma_singular: bool
-    converged: bool
+    detail: str
     outer_iterations: int
     inner_solves: int
+
+    @property
+    def converged(self) -> bool:
+        return self.detail == "converged"
 
 
 def missing_pairs(g: CovarianceGraph) -> tuple[tuple[int, int], ...]:
@@ -349,11 +356,15 @@ def fit_el(
     sigma = (sigma + sigma.T) / 2.0
     eigs = np.linalg.eigvalsh(sigma)
     singular = bool(eigs.min() <= 1e-10 * max(eigs.max(), 1e-300))
+    if stationarity <= _STATIONARY_TOL:
+        detail = "converged"
+    else:
+        detail = "max-iter" if res.nit >= cfg.outer_max_iter else "stalled"
     return ELFit(
         weighted=best,
         sigma=sigma,
         sigma_singular=singular,
-        converged=stationarity <= _STATIONARY_TOL,
+        detail=detail,
         outer_iterations=int(res.nit),
         inner_solves=solves,
     )

@@ -22,8 +22,6 @@ __all__ = [
     "CompleteSetFamily",
     "FamilyViolation",
     "spouses",
-    "non_spouses",
-    "spouses_of_set",
     "free_index_set",
     "cliques",
     "singleton_family",
@@ -112,31 +110,6 @@ class CovarianceGraph:
         idx = list(idx)
         return all(self._adj[a, b] for a, b in itertools.combinations(idx, 2))
 
-    def components_excluding(self, dropped: Iterable[int]) -> list[np.ndarray]:
-        """Connected components of the subgraph induced by dropping positions.
-
-        Components are returned as sorted index arrays, ordered by their
-        smallest member.
-        """
-        dropped = set(dropped)
-        seen: set[int] = set(dropped)
-        comps = []
-        for start in range(self.p):
-            if start in seen:
-                continue
-            stack, comp = [start], []
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for u in np.flatnonzero(self._adj[v]):
-                    u = int(u)
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            comps.append(np.array(sorted(comp), dtype=int))
-        return comps
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CovarianceGraph):
             return NotImplemented
@@ -152,22 +125,6 @@ class CovarianceGraph:
 def spouses(g: CovarianceGraph, i: str) -> tuple[str, ...]:
     """Vertices adjacent to ``i``, in vertex order."""
     return tuple(g.vertices[j] for j in g.spouse_idx(g.index(i)))
-
-
-def non_spouses(g: CovarianceGraph, i: str) -> tuple[str, ...]:
-    """Vertices distinct from ``i`` and not adjacent to it, in vertex order."""
-    iv = g.index(i)
-    adj = g.adjacency[iv]
-    return tuple(v for j, v in enumerate(g.vertices) if j != iv and not adj[j])
-
-
-def spouses_of_set(g: CovarianceGraph, c: Iterable[str]) -> tuple[str, ...]:
-    """Vertices outside ``c`` adjacent to some member of ``c``, in vertex order."""
-    cidx = {g.index(v) for v in c}
-    hit: set[int] = set()
-    for i in cidx:
-        hit.update(int(j) for j in g.spouse_idx(i))
-    return tuple(g.vertices[j] for j in sorted(hit - cidx))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ matrix, so the sample size never enters the per-sweep cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -41,21 +41,17 @@ from .graphs import CovarianceGraph
 from .model import (
     ConstrainedCovariance,
     ModelError,
-    PatternViolationError,
     SampleStats,
     profile_loglik,
     stationarity_residual,
 )
-from .results import FitConfig, FitResult
+from .results import FitConfig, FitResult, stop_reason
 
 __all__ = [
     "BlockSelector",
     "block_update",
-    "pseudo_variables_gram",
     "icf_update_vertex",
     "fit_icf",
-    "fit_best_start",
-    "random_starts",
 ]
 
 
@@ -186,49 +182,6 @@ def _update(s: np.ndarray, m: np.ndarray, k: np.ndarray, plan: _BlockPlan) -> No
     np.add(inv_rest, y.T @ y, out=k)
 
 
-def pseudo_variables_gram(
-    stats: SampleStats, g: CovarianceGraph, sigma_rest: np.ndarray, i: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cross products and Gram matrix of the pseudo-variable regression.
-
-    ``sigma_rest`` is the fixed covariance of the variables other than
-    ``i``, in vertex order with ``i`` removed; it must be exactly zero
-    between non-adjacent vertices.  It is block-diagonal over the
-    components of the graph without ``i``, so only the components that
-    hold spouses of ``i`` are factorised; the others may even be
-    singular.  The returned pair is the response/covariate cross moment
-    row and the covariate Gram matrix, both expressed through the
-    empirical covariance.
-    """
-    iv = g.index(i)
-    spo = _plan(g, [iv]).spo
-    if spo.size == 0:
-        raise ModelError(f"vertex {i!r} has no spouses; the regression is empty")
-    sigma_rest = np.asarray(sigma_rest, dtype=float)
-    if sigma_rest.shape != (g.p - 1, g.p - 1):
-        raise ModelError("sigma_rest must drop exactly the chosen vertex")
-    rest = np.flatnonzero(np.arange(g.p) != iv)
-    off = ~g.adjacency[np.ix_(rest, rest)] & ~np.eye(rest.size, dtype=bool)
-    bad = np.argwhere(off & (sigma_rest != 0.0))
-    if bad.size:
-        a, b = rest[bad[0]]
-        raise PatternViolationError(
-            f"sigma_rest entry ({g.vertices[a]}, {g.vertices[b]}) must be zero"
-        )
-    spo_set = set(spo.tolist())
-    comps = [c for c in g.components_excluding([iv]) if spo_set.intersection(c.tolist())]
-    kept = np.sort(np.concatenate(comps))
-    in_rest = np.searchsorted(rest, kept)
-    try:
-        c = cho_factor(sigma_rest[np.ix_(in_rest, in_rest)], lower=True)
-    except np.linalg.LinAlgError:
-        raise ModelError("fixed covariance block is singular") from None
-    w = np.zeros((g.p, spo.size))
-    w[kept] = cho_solve(c, np.eye(kept.size)[:, np.searchsorted(kept, spo)])
-    cross, gram = _pseudo_moments(stats.s, np.array([iv]), w)
-    return cross[0], gram
-
-
 def block_update(
     stats: SampleStats, sigma: ConstrainedCovariance, c: Iterable[str]
 ) -> ConstrainedCovariance:
@@ -275,11 +228,9 @@ def _sweep_fit(
     """Cycle block updates over ``blocks`` (vertex positions) to convergence.
 
     Each sweep updates one working array and is validated once at its
-    end.  ``detail`` gives the stop reason: ``converged`` when the
-    max-abs parameter change over a sweep drops below ``tol`` and the
-    likelihood-equation residual confirms a stationary point,
-    ``stalled`` when the parameters stop moving but the residual stays
-    large, and ``max-iter`` after ``max_iter`` sweeps.
+    end.  ``stop_reason`` decides the stop from the sweep's unit-free
+    change and the stationarity residual; ``detail`` is ``max-iter``
+    after ``max_iter`` sweeps.
     """
     if stats.labels is not None and stats.labels != g.vertices:
         stats = stats.aligned_to(g.vertices)
@@ -289,8 +240,7 @@ def _sweep_fit(
     current = _resolve_start(g, cfg)
     m = np.array(current.sigma)
     trace: list[float] = []
-    detail = "max-iter"
-    residual = None
+    detail = None
     sweeps = 0
     for sweeps in range(1, cfg.max_iter + 1):
         k = _inverse(m)
@@ -299,27 +249,18 @@ def _sweep_fit(
         prev, current = current, ConstrainedCovariance(g, m.copy())
         if cfg.record_trace:
             trace.append(profile_loglik(stats, current, n_adjust=cfg.n_adjust))
-        delta = float(np.abs(current.sigma - prev.sigma).max())
-        if delta < cfg.tol:
-            residual = stationarity_residual(stats, current)
-            if residual <= 100.0 * cfg.tol:
-                detail = "converged"
-                break
-            if delta < 1e-3 * cfg.tol:
-                detail = "stalled"
-                break
-    if residual is None:
-        residual = stationarity_residual(stats, current)
+        detail = stop_reason(current.sigma, prev.sigma, lambda: stationarity_residual(stats, current), cfg.tol)
+        if detail:
+            break
     return FitResult(
         method=method,
         estimate=current,
         loglik=profile_loglik(stats, current, n_adjust=cfg.n_adjust),
         iterations=sweeps,
-        converged=detail == "converged",
+        detail=detail or "max-iter",
         final_sigma=current.sigma,
         trace=tuple(trace) if cfg.record_trace else None,
-        detail=detail,
-        residual=residual,
+        residual=stationarity_residual(stats, current),
     )
 
 
@@ -327,47 +268,3 @@ def fit_icf(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None = None
     """Fit the constrained covariance by cycling vertexwise updates."""
     return _sweep_fit(stats, g, cfg or FitConfig(), [[v] for v in range(g.p)], "ml-icf")
 
-
-def random_starts(
-    g: CovarianceGraph, count: int, seed: int = 0, scale: float = 0.5
-) -> list[ConstrainedCovariance]:
-    """Random positive-definite starting values inside the pattern.
-
-    Diagonally dominant draws: edge entries uniform, diagonal lifted
-    above each row's absolute sum.
-    """
-    rng = np.random.default_rng(seed)
-    out = []
-    edges = np.triu(g.adjacency, 1)
-    for _ in range(count):
-        m = np.zeros((g.p, g.p))
-        for i, j in zip(*np.nonzero(edges)):
-            m[i, j] = m[j, i] = scale * rng.uniform(-1.0, 1.0)
-        m += np.diag(rng.uniform(1.0, 2.0, g.p) + np.abs(m).sum(axis=1))
-        out.append(ConstrainedCovariance(g, m))
-    return out
-
-
-def fit_best_start(
-    stats: SampleStats,
-    g: CovarianceGraph,
-    starts: Iterable[np.ndarray | ConstrainedCovariance],
-    cfg: FitConfig | None = None,
-    fitter=fit_icf,
-) -> FitResult:
-    """Run a fitter from several starting values and keep the best likelihood.
-
-    The likelihood surface can have multiple local maxima; supplying
-    extra starting points is the pragmatic guard.
-    """
-    cfg = cfg or FitConfig()
-    best: FitResult | None = None
-    best_ll = -np.inf
-    for start in starts:
-        res = fitter(stats, g, replace(cfg, start=start))
-        ll = -np.inf if res.loglik is None else res.loglik
-        if best is None or ll > best_ll:
-            best, best_ll = res, ll
-    if best is None:
-        raise ModelError("no starting values supplied")
-    return best

@@ -2,15 +2,14 @@
 
 Everything here is a pure function of sample moments and a patterned
 covariance matrix: profile log-likelihood, score, Hessian, Fisher
-information, stationarity residual of the likelihood equations,
-conditional-distribution parameters, and deviance against the
-saturated model.
+information, stationarity residual of the likelihood equations, and
+deviance against the saturated model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -23,7 +22,6 @@ __all__ = [
     "PatternViolationError",
     "SampleStats",
     "ConstrainedCovariance",
-    "ConditionalParams",
     "DuplicationMap",
     "is_pos_def",
     "sample_stats",
@@ -33,7 +31,6 @@ __all__ = [
     "fisher_information",
     "hessian",
     "stationarity_residual",
-    "conditional_params",
     "deviance",
     "pair_quadratic",
 ]
@@ -57,8 +54,10 @@ class PatternViolationError(ModelError):
 def is_pos_def(a: np.ndarray, rel_tol: float = PD_REL_TOL) -> bool:
     """Positive definiteness via Cholesky with a relative pivot floor.
 
-    Accepts iff the factorization exists and its smallest pivot exceeds
-    ``rel_tol`` times the largest diagonal entry of ``a``.
+    Accepts iff the factorization exists and every pivot exceeds
+    ``rel_tol`` times its own diagonal entry of ``a``.  A pivot over its
+    diagonal entry is one minus the squared multiple correlation on the
+    earlier variables, so the verdict does not depend on units.
     """
     a = np.asarray(a, dtype=float)
     if a.size == 0 or not np.all(np.isfinite(a)):
@@ -68,7 +67,7 @@ def is_pos_def(a: np.ndarray, rel_tol: float = PD_REL_TOL) -> bool:
     except np.linalg.LinAlgError:
         return False
     pivots = np.diag(low) ** 2
-    return bool(pivots.min() > rel_tol * max(a.diagonal().max(), 0.0))
+    return bool(np.all(pivots > rel_tol * a.diagonal()))
 
 
 def _chol(a: np.ndarray, what: str = "matrix"):
@@ -320,52 +319,21 @@ def hessian(stats: SampleStats, sigma: ConstrainedCovariance, n_adjust: bool = F
     return 0.5 * n * (pair_quadratic(k, k, pairs) - pair_quadratic(k, t, pairs) - pair_quadratic(t, k, pairs))
 
 
-def stationarity_residual(stats: SampleStats, sigma: ConstrainedCovariance) -> float:
-    """Max-abs defect of the likelihood equations over the free entries.
+def unit_free_gap(gap: np.ndarray, sigma: np.ndarray, g: CovarianceGraph) -> float:
+    """Max |d_i gap_ij d_j| over the free entries, d = sqrt(diag(sigma))."""
+    d = np.sqrt(np.diag(sigma))
+    free = np.triu(g.adjacency | np.eye(g.p, dtype=bool))
+    return float(np.abs(gap * np.outer(d, d))[free].max())
 
-    Zero exactly when sigma is a stationary point of the profile
-    log-likelihood within the pattern.
+
+def stationarity_residual(stats: SampleStats, sigma: ConstrainedCovariance) -> float:
+    """Max defect K - K S K of the likelihood equations, K = sigma^-1, unit-free.
+
+    Scaled by ``unit_free_gap``.  Zero exactly when sigma is a stationary
+    point of the profile log-likelihood within the pattern.
     """
     k = _inv_pd(sigma.sigma, "covariance")
-    m = k - k @ stats.s @ k
-    g = sigma.graph
-    free = np.triu(g.adjacency | np.eye(g.p, dtype=bool))
-    return float(np.abs(m[free]).max())
-
-
-@dataclass(frozen=True)
-class ConditionalParams:
-    """Regression coefficients and conditional covariance of a block.
-
-    ``coefficients`` maps the complementary variables to the block;
-    ``conditional_cov`` is the positive-definite residual covariance.
-    """
-
-    block: tuple[str, ...]
-    rest: tuple[str, ...]
-    coefficients: np.ndarray
-    conditional_cov: np.ndarray
-
-
-def conditional_params(sigma: ConstrainedCovariance, c: Iterable[str]) -> ConditionalParams:
-    """Parameters of the conditional distribution of block ``c`` given the rest."""
-    g = sigma.graph
-    cidx = sorted({g.index(v) for v in c})
-    if not cidx or len(cidx) == g.p:
-        raise ModelError("block must be a nonempty proper subset of the vertices")
-    rest = [j for j in range(g.p) if j not in set(cidx)]
-    m = sigma.sigma
-    m_cr = m[np.ix_(cidx, rest)]
-    rest_chol = _chol(m[np.ix_(rest, rest)], "complementary block")
-    coef = cho_solve(rest_chol, m_cr.T).T
-    lam = m[np.ix_(cidx, cidx)] - coef @ m_cr.T
-    lam = (lam + lam.T) / 2.0
-    return ConditionalParams(
-        block=tuple(g.vertices[i] for i in cidx),
-        rest=tuple(g.vertices[j] for j in rest),
-        coefficients=coef,
-        conditional_cov=lam,
-    )
+    return unit_free_gap(k - k @ stats.s @ k, sigma.sigma, sigma.graph)
 
 
 def deviance(

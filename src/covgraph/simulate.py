@@ -168,7 +168,7 @@ def default_fitters(
 
     def need_converged(res):
         if not res.converged or res.estimate is None:
-            raise ModelError(f"{res.method} did not converge ({res.detail or 'no detail'})")
+            raise ModelError(f"{res.method} did not converge ({res.detail})")
         return res.estimate.sigma
 
     return {

@@ -5,6 +5,7 @@ paths: brute-force loops, dense Kronecker products, finite differences,
 and generic numerical optimizers.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -355,3 +356,146 @@ def icf_sweep(s, sigma, adjacency, blocks):
         m[np.ix_(spo, c)] = coef.T
         m[np.ix_(c, c)] = resid + coef @ inv_r[np.ix_(pos, pos)] @ coef.T
     return m
+
+
+def components_excluding(g, dropped):
+    """Connected components of the graph without the ``dropped`` positions.
+
+    Depth-first search; components are sorted index arrays, ordered by
+    their smallest member.
+    """
+    seen = set(dropped)
+    comps = []
+    for start in range(g.p):
+        if start in seen:
+            continue
+        stack, comp = [start], []
+        seen.add(start)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for u in range(g.p):
+                if g.adjacency[v, u] and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        comps.append(np.array(sorted(comp), dtype=int))
+    return comps
+
+
+def non_spouses(g, i):
+    """Vertices distinct from ``i`` and not adjacent to it, in vertex order."""
+    iv = g.index(i)
+    return tuple(v for j, v in enumerate(g.vertices) if j != iv and not g.adjacency[iv, j])
+
+
+def spouses_of_set(g, c):
+    """Vertices outside ``c`` adjacent to some member of ``c``, in vertex order."""
+    cidx = {g.index(v) for v in c}
+    return tuple(
+        v for j, v in enumerate(g.vertices)
+        if j not in cidx and any(g.adjacency[i, j] for i in cidx)
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class ConditionalParams:
+    """Regression coefficients and conditional covariance of a block."""
+
+    block: tuple
+    rest: tuple
+    coefficients: np.ndarray
+    conditional_cov: np.ndarray
+
+
+def conditional_params(sigma_cc, c):
+    """Parameters of the conditional distribution of block ``c`` given the rest.
+
+    Plain linear solve against the complementary block.
+    """
+    g = sigma_cc.graph
+    cidx = sorted({g.index(v) for v in c})
+    if not cidx or len(cidx) == g.p:
+        raise cg.ModelError("block must be a nonempty proper subset of the vertices")
+    rest = [j for j in range(g.p) if j not in cidx]
+    m = sigma_cc.sigma
+    m_cr = m[np.ix_(cidx, rest)]
+    coef = np.linalg.solve(m[np.ix_(rest, rest)], m_cr.T).T
+    lam = m[np.ix_(cidx, cidx)] - coef @ m_cr.T
+    return ConditionalParams(
+        block=tuple(g.vertices[i] for i in cidx),
+        rest=tuple(g.vertices[j] for j in rest),
+        coefficients=coef,
+        conditional_cov=(lam + lam.T) / 2.0,
+    )
+
+
+def pseudo_variables_gram(stats, g, sigma_rest, i):
+    """Cross moments and Gram matrix of the pseudo-variable regression of ``i``.
+
+    ``sigma_rest`` is the fixed covariance of the other variables, in
+    vertex order with ``i`` removed, and must be zero between
+    non-adjacent vertices.  Only the components of the graph without
+    ``i`` that hold spouses of ``i`` are inverted, so the others may be
+    singular.  The pseudo-variables of an observation x are the spouse
+    rows of that inverse applied to x, expressed through the empirical
+    covariance.
+    """
+    iv = g.index(i)
+    spo = [j for j in range(g.p) if g.adjacency[iv, j]]
+    if not spo:
+        raise cg.ModelError(f"vertex {i!r} has no spouses; the regression is empty")
+    sigma_rest = np.asarray(sigma_rest, dtype=float)
+    if sigma_rest.shape != (g.p - 1, g.p - 1):
+        raise cg.ModelError("sigma_rest must drop exactly the chosen vertex")
+    rest = [j for j in range(g.p) if j != iv]
+    for a, b in itertools.combinations(range(len(rest)), 2):
+        if not g.adjacency[rest[a], rest[b]] and sigma_rest[a, b] != 0.0:
+            raise cg.PatternViolationError(
+                f"sigma_rest entry ({g.vertices[rest[a]]}, {g.vertices[rest[b]]}) must be zero"
+            )
+    comps = [c for c in components_excluding(g, [iv]) if set(spo) & set(c.tolist())]
+    kept = sorted(np.concatenate(comps).tolist())
+    in_rest = [rest.index(j) for j in kept]
+    block = sigma_rest[np.ix_(in_rest, in_rest)]
+    if not is_pos_def(block):
+        raise cg.ModelError("fixed covariance block is singular")
+    w = np.zeros((g.p, len(spo)))
+    w[kept] = np.linalg.solve(block, np.eye(len(kept))[:, [kept.index(j) for j in spo]])
+    gram = w.T @ stats.s @ w
+    return stats.s[iv] @ w, (gram + gram.T) / 2.0
+
+
+def random_starts(g, count, seed=0, scale=0.5):
+    """Random positive-definite starting values inside the pattern.
+
+    Diagonally dominant draws: edge entries uniform, diagonal lifted
+    above each row's absolute sum.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    edges = np.triu(g.adjacency, 1)
+    for _ in range(count):
+        m = np.zeros((g.p, g.p))
+        for i, j in zip(*np.nonzero(edges)):
+            m[i, j] = m[j, i] = scale * rng.uniform(-1.0, 1.0)
+        m += np.diag(rng.uniform(1.0, 2.0, g.p) + np.abs(m).sum(axis=1))
+        out.append(cg.ConstrainedCovariance(g, m))
+    return out
+
+
+def fit_best_start(stats, g, starts, cfg=None, fitter=cg.fit_icf):
+    """Run a fitter from several starting values and keep the best likelihood.
+
+    The likelihood surface can have several local maxima; extra
+    starting points are the pragmatic guard.
+    """
+    cfg = cfg or cg.FitConfig()
+    best, best_ll = None, -np.inf
+    for start in starts:
+        res = fitter(stats, g, dataclasses.replace(cfg, start=start))
+        ll = -np.inf if res.loglik is None else res.loglik
+        if best is None or ll > best_ll:
+            best, best_ll = res, ll
+    if best is None:
+        raise cg.ModelError("no starting values supplied")
+    return best

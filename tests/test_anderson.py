@@ -6,7 +6,7 @@ from covgraph.anderson import fit_anderson
 from covgraph.graphs import CovarianceGraph, free_index_set
 from covgraph.icf import fit_icf
 from covgraph.model import ModelError, stats_from_moments, stationarity_residual
-from covgraph.results import FitConfig
+from covgraph.results import FitConfig, stop_reason
 
 from conftest import SIGMA_CHAIN, random_spd
 from oracles import SingularSystemError, anderson_system
@@ -59,7 +59,7 @@ class TestFitAnderson:
         s = random_spd(3, 40, rng)
         st = stats_from_moments(40, s)
         res = fit_anderson(st, g)
-        assert res.converged and res.detail == "converged-pd"
+        assert res.converged and res.detail == "converged"
         assert res.iterations <= 2
         assert np.abs(res.sigma - s).max() < 1e-10
 
@@ -125,7 +125,7 @@ class TestFitAnderson:
         st = stats_from_moments(5, x.T @ x / 5)
         res = fit_anderson(st, fig1, FitConfig(max_iter=50))
         assert not res.converged
-        assert res.detail in ("diverged", "converged-non-pd", "singular-system")
+        assert res.detail in ("diverged", "max-iter", "not-pd", "singular-system")
         assert res.estimate is None
 
     def test_trace_holds_none_for_non_pd_iterates(self, fig1):
@@ -142,3 +142,16 @@ class TestFitAnderson:
         st = stats_from_moments(9, data.T @ data / 9)
         with pytest.raises(ModelError, match="positive definite"):
             fit_anderson(st, fig1)
+
+
+class TestStopRule:
+    def test_non_positive_diagonal_is_never_a_small_step(self):
+        m = np.diag([1.0, -2.0])
+        assert stop_reason(m, m, lambda: 0.0, 1e-8) is None
+
+    def test_small_step_outside_the_cone_is_not_pd(self):
+        g = complete_graph(2)
+        st = stats_from_moments(10, np.eye(2))
+        m = np.array([[1.0, 2.0], [2.0, 1.0]])
+        residual = lambda: stationarity_residual(st, cg.ConstrainedCovariance(g, m))  # noqa: E731
+        assert stop_reason(m, m, residual, 1e-8) == "not-pd"

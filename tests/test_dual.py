@@ -67,7 +67,7 @@ class TestFitDual:
         res = fit_dual(st, g)
         assert res.converged
         assert res.iterations == 1
-        assert res.detail == "decomposable"
+        assert is_decomposable(g)
         oracle, sol = root_find_dual(st, g)
         assert sol.success
         assert np.abs(res.sigma - oracle).max() < 1e-8

@@ -201,9 +201,11 @@ class TestFitEl:
 
     def test_outer_search_is_cheap_and_reported(self, fig1):
         fit = fit_el(draw_chain_data(100, 14), fig1)
-        assert fit.converged
+        assert fit.converged and fit.detail == "converged"
         assert 1 <= fit.outer_iterations <= ELConfig().outer_max_iter
         assert fit.inner_solves < 100
+        capped = fit_el(draw_chain_data(100, 14), fig1, ELConfig(outer_max_iter=1))
+        assert capped.detail == "max-iter" and not capped.converged
 
     def test_monotone_degradation_when_removing_edges(self):
         rng = np.random.default_rng(10)

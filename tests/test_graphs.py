@@ -10,16 +10,15 @@ from covgraph.graphs import (
     cliques,
     free_index_set,
     graph_from_matrix,
-    non_spouses,
     parse_graph_text,
     singleton_family,
     spouses,
-    spouses_of_set,
     validate_family,
 )
+from covgraph.icf import _plan
 
 from conftest import random_graph
-from oracles import brute_force_cliques
+from oracles import brute_force_cliques, non_spouses, spouses_of_set
 
 
 @st.composite
@@ -98,6 +97,7 @@ class TestSpousesOfSet:
     def test_partition_of_set(self, g):
         c = set(g.vertices[: max(1, g.p // 2)])
         spo = set(spouses_of_set(g, c))
+        assert spo == {g.vertices[j] for j in _plan(g, [g.index(v) for v in c]).spo}
         assert spo.isdisjoint(c)
         rest = set(g.vertices) - c - spo
         # no edges between c and rest

@@ -8,10 +8,8 @@ from covgraph.icf import (
     _inverse,
     _plan,
     _update,
-    fit_best_start,
     fit_icf,
     icf_update_vertex,
-    pseudo_variables_gram,
 )
 from covgraph.icf_multi import fit_icf_multi
 from covgraph.model import (
@@ -26,7 +24,14 @@ from covgraph.model import (
 from covgraph.results import FitConfig
 
 from conftest import SIGMA_CHAIN, random_graph, random_patterned_cov, random_spd
-from oracles import brute_force_ml, icf_sweep, section_maximize
+from oracles import (
+    brute_force_ml,
+    fit_best_start,
+    icf_sweep,
+    pseudo_variables_gram,
+    random_starts,
+    section_maximize,
+)
 
 
 def complete_graph(p):
@@ -121,6 +126,37 @@ class TestPseudoVariablesGram:
         cross, gram = pseudo_variables_gram(st, g, sigma_rest, "a")
         assert gram.shape == (1, 1) and np.isfinite(gram[0, 0])
         assert cross[0] == pytest.approx(st.s[0, 1])  # identity spouse block
+        # the engine's refit of a does not read the far component either
+        rows = []
+        for r in (0.0, 0.9):
+            m = np.eye(4)
+            m[2, 3] = m[3, 2] = r
+            rows.append(icf_update_vertex(st, ConstrainedCovariance(g, m), "a").sigma[0])
+        assert np.abs(rows[0] - rows[1]).max() <= 1e-14
+
+    @pytest.mark.parametrize("graph", ["fig1", "yeast_gd"])
+    def test_engine_update_uses_the_oracle_moments(self, graph, request):
+        # a vertex refit is the least-squares fit on the oracle's moments:
+        # sigma_i,spo = gram^-1 cross, and sigma_ii adds the residual variance
+        g = request.getfixturevalue(graph)
+        rng = np.random.default_rng(22)
+        st = stats_from_moments(60, random_spd(g.p, 60, rng))
+        sigma = random_patterned_cov(g, rng)
+        for iv, i in enumerate(g.vertices):
+            spo = g.spouse_idx(iv)
+            if spo.size == 0:
+                continue
+            rest = [j for j in range(g.p) if j != iv]
+            sigma_rest = sigma[np.ix_(rest, rest)]
+            cross, gram = pseudo_variables_gram(st, g, sigma_rest, i)
+            coef = np.linalg.solve(gram, cross)
+            in_rest = [rest.index(j) for j in spo]
+            inv_spo = np.linalg.inv(sigma_rest)[np.ix_(in_rest, in_rest)]
+            new = icf_update_vertex(st, ConstrainedCovariance(g, sigma), i).sigma
+            scale = np.abs(new).max()
+            assert np.abs(new[iv, spo] - coef).max() <= 1e-10 * scale
+            diag = st.s[iv, iv] - cross @ coef + coef @ inv_spo @ coef
+            assert new[iv, iv] == pytest.approx(diag, rel=1e-10)
 
     def test_off_pattern_sigma_rest_rejected(self, fig1):
         st = stats_from_moments(50, SIGMA_CHAIN)
@@ -277,8 +313,6 @@ class TestFitIcf:
         assert best.loglik == pytest.approx(max(r.loglik for r in singles), abs=1e-12)
 
     def test_random_starts_are_valid_and_deterministic(self, fig1):
-        from covgraph.icf import random_starts
-
         a = random_starts(fig1, 3, seed=9)
         b = random_starts(fig1, 3, seed=9)
         assert len(a) == 3

@@ -8,14 +8,13 @@ from covgraph.icf_multi import BlockSelector, block_update, fit_icf_multi
 from covgraph.model import (
     ConstrainedCovariance,
     ModelError,
-    conditional_params,
     profile_loglik,
     stats_from_moments,
 )
 from covgraph.results import FitConfig
 
 from conftest import SIGMA_CHAIN, random_graph, random_patterned_cov, random_spd
-from oracles import section_maximize
+from oracles import conditional_params, section_maximize
 from covgraph.graphs import free_index_set
 
 

@@ -263,7 +263,7 @@ class TestCliFit:
             "--header", "yes", "--method", "el",
         ])
         out = capsys.readouterr().out
-        assert rc == 0 and "converged true" in out
+        assert rc == 0 and "converged true" in out and "detail converged" in out.splitlines()
         assert any(l.startswith("el-log-ratio") for l in out.splitlines())
         assert any(l.startswith("inner-solves") for l in out.splitlines())
 
@@ -318,6 +318,34 @@ class TestCliSimulateLoglikCompare:
         assert rc == 0
         failures = [int(l.split("\t")[-1]) for l in out.splitlines() if l.startswith("el\t")]
         assert max(failures) > 0
+
+    def test_simulate_failure_reasons_on_stderr(self, tmp_path, capsys, monkeypatch):
+        sig = tmp_path / "sigma.tsv"
+        write_matrix(sig, SIGMA_CHAIN)
+        reports = {}
+        for quiet in (False, True):
+            if quiet:
+                monkeypatch.setenv("COVGRAPH_QUIET", "1")
+            else:
+                monkeypatch.delenv("COVGRAPH_QUIET", raising=False)
+                monkeypatch.delenv("NO_COLOR", raising=False)
+            out = tmp_path / f"report-{quiet}.tsv"
+            rc = main([
+                "simulate", "--sigma", str(sig), "--seed", "3", "--n", "10",
+                "--reps", "10", "--methods", "ml-icf,el", "--out", str(out),
+            ])
+            assert rc == 0
+            reports[quiet] = out.read_bytes()
+            err = capsys.readouterr().err
+            lines = [l for l in err.splitlines() if l.startswith("failures")]
+            if quiet:
+                assert err == ""
+                continue
+            table = reports[quiet].decode().splitlines()
+            el_failures = int(next(l.split("\t")[-1] for l in table if l.startswith("el\t")))
+            assert el_failures > 0
+            assert f"failures el n=10: ELInfeasibleError {el_failures}" in lines
+        assert reports[False] == reports[True]
 
     def test_simulate_graph_override_consistent(self, tmp_path, capsys):
         sig = tmp_path / "sigma.tsv"

@@ -3,12 +3,12 @@ import pytest
 
 import covgraph as cg
 from covgraph.graphs import CovarianceGraph, free_index_set
+from covgraph.icf import _inverse
 from covgraph.model import (
     ConstrainedCovariance,
     ModelError,
     NotPositiveDefiniteError,
     PatternViolationError,
-    conditional_params,
     deviance,
     fisher_information,
     hessian,
@@ -21,6 +21,7 @@ from covgraph.model import (
 
 from conftest import SIGMA_CHAIN, random_graph, random_patterned_cov, random_spd
 from oracles import (
+    conditional_params,
     cov_double_loop,
     dense_fisher,
     dense_hessian,
@@ -274,6 +275,8 @@ class TestConditionalParams:
         rest = SIGMA_CHAIN[1:, 1:]
         direct = SIGMA_CHAIN[0, 0] - SIGMA_CHAIN[0, 1:] @ np.linalg.solve(rest, SIGMA_CHAIN[1:, 0])
         assert cp.conditional_cov[0, 0] == pytest.approx(direct, abs=1e-12)
+        # the ICF engine reads the inverse conditional covariance off K
+        assert 1.0 / _inverse(SIGMA_CHAIN)[0, 0] == pytest.approx(0.375, abs=1e-12)
 
     def test_block_diagonal_zero_outside_block(self):
         g = CovarianceGraph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
