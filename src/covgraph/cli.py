@@ -162,6 +162,7 @@ def _run_method(method, stats, data, g, args, cfg):
         raise cio.InputError(f"unknown method {method!r}")
     extras = {
         "iterations": res.iterations,
+        "rejected_extrapolations": res.rejected_extrapolations,
         "residual": res.residual,
         "detail": res.detail,
         "trace": res.trace,
@@ -196,6 +197,8 @@ def cmd_fit(args) -> int:
     print(f"converged {str(converged).lower()}", file=out)
     if extras.get("iterations") is not None:
         print(f"iterations {extras['iterations']}", file=out)
+    if extras.get("rejected_extrapolations") is not None:
+        print(f"rejected-extrapolations {extras['rejected_extrapolations']}", file=out)
     if extras.get("inner_solves") is not None:
         print(f"inner-solves {extras['inner_solves']}", file=out)
     if ll is not None:

@@ -45,8 +45,10 @@ class FitResult:
     ``final_sigma`` always holds the raw final matrix.  ``detail`` is
     the stop reason (converged, stalled, max-iter, diverged,
     singular-system or not-pd), ``pd_flags`` the per-iterate
-    positive-definiteness record where the method tracks it, and
-    ``residual`` the method's own unit-free defining residual at exit.
+    positive-definiteness record where the method tracks it,
+    ``residual`` the method's own unit-free defining residual at exit,
+    and ``rejected_extrapolations`` the number of extrapolation steps
+    the ICF fitters tried and threw away.
     """
 
     method: str
@@ -58,6 +60,7 @@ class FitResult:
     trace: tuple[float | None, ...] | None = None
     pd_flags: tuple[bool, ...] | None = None
     residual: float | None = None
+    rejected_extrapolations: int | None = None
 
     @property
     def converged(self) -> bool:

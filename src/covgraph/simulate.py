@@ -33,6 +33,7 @@ __all__ = [
     "sample_t",
     "run_simulation",
     "default_fitters",
+    "NotConvergedError",
     "METHOD_NAMES",
 ]
 
@@ -99,9 +100,10 @@ class SimReport:
     # Raw per-replication error stacks keyed by (method, n); NaN rows mark
     # failed replications.  Not part of the serialized table.
     raw_errors: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
-    # Per-replication failure reasons keyed like ``raw_errors``: the
-    # exception type name, ``not-pd`` for an estimate that is not
-    # positive definite, None for a success.  Not serialized either.
+    # Per-replication failure reasons keyed like ``raw_errors``: the stop
+    # reason of a fit that did not converge, else the exception type
+    # name, ``not-pd`` for an estimate that is not positive definite,
+    # None for a success.  Not serialized either.
     failure_reasons: dict[tuple[str, int], list[str | None]] = field(default_factory=dict)
 
     def to_table(self) -> str:
@@ -154,13 +156,22 @@ def _rep_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+class NotConvergedError(ModelError):
+    """A fit that stopped without converging; ``reason`` is its stop reason."""
+
+    def __init__(self, method: str, reason: str):
+        super().__init__(f"{method} did not converge ({reason})")
+        self.reason = reason
+
+
 def default_fitters(
     graph: CovarianceGraph, tol: float = 1e-8, max_iter: int = 5000
 ) -> dict[str, Callable[[np.ndarray], np.ndarray]]:
     """Built-in method table mapping names to data -> estimate callables.
 
-    Each callable raises on failure; the harness turns raises into
-    failure counts.
+    Each callable raises on failure, ``NotConvergedError`` for a fit that
+    stopped without converging; the harness turns raises into failure
+    counts.
     """
     fit_cfg = FitConfig(tol=tol, max_iter=max_iter)
     el_cfg = ELConfig()
@@ -168,7 +179,7 @@ def default_fitters(
 
     def need_converged(res):
         if not res.converged or res.estimate is None:
-            raise ModelError(f"{res.method} did not converge ({res.detail})")
+            raise NotConvergedError(res.method, res.detail)
         return res.estimate.sigma
 
     return {
@@ -192,7 +203,8 @@ def _run_one_rep(
     """Draw one data set and fit every method.
 
     Each method maps to its error matrix, or to a string naming why it
-    failed: the exception type, or ``not-pd``.
+    failed: the stop reason of a fit that did not converge, the
+    exception type, or ``not-pd``.
     """
     rng = _rep_rng(spec.seed, stream)
     if spec.distribution == "t":
@@ -205,7 +217,7 @@ def _run_one_rep(
         try:
             est = fitters[name](data)
         except (ModelError, np.linalg.LinAlgError) as exc:
-            out[name] = type(exc).__name__
+            out[name] = exc.reason if isinstance(exc, NotConvergedError) else type(exc).__name__
             continue
         if name != "el" and not is_pos_def(est):
             out[name] = "not-pd"

@@ -5,8 +5,9 @@ from hypothesis import given, strategies as st
 import covgraph as cg
 from covgraph.graphs import CovarianceGraph, cliques, free_index_set
 from covgraph.icf import (
-    _inverse,
     _plan,
+    _point,
+    _squarem,
     _update,
     fit_icf,
     icf_update_vertex,
@@ -57,7 +58,7 @@ def assert_inverse_kept(stats, g, blocks, sweeps):
     plans = [_plan(g, b) for b in blocks]
     m = np.eye(g.p)
     for _ in range(sweeps):
-        k = _inverse(m)
+        k = _point(stats.s, m).inv
         for plan in plans:
             _update(stats.s, m, k, plan)
             exact = np.linalg.inv(m)
@@ -365,6 +366,72 @@ class TestStopReason:
         res = fit_icf_multi(st, complete_graph(3), cfg=FitConfig(tol=1e-30))
         assert res.detail == "stalled" and res.iterations == 2
         assert not res.converged and 0.0 < res.residual < 1e-12
+
+
+class TestSquarem:
+    @pytest.mark.parametrize("graph", ["gd", "gs"])
+    def test_yeast_sweeps_and_ascent(self, graph, yeast_stats, request):
+        # plain ICF takes 115 (gd) and 109 (gs) sweeps here
+        g = request.getfixturevalue(f"yeast_{graph}")
+        res = fit_icf(yeast_stats, g, FitConfig(record_trace=True))
+        assert res.detail == "converged" and res.iterations <= 40
+        assert len(res.trace) == res.iterations
+        assert np.all(np.diff(np.array(res.trace)) >= -1e-10)
+        off = ~g.adjacency & ~np.eye(g.p, dtype=bool)
+        assert np.all(res.sigma[off] == 0.0)
+        assert res.rejected_extrapolations >= 0
+
+    def test_zero_second_difference_ends(self):
+        # the single clique block takes S, so from start = S no sweep moves
+        rng = np.random.default_rng(18)
+        st_ = stats_from_moments(40, random_spd(3, 40, rng))
+        res = fit_icf_multi(st_, complete_graph(3), cfg=FitConfig(start=st_.s))
+        assert res.converged and res.iterations <= 2
+        assert res.rejected_extrapolations == 0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_step_guard(self):
+        # no candidate is tried when |v| is zero, also by underflow of a
+        # subnormal v, or when alpha is not finite (|r| overflows)
+        s = np.eye(2)
+        off = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for x0, x1, x2 in [
+            (np.eye(2), 2.0 * np.eye(2), 3.0 * np.eye(2)),
+            (np.eye(2), 2.0 * np.eye(2), 3.0 * np.eye(2) + 5e-324 * off),
+            (np.eye(2), 1e200 * np.eye(2), 2e200 * np.eye(2) + 0.5 * off),
+        ]:
+            pts = [_point(s, x) for x in (x0, x1, x2)]
+            kept, rejected = _squarem(s, *pts)
+            assert kept is pts[2] and not rejected
+
+    @pytest.mark.parametrize("last", [1.4, 1.1])
+    def test_rejected_step_keeps_the_second_sweep(self, last):
+        # the candidate overshoots the optimum at I: to a point with a
+        # lower log-likelihood (1.4) or out of the cone (1.1)
+        s = np.eye(2)
+        pts = [_point(s, d * np.eye(2)) for d in (3.0, 2.0, last)]
+        kept, rejected = _squarem(s, *pts)
+        assert kept is pts[2] and rejected
+        good = [_point(s, d * np.eye(2)) for d in (3.0, 2.0, 1.5)]
+        kept, rejected = _squarem(s, *good)
+        assert kept.kernel > good[2].kernel and not rejected
+
+
+class TestUpdateErrors:
+    """The typed errors of a block update, from crafted inputs."""
+
+    @pytest.mark.parametrize(
+        "k_scale, s, message",
+        [
+            (-1.0, np.eye(2), "incoming conditional covariance is singular"),
+            (1.0, np.diag([1.0, 0.0]), "generalized least squares system is not positive definite"),
+            (1.0, np.ones((2, 2)), "conditional covariance collapsed"),
+        ],
+    )
+    def test_update_raises(self, k_scale, s, message):
+        plan = _plan(complete_graph(2), [0])
+        with pytest.raises(ModelError, match=message):
+            _update(s, np.eye(2), k_scale * np.eye(2), plan)
 
 
 class TestMaintainedInverse:

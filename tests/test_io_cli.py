@@ -258,6 +258,10 @@ class TestCliFit:
         ])
         out = capsys.readouterr().out
         assert rc == 0 and "converged true" in out and "n 60" in out
+        lines = out.splitlines()
+        at = next(k for k, l in enumerate(lines) if l.startswith("iterations"))
+        assert lines[at + 1].split()[0] == "rejected-extrapolations"
+        assert int(lines[at + 1].split()[1]) >= 0
         rc = main([
             "fit", "--graph", str(DATA / "fig1.graph"), "--data", str(f),
             "--header", "yes", "--method", "el",
@@ -266,6 +270,7 @@ class TestCliFit:
         assert rc == 0 and "converged true" in out and "detail converged" in out.splitlines()
         assert any(l.startswith("el-log-ratio") for l in out.splitlines())
         assert any(l.startswith("inner-solves") for l in out.splitlines())
+        assert not any(l.startswith("rejected-extrapolations") for l in out.splitlines())
 
     def test_n_adjust_scales_loglik(self, tmp_path, capsys):
         vals = {}

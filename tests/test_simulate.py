@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -162,6 +164,16 @@ class TestRunSimulation:
         assert rep.failure_reasons[("dual", 20)] == [None] * 4
         ok = ~np.isnan(rep.raw_errors[("ml-icf", 20)][:, 0, 0])
         assert ok.tolist() == [True, False, False, False]
+
+    def test_failure_reasons_carry_the_stop_reason(self):
+        # at n = 6 some Anderson fits stop without converging; the report
+        # names their stop reasons, not the exception type
+        spec = SimSpec(
+            sigma_true=SIGMA_CHAIN, sample_sizes=(6,), replications=40, seed=5,
+            methods=("ml-anderson",),
+        )
+        reasons = run_simulation(spec).failure_reasons[("ml-anderson", 6)]
+        assert Counter(r for r in reasons if r is not None) == {"max-iter": 6, "singular-system": 3}
 
     def test_fits_are_pattern_respecting(self):
         spec = SimSpec(
