@@ -60,7 +60,7 @@ def fit_anderson(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None =
 
     pd_flags: list[bool] = []
     trace: list[float | None] = []
-    detail = None
+    detail = residual = None
     iteration = 0
     for iteration in range(1, cfg.max_iter + 1):
         try:
@@ -92,12 +92,13 @@ def fit_anderson(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None =
         if cfg.record_trace:
             trace.append(profile_loglik(stats, new_sigma) if pd else None)
         sigma, old = new_sigma, sigma
-        detail = stop_reason(
+        detail, residual = stop_reason(
             sigma, old, lambda: stationarity_residual(stats, ConstrainedCovariance(g, sigma)), cfg.tol
         )
         if detail:
             break
-    # A converged iterate is positive definite; the last flag is sigma's.
+    # A converged iterate is positive definite, and its residual was
+    # read by the stop rule; the last flag is sigma's.
     estimate = ConstrainedCovariance(g, sigma) if detail == "converged" else None
     return FitResult(
         method="ml-anderson",
@@ -108,5 +109,5 @@ def fit_anderson(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None =
         trace=tuple(trace) if cfg.record_trace else None,
         detail=detail or "max-iter",
         pd_flags=tuple(pd_flags),
-        residual=None if estimate is None else stationarity_residual(stats, estimate),
+        residual=None if estimate is None else residual,
     )

@@ -4,23 +4,38 @@ The dual estimate is the unique patterned positive-definite matrix
 whose inverse agrees with the inverse sample covariance on all free
 entries.  Flipping the roles of covariance and concentration turns
 this into a standard concentration-graph fit with the inverse sample
-covariance playing the part of the data: clique marginals of that
+covariance K playing the part of the data: clique marginals of that
 surrogate are matched one at a time while the zero pattern is kept
 exact.  On decomposable graphs a single pass in perfect elimination
 order already terminates.
+
+A cycle keeps H, the inverse of the iterate, next to it (the
+covariance-form update of Speed and Kiiveri 1986, Ann. Statist. 14).
+A clique step factorises only the |C| x |C| block H_CC and refreshes
+H with one rank-|C| term, so it costs O(p^2 |C|) instead of a p x p
+factorisation.  Once per cycle the iterate is factorised afresh: that
+checks it is still in the cone, gives the exact H the next cycle
+starts from, so rounding does not build up across cycles, and gives
+the residual.  What a step needs from the graph and K is planned once
+per fit.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrs
 
 # free_index_set is unused here but stays: perfbench/spans.py wraps this name.
 from .graphs import CompleteSetFamily, CovarianceGraph, cliques, free_index_set  # noqa: F401
 from .model import (
     ConstrainedCovariance,
     ModelError,
+    NotPositiveDefiniteError,
     SampleStats,
+    _cholesky,
+    _inv_pd,
     profile_loglik,
     unit_free_gap,
 )
@@ -70,9 +85,58 @@ def _clique_order(g: CovarianceGraph, fam: CompleteSetFamily) -> list[tuple[int,
     return sorted(idx_sets, key=lambda c: (max(rank[v] for v in c), c))
 
 
+@dataclass(frozen=True)
+class _CliquePlan:
+    """What a clique step needs from the graph and the target, built once per fit."""
+
+    idx: np.ndarray  # the clique's vertex positions
+    cc: tuple  # np.ix_(idx, idx)
+    k_cc: np.ndarray  # K_CC, the target block of the inverse
+    k_cc_inv: np.ndarray  # its inverse
+    eye: np.ndarray  # the |C| x |C| identity
+
+
+def _plan(k: np.ndarray, c: tuple[int, ...]) -> _CliquePlan:
+    idx = np.array(c, dtype=int)
+    cc = np.ix_(idx, idx)
+    eye = np.eye(idx.size)
+    return _CliquePlan(idx, cc, k[cc], _block_inv(k[cc], eye, "inverse sample covariance block"), eye)
+
+
+def _block_inv(a: np.ndarray, eye: np.ndarray, what: str) -> np.ndarray:
+    """Inverse of a small positive-definite block by direct LAPACK calls."""
+    low = _cholesky(a)
+    if low is None:
+        raise NotPositiveDefiniteError(f"{what} is not positive definite")
+    inv, _ = dpotrs(low, eye, lower=1)
+    return (inv + inv.T) / 2.0
+
+
+def _cycle(plans: list[_CliquePlan], sigma: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """One pass over the cliques; updates ``sigma`` in place and returns its inverse.
+
+    ``h`` holds the inverse of ``sigma`` on entry and is used up.  Each
+    step sets the clique block of the inverse to K_CC by adding
+    K_CC^-1 - H_CC^-1 to sigma's block, and keeps H current with one
+    rank-|C| term.  The returned inverse is recomputed from sigma, whose
+    factorisation also checks that sigma is still in the cone.
+    """
+    for plan in plans:
+        h_cc = h[plan.cc]
+        b = _block_inv(h_cc, plan.eye, "clique block of the inverse iterate")
+        w = h[:, plan.idx] @ b
+        sigma[plan.cc] += plan.k_cc_inv - b
+        h += w @ (plan.k_cc - h_cc) @ w.T
+    return _inv_pd(sigma, "dual iterate")
+
+
 def dual_residual(stats: SampleStats, sigma: np.ndarray, g: CovarianceGraph) -> float:
-    """Max gap inv(sigma) - inv(S) on the free entries, scaled by ``unit_free_gap``."""
-    return unit_free_gap(np.linalg.inv(sigma) - np.linalg.inv(stats.s), sigma, g)
+    """Max gap inv(sigma) - inv(S) on the free entries, scaled by ``unit_free_gap``.
+
+    Both inverses come from Cholesky factorisations, as in ``fit_dual``.
+    """
+    gap = _inv_pd(sigma, "dual iterate") - _inv_pd(stats.s, "sample covariance")
+    return unit_free_gap(gap, sigma, g)
 
 
 def fit_dual(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None = None) -> FitResult:
@@ -82,32 +146,26 @@ def fit_dual(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None = Non
     ``tol`` (not on parameter change), else as ``max-iter``.  The
     reported log-likelihood is the Gaussian profile value at the dual
     estimate; the dual estimate is generally not a likelihood maximizer.
+    An iterate that leaves the cone raises ``NotPositiveDefiniteError``.
     """
     cfg = cfg or FitConfig()
     if stats.labels is not None and stats.labels != g.vertices:
         stats = stats.aligned_to(g.vertices)
     if not stats.s_pos_def:
         raise ModelError("sample covariance must be positive definite")
-    p = g.p
-    k = cho_solve(cho_factor(stats.s, lower=True), np.eye(p))
-    k = (k + k.T) / 2.0
-
-    order = _clique_order(g, cliques(g))
-    target_inv = {c: _pd_inv(k[np.ix_(c, c)]) for c in order}
+    k = _inv_pd(stats.s, "sample covariance")
+    plans = [_plan(k, c) for c in _clique_order(g, cliques(g))]
 
     sigma = np.diag(1.0 / np.diag(k))  # patterned start: diagonal concentration
+    h = _inv_pd(sigma, "dual iterate")
     residual = np.inf
     cycles = 0
     for cycles in range(1, cfg.max_iter + 1):
-        for c in order:
-            ci = np.array(c, dtype=int)
-            cols = cho_solve(cho_factor(sigma, lower=True), np.eye(p)[:, ci])
-            marg = cols[ci, :]
-            sigma[np.ix_(ci, ci)] += target_inv[c] - _pd_inv((marg + marg.T) / 2.0)
-        residual = dual_residual(stats, sigma, g)
+        h = _cycle(plans, sigma, h)
+        residual = unit_free_gap(h - k, sigma, g)
         if residual <= cfg.tol:
             break
-    estimate = ConstrainedCovariance(g, (sigma + sigma.T) / 2.0)
+    estimate = ConstrainedCovariance(g, sigma)
     return FitResult(
         method="dual",
         estimate=estimate,
@@ -117,8 +175,3 @@ def fit_dual(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None = Non
         final_sigma=estimate.sigma,
         residual=residual,
     )
-
-
-def _pd_inv(a: np.ndarray) -> np.ndarray:
-    inv = cho_solve(cho_factor(a, lower=True), np.eye(a.shape[0]))
-    return (inv + inv.T) / 2.0

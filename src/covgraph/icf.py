@@ -43,15 +43,16 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrs
 
 from .graphs import CovarianceGraph
 from .model import (
-    PD_REL_TOL,
     ConstrainedCovariance,
     ModelError,
     NotPositiveDefiniteError,
     SampleStats,
+    _chol,
+    _cholesky,
     profile_loglik,
     stationarity_residual,
 )
@@ -127,16 +128,6 @@ def _plan(g: CovarianceGraph, idx: Iterable[int]) -> _BlockPlan:
     )
 
 
-def _cholesky(a: np.ndarray) -> np.ndarray | None:
-    """Lower Cholesky factor of ``a``, or None if LAPACK finds it not positive definite.
-
-    The plain LAPACK call skips scipy's argument checks, which cost
-    more than the factorisation of a small block.
-    """
-    low, info = dpotrf(a, lower=1)
-    return None if info else low
-
-
 class _Point(NamedTuple):
     """An iterate with its inverse and its log-likelihood kernel."""
 
@@ -149,12 +140,9 @@ def _point(s: np.ndarray, m: np.ndarray) -> _Point:
     """Factorise ``m`` once for its inverse and its kernel.
 
     Raises ``NotPositiveDefiniteError`` unless ``m`` lies in
-    ``is_pos_def``'s cone: every pivot above ``PD_REL_TOL`` times its own
-    diagonal entry, which also rules out a non-finite ``m``.
+    ``is_pos_def``'s cone.
     """
-    low = _cholesky(m)
-    if low is None or not np.all(np.diag(low) ** 2 > PD_REL_TOL * np.diag(m)):
-        raise NotPositiveDefiniteError("iterate is not positive definite")
+    low = _chol(m, "iterate")
     k, _ = dpotrs(low, np.eye(len(m)), lower=1)
     k = (k + k.T) / 2.0
     return _Point(m, k, -2.0 * float(np.log(np.diag(low)).sum()) - float(np.vdot(k, s)))
@@ -333,7 +321,7 @@ def _sweep_fit(
         prev, cur = cur, _sweep(s, plans, cur)
         if cfg.record_trace:
             trace.append(profile_loglik(stats, cur.sigma, n_adjust=cfg.n_adjust))
-        detail = stop_reason(
+        detail, residual = stop_reason(
             cur.sigma, prev.sigma,
             lambda: stationarity_residual(stats, ConstrainedCovariance(g, cur.sigma)), cfg.tol,
         )
@@ -354,7 +342,7 @@ def _sweep_fit(
         detail=detail or "max-iter",
         final_sigma=estimate.sigma,
         trace=tuple(trace) if cfg.record_trace else None,
-        residual=stationarity_residual(stats, estimate),
+        residual=stationarity_residual(stats, estimate) if residual is None else residual,
         rejected_extrapolations=rejected,
     )
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .graphs import CovarianceGraph, FreeIndexSet, free_index_set
 
@@ -54,31 +54,45 @@ class PatternViolationError(ModelError):
 def is_pos_def(a: np.ndarray, rel_tol: float = PD_REL_TOL) -> bool:
     """Positive definiteness via Cholesky with a relative pivot floor.
 
-    Accepts iff the factorization exists and every pivot exceeds
-    ``rel_tol`` times its own diagonal entry of ``a``.  A pivot over its
-    diagonal entry is one minus the squared multiple correlation on the
-    earlier variables, so the verdict does not depend on units.
+    Accepts iff ``a`` is square, nonempty and finite, the factorization exists
+    and every pivot exceeds ``rel_tol`` times its own diagonal entry of
+    ``a``.  A pivot over its diagonal entry is one minus the squared
+    multiple correlation on the earlier variables, so the verdict does
+    not depend on units.
+    """
+    try:
+        _chol(a, rel_tol=rel_tol)
+    except NotPositiveDefiniteError:
+        return False
+    return True
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of ``a``, or None if LAPACK finds it not positive definite.
+
+    The plain LAPACK call skips scipy's argument checks, which cost
+    more than the factorisation of a small block.
+    """
+    low, info = dpotrf(a, lower=1)
+    return None if info else low
+
+
+def _chol(a: np.ndarray, what: str = "matrix", rel_tol: float = PD_REL_TOL) -> np.ndarray:
+    """Lower Cholesky factor of ``a``, which must pass ``is_pos_def``.
+
+    One factorisation serves the check and the caller; raises
+    ``NotPositiveDefiniteError`` naming ``what`` otherwise.
     """
     a = np.asarray(a, dtype=float)
-    if a.size == 0 or not np.all(np.isfinite(a)):
-        return False
-    try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return False
-    pivots = np.diag(low) ** 2
-    return bool(np.all(pivots > rel_tol * a.diagonal()))
-
-
-def _chol(a: np.ndarray, what: str = "matrix"):
-    if not is_pos_def(a):
-        raise NotPositiveDefiniteError(f"{what} is not positive definite")
-    return cho_factor(a, lower=True)
+    if a.ndim == 2 and a.shape[0] == a.shape[1] > 0 and np.all(np.isfinite(a)):
+        low = _cholesky(a)
+        if low is not None and np.all(np.diag(low) ** 2 > rel_tol * a.diagonal()):
+            return low
+    raise NotPositiveDefiniteError(f"{what} is not positive definite")
 
 
 def _inv_pd(a: np.ndarray, what: str = "matrix") -> np.ndarray:
-    c = _chol(a, what)
-    inv = cho_solve(c, np.eye(a.shape[0]))
+    inv, _ = dpotrs(_chol(a, what), np.eye(a.shape[0]), lower=1)
     return (inv + inv.T) / 2.0
 
 
@@ -288,9 +302,9 @@ def profile_loglik(
     """
     m = _as_matrix(sigma)
     n = _effective_n(stats.n, n_adjust)
-    c = _chol(m, "covariance")
-    logdet = 2.0 * np.log(np.diag(c[0])).sum()
-    tr = float(np.trace(cho_solve(c, stats.s)))
+    low = _chol(m, "covariance")
+    logdet = 2.0 * np.log(np.diag(low)).sum()
+    tr = float(np.trace(dpotrs(low, stats.s, lower=1)[0]))
     return -0.5 * n * (stats.p * np.log(2.0 * np.pi) + logdet + tr)
 
 
@@ -355,10 +369,10 @@ def deviance(
     m = _as_matrix(sigma)
     if not stats.s_pos_def:
         raise NotPositiveDefiniteError("sample covariance is not positive definite")
-    c_m = _chol(m, "covariance")
-    logdet_m = 2.0 * np.log(np.diag(c_m[0])).sum()
-    logdet_s = 2.0 * np.log(np.diag(_chol(stats.s, "sample covariance")[0])).sum()
-    tr = float(np.trace(cho_solve(c_m, stats.s)))
+    low_m = _chol(m, "covariance")
+    logdet_m = 2.0 * np.log(np.diag(low_m)).sum()
+    logdet_s = 2.0 * np.log(np.diag(_chol(stats.s, "sample covariance"))).sum()
+    tr = float(np.trace(dpotrs(low_m, stats.s, lower=1)[0]))
     n = _effective_n(stats.n, n_adjust)
     dev = n * (logdet_m - logdet_s + tr - stats.p)
     df = stats.p * (stats.p + 1) // 2 - len(free_index_set(graph))

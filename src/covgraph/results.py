@@ -73,23 +73,27 @@ class FitResult:
         return self.final_sigma
 
 
-def stop_reason(new: np.ndarray, old: np.ndarray, residual: Callable[[], float], tol: float) -> str | None:
-    """The likelihood fitters' stop rule on one step; None means go on.
+def stop_reason(
+    new: np.ndarray, old: np.ndarray, residual: Callable[[], float], tol: float
+) -> tuple[str | None, float | None]:
+    """The likelihood fitters' stop rule on one step, with the residual it read.
 
     The step is small when max |new_ij - old_ij| / sqrt(new_ii new_jj)
     is below ``tol``.  Then ``residual()`` decides: ``converged`` at most
     100 ``tol``, ``not-pd`` if it finds ``new`` not positive definite,
-    and ``stalled`` once the step is below 1e-3 ``tol``.
+    and ``stalled`` once the step is below 1e-3 ``tol``.  The reason is
+    None to go on; the residual is None where it was not computed.
     """
     d = np.diag(new)
     if not np.all(d > 0.0):
-        return None
+        return None, None
     change = float((np.abs(new - old) / np.sqrt(np.outer(d, d))).max())
     if not change < tol:
-        return None
+        return None, None
     try:
-        if residual() <= 100.0 * tol:
-            return "converged"
+        value = residual()
     except NotPositiveDefiniteError:
-        return "not-pd"
-    return "stalled" if change < 1e-3 * tol else None
+        return "not-pd", None
+    if value <= 100.0 * tol:
+        return "converged", value
+    return ("stalled" if change < 1e-3 * tol else None), value

@@ -280,6 +280,38 @@ def root_find_dual(stats, g):
     return dup.expand(sol.x, g.p), sol
 
 
+def plain_dual_ipf(s, adjacency, cliques, tol=1e-8, max_iter=5000):
+    """Dual IPF that refactorises the iterate for every clique.
+
+    ``cliques`` are vertex-position tuples in the order they are fitted.
+    Each step inverts the whole iterate by Cholesky, reads the clique
+    block H_CC of that inverse and adds K_CC^-1 - H_CC^-1 to the
+    iterate's block, with K the Cholesky inverse of ``s``.  A cycle ends
+    the fit once max |inv(sigma)_ij - K_ij| sqrt(sigma_ii sigma_jj) over
+    the diagonal and the edges is at most ``tol``.  Returns the iterate
+    and the number of cycles run.
+    """
+    p = s.shape[0]
+    eye = np.eye(p)
+
+    def inv(m):
+        x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(m, lower=True), np.eye(len(m)))
+        return (x + x.T) / 2.0
+
+    k = inv(s)
+    free = np.triu(np.asarray(adjacency, dtype=bool) | eye.astype(bool))
+    sigma = np.diag(1.0 / np.diag(k))
+    for cycle in range(1, max_iter + 1):
+        for c in cliques:
+            grid = np.ix_(c, c)
+            h_cc = scipy.linalg.cho_solve(scipy.linalg.cho_factor(sigma, lower=True), eye[:, list(c)])[list(c), :]
+            sigma[grid] += inv(k[grid]) - inv((h_cc + h_cc.T) / 2.0)
+        d = np.sqrt(np.diag(sigma))
+        if np.abs((inv(sigma) - k) * np.outer(d, d))[free].max() <= tol:
+            break
+    return sigma, cycle
+
+
 class SingularSystemError(cg.ModelError):
     """The linear system of one Anderson iteration could not be solved."""
 

@@ -147,11 +147,27 @@ class TestFitAnderson:
 class TestStopRule:
     def test_non_positive_diagonal_is_never_a_small_step(self):
         m = np.diag([1.0, -2.0])
-        assert stop_reason(m, m, lambda: 0.0, 1e-8) is None
+        assert stop_reason(m, m, lambda: 0.0, 1e-8) == (None, None)
 
     def test_small_step_outside_the_cone_is_not_pd(self):
         g = complete_graph(2)
         st = stats_from_moments(10, np.eye(2))
         m = np.array([[1.0, 2.0], [2.0, 1.0]])
         residual = lambda: stationarity_residual(st, cg.ConstrainedCovariance(g, m))  # noqa: E731
-        assert stop_reason(m, m, residual, 1e-8) == "not-pd"
+        assert stop_reason(m, m, residual, 1e-8) == ("not-pd", None)
+
+    @pytest.mark.parametrize("module, fit", [("icf", fit_icf), ("anderson", fit_anderson)])
+    def test_final_residual_is_read_once(self, module, fit, monkeypatch, yeast_stats, yeast_gd):
+        # the residual the stop rule read is the one reported
+        calls = []
+
+        def counted(stats, sigma):
+            calls.append(1)
+            return stationarity_residual(stats, sigma)
+
+        monkeypatch.setattr(f"covgraph.{module}.stationarity_residual", counted)
+        st = yeast_stats.aligned_to(yeast_gd.vertices)
+        res = fit(st, yeast_gd)
+        assert res.converged
+        assert len(calls) == 1
+        assert res.residual == stationarity_residual(st, res.estimate)

@@ -2,19 +2,26 @@ import numpy as np
 import pytest
 
 import covgraph as cg
-from covgraph.dual import dual_residual, fit_dual, is_decomposable
-from covgraph.graphs import CovarianceGraph
+from covgraph.dual import _clique_order, _cycle, _plan, dual_residual, fit_dual, is_decomposable
+from covgraph.graphs import CovarianceGraph, cliques
 from covgraph.icf import fit_icf
-from covgraph.model import ModelError, stats_from_moments
+from covgraph.model import ModelError, NotPositiveDefiniteError, stats_from_moments
 from covgraph.results import FitConfig
 
 from conftest import random_spd
-from oracles import root_find_dual
+from oracles import plain_dual_ipf, root_find_dual
 
 
 def complete_graph(p):
     labels = [str(i + 1) for i in range(p)]
     return CovarianceGraph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]])
+
+
+def lattice_graph(side):
+    labels = [f"{r}_{c}" for r in range(side) for c in range(side)]
+    edges = [(labels[r * side + c], labels[r * side + c + 1]) for r in range(side) for c in range(side - 1)]
+    edges += [(labels[r * side + c], labels[(r + 1) * side + c]) for r in range(side - 1) for c in range(side)]
+    return CovarianceGraph(labels, edges)
 
 
 def corr_matrix(m):
@@ -147,3 +154,52 @@ class TestFitDual:
         st = stats_from_moments(8, ones)
         with pytest.raises(ModelError, match="positive definite"):
             fit_dual(st, fig1)
+
+    def test_ill_conditioned_decomposable_converges_in_one_pass(self):
+        # cond(S) = 2.5e6: the fit solves the problem in one pass, and its
+        # residual must be read against the same Cholesky inverse of S
+        # that it matched, not an LU inverse rounded differently
+        rng = np.random.default_rng(25)
+        p = int(rng.integers(4, 40))
+        dens = rng.uniform(0.05, 0.5)
+        labels = [str(i) for i in range(p)]
+        edges = [(labels[i], labels[j]) for i in range(p) for j in range(i + 1, p) if rng.random() < dens]
+        n = p + int(rng.integers(5, 200))
+        x = rng.standard_normal((n, p)) @ rng.standard_normal((p, p))
+        st = stats_from_moments(n, np.cov(x, rowvar=False, bias=True))
+        g = CovarianceGraph(labels, edges)
+        assert p == 22 and is_decomposable(g)
+        res = fit_dual(st, g)
+        assert res.converged
+        assert res.iterations == 1
+        assert res.residual == dual_residual(st, res.sigma, g)
+
+
+class TestKeptInverse:
+    """The kept inverse against the plain IPF that refactorises per clique."""
+
+    @pytest.mark.parametrize("case", ["lattice5", "gd", "gs"])
+    def test_matches_plain_ipf(self, case, yeast_stats, yeast_gd, yeast_gs):
+        if case == "lattice5":
+            g = lattice_graph(5)
+            st = stats_from_moments(60, random_spd(25, 60, np.random.default_rng(6)))
+        else:
+            g = yeast_gd if case == "gd" else yeast_gs
+            st = yeast_stats.aligned_to(g.vertices)
+        res = fit_dual(st, g)
+        sigma, cycles = plain_dual_ipf(st.s, g.adjacency, _clique_order(g, cliques(g)))
+        assert res.converged
+        assert res.iterations == cycles
+        assert np.abs(res.sigma - sigma).max() <= 1e-12 * np.abs(sigma).max()
+        if case == "lattice5":
+            assert cycles > 1
+
+    def test_iterate_leaving_the_cone_raises_typed_error(self, fig1):
+        plans = [_plan(np.eye(4), c) for c in _clique_order(fig1, cliques(fig1))]
+        # a clique block of the kept inverse that is not positive definite
+        with pytest.raises(NotPositiveDefiniteError, match="clique block"):
+            _cycle(plans, np.eye(4), -np.eye(4))
+        # steps that pass, on an iterate that is not in the cone: the
+        # refresh at the end of the cycle catches it
+        with pytest.raises(NotPositiveDefiniteError, match="dual iterate"):
+            _cycle(plans, -np.eye(4), np.eye(4))

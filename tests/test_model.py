@@ -75,6 +75,27 @@ class TestSampleStats:
         assert out.labels == ("b", "a")
 
 
+class TestIsPosDef:
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.ones((2, 3)),
+            np.ones(3),
+            np.array(2.0),
+            np.zeros((0, 0)),
+            [[1.0, np.nan], [np.nan, 1.0]],
+            [[1.0, 2.0], [2.0, 1.0]],
+            [[1.0, 1.0 - 1e-14], [1.0 - 1e-14, 1.0]],
+        ],
+    )
+    def test_rejects(self, a):
+        assert not cg.is_pos_def(a)
+
+    @pytest.mark.parametrize("c", [1e-150, 1.0, 1e150])
+    def test_pivot_rule_is_unit_free(self, c):
+        assert cg.is_pos_def(c * np.array([[1.0, 0.5], [0.5, 1.0]]))
+
+
 class TestConstrainedCovariance:
     def test_accepts_identity(self, fig1):
         cc = ConstrainedCovariance.identity(fig1)
