@@ -7,6 +7,13 @@ modes stay observable: iterates need not be positive definite, the
 likelihood may decrease, and convergence is not guaranteed.  A fixed
 point solves the likelihood equations, so converged runs agree with
 the conditional-fitting estimate.
+
+The system of a step is the free-pair form of K (x) K, K the inverse
+of the iterate, and the right-hand side is the duplication adjoint of
+K S K.  Both are read through one ``DuplicationMap`` planned once per
+fit: its index vectors gather the three blocks K[ii, ii], K[ii, jj]
+and K[jj, jj] that the symmetric form needs (``kron_form``), so a
+step costs an inverse, those gathers and a symmetric solve.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from .model import (
     ModelError,
     SampleStats,
     is_pos_def,
-    pair_quadratic,
     profile_loglik,
     stationarity_residual,
 )
@@ -46,17 +52,13 @@ def fit_anderson(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None =
         stats = stats.aligned_to(g.vertices)
     if not stats.s_pos_def:
         raise ModelError("sample covariance must be positive definite")
-    fis = free_index_set(g)
-    dup = DuplicationMap(fis)
+    dup = DuplicationMap(free_index_set(g))
     if cfg.start is None:
         sigma = np.eye(g.p)
     elif isinstance(cfg.start, ConstrainedCovariance):
         sigma = np.array(cfg.start.sigma)
     else:
         sigma = np.asarray(cfg.start, dtype=float)
-    # Scaling of rows by 2 on the edge pairs symmetrizes the system, so
-    # a symmetric-indefinite solve applies even off the PD cone.
-    edge_scale = np.array([1.0 if i == j else 2.0 for i, j in fis.pairs])
 
     pd_flags: list[bool] = []
     trace: list[float | None] = []
@@ -71,9 +73,10 @@ def fit_anderson(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None =
         if not np.all(np.isfinite(k)):
             detail = "singular-system"
             break
-        sym = pair_quadratic(k, k, fis.pairs)
-        t = k @ stats.s @ k
-        rhs = edge_scale * np.array([t[i, j] for i, j in fis.pairs])
+        # Scaling the rows of the edge pairs by 2 symmetrizes the system,
+        # so a symmetric-indefinite solve applies even off the PD cone.
+        sym = dup.kron_form(k)
+        rhs = dup.adjoint_vec(k @ stats.s @ k)
         try:
             # ill-conditioned systems are expected on divergent runs and
             # already surface through pd_flags and the detail tag

@@ -22,6 +22,7 @@ per fit.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,18 +46,30 @@ __all__ = ["fit_dual", "dual_residual", "is_decomposable"]
 
 
 def _mcs_order(adj: np.ndarray) -> list[int]:
-    """Maximum cardinality search order with deterministic tie-breaks."""
+    """Maximum cardinality search order with deterministic tie-breaks.
+
+    Each step takes the unnumbered vertex with the most numbered
+    neighbours, the smallest index among ties.  A heap keyed on
+    (-weight, index) holds one entry per weight a vertex has had; an
+    entry whose weight is out of date, or whose vertex is numbered, is
+    skipped when popped.
+    """
     p = adj.shape[0]
-    weight = np.zeros(p, dtype=int)
+    neighbours = [np.flatnonzero(row).tolist() for row in adj]
+    weight = [0] * p
+    numbered = [False] * p
+    heap = [(0, u) for u in range(p)]  # sorted, so already a heap
     order: list[int] = []
-    remaining = set(range(p))
-    while remaining:
-        v = min(remaining, key=lambda u: (-weight[u], u))
+    while heap:
+        w, v = heapq.heappop(heap)
+        if numbered[v] or -w != weight[v]:
+            continue
+        numbered[v] = True
         order.append(v)
-        remaining.discard(v)
-        for u in np.flatnonzero(adj[v]):
-            if int(u) in remaining:
-                weight[int(u)] += 1
+        for u in neighbours[v]:
+            if not numbered[u]:
+                weight[u] += 1
+                heapq.heappush(heap, (-weight[u], u))
     return order
 
 

@@ -36,6 +36,12 @@ class GraphError(ValueError):
     """Raised for malformed graphs, unknown labels, or bad graph files."""
 
 
+def _upper_pairs(mask: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Positions (i, j), i < j, where ``mask`` is set, in lexicographic order."""
+    rows, cols = np.nonzero(np.triu(mask, 1))
+    return zip(rows.tolist(), cols.tolist())
+
+
 class CovarianceGraph:
     """Bi-directed graph over an ordered tuple of distinct string labels.
 
@@ -92,11 +98,8 @@ class CovarianceGraph:
     @property
     def edges(self) -> tuple[tuple[str, str], ...]:
         """Edges as label pairs, in lexicographic index order."""
-        return tuple(
-            (self.vertices[i], self.vertices[j])
-            for i, j in zip(*np.triu_indices(self.p, k=1))
-            if self._adj[i, j]
-        )
+        vs = self.vertices
+        return tuple((vs[i], vs[j]) for i, j in _upper_pairs(self._adj))
 
     @property
     def n_edges(self) -> int:
@@ -147,9 +150,7 @@ class FreeIndexSet:
 
 def free_index_set(g: CovarianceGraph) -> FreeIndexSet:
     """Diagonal pairs plus edge pairs, in deterministic order."""
-    diag = [(i, i) for i in range(g.p)]
-    edge = [(i, j) for i, j in zip(*np.triu_indices(g.p, k=1)) if g.adjacency[i, j]]
-    return FreeIndexSet(tuple(diag) + tuple((int(i), int(j)) for i, j in edge))
+    return FreeIndexSet(tuple((i, i) for i in range(g.p)) + tuple(_upper_pairs(g.adjacency)))
 
 
 @dataclass(frozen=True)
@@ -302,10 +303,6 @@ def graph_from_matrix(m: np.ndarray, labels: Sequence[str] | None = None, tol: f
     if labels is None:
         labels = [f"X{k + 1}" for k in range(p)]
     labels = tuple(labels)
-    edges = [
-        (labels[i], labels[j])
-        for i in range(p)
-        for j in range(i + 1, p)
-        if abs(m[i, j]) > tol or abs(m[j, i]) > tol
-    ]
+    nonzero = np.abs(m) > tol
+    edges = [(labels[i], labels[j]) for i, j in _upper_pairs(nonzero | nonzero.T)]
     return CovarianceGraph(labels, edges)

@@ -3,9 +3,9 @@
 Draws repeated samples from a Gaussian or multivariate-t distribution
 with a fixed dispersion matrix, fits a chosen set of estimators to
 each replication, and aggregates entrywise bias and root mean squared
-error against the true covariance.  Replications use counter-based
-random substreams, so results are bit-reproducible and independent of
-execution order.
+error against the true covariance, in one vectorized pass per method
+and sample size.  Replications use counter-based random substreams,
+so results are bit-reproducible and independent of execution order.
 """
 
 from __future__ import annotations
@@ -235,6 +235,11 @@ def run_simulation(
 
     Aggregation reads stored per-replication errors in replication
     order, so the report only depends on the spec, never on scheduling.
+    Each (method, n) cell is aggregated in one pass: the upper-triangle
+    errors of its successful replications are laid out as one
+    contiguous row per entry, and a row mean gives the bias and the
+    root of the mean square the RMSE.  A cell in which every
+    replication failed reports NaN for both.
     """
     graph = graph_from_matrix(spec.sigma_true, labels=labels)
     if fitters is None:
@@ -243,6 +248,8 @@ def run_simulation(
     if missing:
         raise ModelError(f"no fitter supplied for methods: {missing}")
     p = graph.p
+    iu, ju = np.triu_indices(p)
+    pair_labels = [(graph.vertices[i], graph.vertices[j]) for i, j in zip(iu.tolist(), ju.tolist())]
     entries: list[SimEntry] = []
     raw: dict[tuple[str, int], np.ndarray] = {}
     reasons: dict[tuple[str, int], list[str | None]] = {}
@@ -261,26 +268,18 @@ def run_simulation(
             raw[(m, n)] = errors[m]
             ok = ~np.isnan(errors[m][:, 0, 0])
             failures = int((~ok).sum())
-            good = errors[m][ok]
-            for i in range(p):
-                for j in range(i, p):
-                    if good.shape[0] == 0:
-                        bias, rmse = float("nan"), float("nan")
-                    else:
-                        e = good[:, i, j]
-                        bias = float(e.mean())
-                        rmse = float(np.sqrt((e**2).mean()))
-                    entries.append(
-                        SimEntry(
-                            method=m,
-                            n=n,
-                            i=graph.vertices[i],
-                            j=graph.vertices[j],
-                            bias=bias,
-                            rmse=rmse,
-                            failures=failures,
-                        )
-                    )
+            if ok.any():
+                # One contiguous row per entry: each row mean sums in the
+                # same order as a mean over that entry's own replications.
+                e = np.ascontiguousarray(errors[m][ok][:, iu, ju].T)
+                bias = e.mean(axis=1).tolist()
+                rmse = np.sqrt((e**2).mean(axis=1)).tolist()
+            else:
+                bias = rmse = [float("nan")] * iu.size
+            entries.extend(
+                SimEntry(method=m, n=n, i=i, j=j, bias=b, rmse=r, failures=failures)
+                for (i, j), b, r in zip(pair_labels, bias, rmse)
+            )
     return SimReport(
         spec=spec, labels=graph.vertices, entries=entries, raw_errors=raw, failure_reasons=reasons
     )

@@ -87,3 +87,11 @@ def random_graph(p, rng, edge_prob=0.4, labels=None):
         if rng.uniform() < edge_prob
     ]
     return cg.CovarianceGraph(labels, edges)
+
+
+def lattice_graph(side):
+    """side x side grid, vertices in row-major order, edges to the right and below."""
+    labels = [f"L{r}_{c}" for r in range(side) for c in range(side)]
+    edges = [(labels[k], labels[k + 1]) for k in range(len(labels)) if (k + 1) % side]
+    edges += [(labels[k], labels[k + side]) for k in range(len(labels) - side)]
+    return cg.CovarianceGraph(labels, edges)

@@ -14,6 +14,7 @@ import scipy.optimize
 import covgraph as cg
 from covgraph.graphs import free_index_set
 from covgraph.model import is_pos_def, profile_loglik
+from covgraph.simulate import SimEntry
 
 
 def cov_double_loop(data):
@@ -348,6 +349,24 @@ def anderson_system(sigma, stats, fis):
     return a, b
 
 
+def plain_anderson(stats, fis, iterations):
+    """Anderson's iteration from the identity, a fixed number of steps.
+
+    Each step builds its system element by element with
+    ``anderson_system``, solves it with a general LU solve and writes
+    the solution on the free pairs of ``fis``.  Returns the last iterate.
+    """
+    p = stats.s.shape[0]
+    sigma = np.eye(p)
+    for _ in range(iterations):
+        a, b = anderson_system(sigma, stats, fis)
+        free = np.linalg.solve(a, b)
+        sigma = np.zeros((p, p))
+        for (i, j), value in zip(fis.pairs, free):
+            sigma[i, j] = sigma[j, i] = value
+    return sigma
+
+
 def icf_sweep(s, sigma, adjacency, blocks):
     """One sweep of conditional block refits, the rest block inverted directly.
 
@@ -531,3 +550,53 @@ def fit_best_start(stats, g, starts, cfg=None, fitter=cg.fit_icf):
     if best is None:
         raise cg.ModelError("no starting values supplied")
     return best
+
+
+def mcs_order_scan(adj):
+    """Maximum cardinality search by a scan of the unnumbered vertices.
+
+    Each step takes the unnumbered vertex with the most numbered
+    neighbours, the smallest index among ties, by a ``min`` over the
+    remaining set.
+    """
+    p = adj.shape[0]
+    weight = np.zeros(p, dtype=int)
+    order = []
+    remaining = set(range(p))
+    while remaining:
+        v = min(remaining, key=lambda u: (-weight[u], u))
+        order.append(v)
+        remaining.discard(v)
+        for u in np.flatnonzero(adj[v]):
+            if int(u) in remaining:
+                weight[int(u)] += 1
+    return order
+
+
+def aggregate_entry_loop(method, n, errors, labels):
+    """Simulation entries of one (method, n) cell by a loop over the entries.
+
+    ``errors`` is the (replications, p, p) error stack whose NaN rows
+    mark failed replications.  For each upper-triangle entry the bias is
+    the mean of its errors over the successful replications and the
+    RMSE the root of their mean square, both NaN when none succeeded.
+    """
+    ok = ~np.isnan(errors[:, 0, 0])
+    failures = int((~ok).sum())
+    good = errors[ok]
+    p = errors.shape[1]
+    entries = []
+    for i in range(p):
+        for j in range(i, p):
+            if good.shape[0] == 0:
+                bias, rmse = float("nan"), float("nan")
+            else:
+                e = good[:, i, j]
+                bias = float(e.mean())
+                rmse = float(np.sqrt((e**2).mean()))
+            entries.append(
+                SimEntry(
+                    method=method, n=n, i=labels[i], j=labels[j], bias=bias, rmse=rmse, failures=failures
+                )
+            )
+    return entries

@@ -5,16 +5,50 @@ import covgraph as cg
 from covgraph.anderson import fit_anderson
 from covgraph.graphs import CovarianceGraph, free_index_set
 from covgraph.icf import fit_icf
-from covgraph.model import ModelError, stats_from_moments, stationarity_residual
+from covgraph.model import DuplicationMap, ModelError, pair_quadratic, stats_from_moments, stationarity_residual
 from covgraph.results import FitConfig, stop_reason
 
-from conftest import SIGMA_CHAIN, random_spd
-from oracles import SingularSystemError, anderson_system
+from conftest import SIGMA_CHAIN, lattice_graph, random_patterned_cov, random_spd, random_stats
+from oracles import SingularSystemError, anderson_system, plain_anderson
+
+# Iterations of fit_anderson on each case with its system built by
+# pair_quadratic(k, k, pairs); the planned kron_form must keep them.
+ITERATIONS = {"gd": 15, "gs": 15, "lattice": 14}
 
 
 def complete_graph(p):
     labels = [str(i + 1) for i in range(p)]
     return CovarianceGraph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]])
+
+
+def case_inputs(case, yeast_stats, yeast_gd, yeast_gs):
+    if case == "lattice":
+        g = lattice_graph(10)
+        rng = np.random.default_rng(9)
+        return random_stats(100, 300, rng, random_patterned_cov(g, rng)), g
+    g = yeast_gd if case == "gd" else yeast_gs
+    return yeast_stats.aligned_to(g.vertices), g
+
+
+class TestPlannedSystem:
+    @pytest.mark.parametrize("case", ITERATIONS)
+    def test_matches_pair_quadratic(self, case, yeast_stats, yeast_gd, yeast_gs):
+        st, g = case_inputs(case, yeast_stats, yeast_gd, yeast_gs)
+        fis = free_index_set(g)
+        k = np.linalg.inv(st.s)
+        k = (k + k.T) / 2.0
+        ref = pair_quadratic(k, k, fis.pairs)
+        got = DuplicationMap(fis).kron_form(k)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("case", ITERATIONS)
+    def test_keeps_iterations_and_estimate(self, case, yeast_stats, yeast_gd, yeast_gs):
+        st, g = case_inputs(case, yeast_stats, yeast_gd, yeast_gs)
+        res = fit_anderson(st, g)
+        assert res.converged
+        assert res.iterations == ITERATIONS[case]
+        sigma = plain_anderson(st, free_index_set(g), res.iterations)
+        assert np.abs(res.sigma - sigma).max() <= 1e-10 * np.abs(sigma).max()
 
 
 class TestAndersonSystem:

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 import covgraph as cg
-from covgraph.dual import _clique_order, _cycle, _plan, dual_residual, fit_dual, is_decomposable
+from covgraph.dual import _clique_order, _cycle, _mcs_order, _plan, dual_residual, fit_dual, is_decomposable
 from covgraph.graphs import CovarianceGraph, cliques
 from covgraph.icf import fit_icf
 from covgraph.model import ModelError, NotPositiveDefiniteError, stats_from_moments
 from covgraph.results import FitConfig
 
-from conftest import random_spd
-from oracles import plain_dual_ipf, root_find_dual
+from conftest import lattice_graph, random_graph, random_spd
+from oracles import mcs_order_scan, plain_dual_ipf, root_find_dual
 
 
 def complete_graph(p):
@@ -17,16 +17,23 @@ def complete_graph(p):
     return CovarianceGraph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]])
 
 
-def lattice_graph(side):
-    labels = [f"{r}_{c}" for r in range(side) for c in range(side)]
-    edges = [(labels[r * side + c], labels[r * side + c + 1]) for r in range(side) for c in range(side - 1)]
-    edges += [(labels[r * side + c], labels[(r + 1) * side + c]) for r in range(side - 1) for c in range(side)]
-    return CovarianceGraph(labels, edges)
-
-
 def corr_matrix(m):
     sd = np.sqrt(np.diag(m))
     return m / np.outer(sd, sd)
+
+
+class TestMcsOrder:
+    """The heap search against the scan that takes a min over the remaining set."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_scan_on_random_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_graph(int(rng.integers(1, 30)), rng, edge_prob=float(rng.uniform(0.0, 0.9)))
+        assert _mcs_order(g.adjacency) == mcs_order_scan(g.adjacency)
+
+    def test_matches_scan_on_lattice(self):
+        adj = lattice_graph(10).adjacency
+        assert _mcs_order(adj) == mcs_order_scan(adj)
 
 
 class TestDecomposability:

@@ -128,6 +128,11 @@ class TestFreeIndexSet:
         assert len(a) == g.p + g.n_edges
         for i, j in a.pairs:
             assert i == j or g.adjacency[i, j]
+        # edge pairs are plain ints in lexicographic order, as are the edges
+        edge_pairs = a.pairs[g.p:]
+        assert list(edge_pairs) == sorted(edge_pairs)
+        assert all(type(i) is int and type(j) is int for i, j in edge_pairs)
+        assert g.edges == tuple((g.vertices[i], g.vertices[j]) for i, j in edge_pairs)
 
 
 class TestCliques:
@@ -231,6 +236,15 @@ class TestGraphFromMatrix:
     def test_pattern_read_off(self, sigma_chain, fig1):
         g = graph_from_matrix(sigma_chain, labels=["1", "2", "3", "4"])
         assert g == fig1
+
+    def test_either_triangle_above_tol_is_an_edge(self):
+        m = np.eye(4)
+        m[0, 2] = 0.5  # upper triangle only
+        m[3, 1] = -0.2  # lower triangle only
+        m[1, 2] = m[2, 1] = 0.05  # at or below tol
+        m[0, 3] = 0.1
+        g = graph_from_matrix(m, tol=0.1)
+        assert g.edges == (("X1", "X3"), ("X2", "X4"))
 
     def test_default_labels(self):
         g = graph_from_matrix(np.eye(3))

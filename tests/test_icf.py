@@ -24,7 +24,7 @@ from covgraph.model import (
 )
 from covgraph.results import FitConfig
 
-from conftest import SIGMA_CHAIN, random_graph, random_patterned_cov, random_spd
+from conftest import SIGMA_CHAIN, lattice_graph, random_graph, random_patterned_cov, random_spd
 from oracles import (
     brute_force_ml,
     fit_best_start,
@@ -38,13 +38,6 @@ from oracles import (
 def complete_graph(p):
     labels = [str(i + 1) for i in range(p)]
     return CovarianceGraph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]])
-
-
-def lattice_graph(side):
-    labels = [f"L{r}_{c}" for r in range(side) for c in range(side)]
-    edges = [(labels[k], labels[k + 1]) for k in range(len(labels)) if (k + 1) % side]
-    edges += [(labels[k], labels[k + side]) for k in range(len(labels) - side)]
-    return CovarianceGraph(labels, edges)
 
 
 def family_blocks(g, family):

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -16,7 +17,8 @@ from covgraph.simulate import (
     sample_t,
 )
 
-from conftest import SIGMA_CHAIN
+from conftest import SIGMA_CHAIN, lattice_graph, random_patterned_cov
+from oracles import aggregate_entry_loop
 
 
 class TestSampling:
@@ -206,3 +208,66 @@ class TestRunSimulation:
         rep = run_simulation(spec)
         fails = rep.entries[0].failures
         assert 0 < fails <= 10  # feasible starting values are hard at n=10
+
+
+def entry_loop_report(report):
+    """The report with its entries rebuilt by the per-entry loop oracle."""
+    entries = [
+        e
+        for n in report.spec.sample_sizes
+        for m in report.spec.methods
+        for e in aggregate_entry_loop(m, n, report.raw_errors[(m, n)], report.labels)
+    ]
+    return dataclasses.replace(report, entries=entries)
+
+
+def bits(entries):
+    return [(e.method, e.n, e.i, e.j, e.bias.hex(), e.rmse.hex(), e.failures) for e in entries]
+
+
+def sample_cov_failing_on_positive_first_cell(data):
+    # fails on about half the replications, whatever the call order
+    if data[0, 0] > 0.0:
+        raise ModelError("scripted failure")
+    return sample_stats(data).s
+
+
+class TestOnePassAggregation:
+    @pytest.mark.parametrize("reps", [1, 7, 8, 200])
+    def test_matches_entry_loop_bit_for_bit(self, reps):
+        spec = SimSpec(
+            sigma_true=SIGMA_CHAIN, distribution="t", sample_sizes=(15, 40), replications=reps,
+            seed=11, methods=("ml-icf", "dual"),
+        )
+        fitters = {
+            "ml-icf": sample_cov_failing_on_positive_first_cell,
+            "dual": lambda data: sample_stats(data).s,
+        }
+        rep = run_simulation(spec, fitters=fitters)
+        failures = {(e.method, e.n): e.failures for e in rep.entries}
+        if reps > 1:
+            assert all(0 < failures[("ml-icf", n)] < reps for n in spec.sample_sizes)
+        assert bits(rep.entries) == bits(entry_loop_report(rep).entries)
+
+    def test_cell_with_every_replication_failed_is_nan(self):
+        spec = SimSpec(
+            sigma_true=SIGMA_CHAIN, sample_sizes=(20,), replications=5, seed=2,
+            methods=("ml-icf", "dual"),
+        )
+
+        def always_fails(data):
+            raise ModelError("boom")
+
+        rep = run_simulation(spec, fitters={"ml-icf": always_fails, "dual": lambda d: sample_stats(d).s})
+        cell = [e for e in rep.entries if e.method == "ml-icf"]
+        assert len(cell) == 10
+        assert all(np.isnan(e.bias) and np.isnan(e.rmse) and e.failures == 5 for e in cell)
+        assert bits(rep.entries) == bits(entry_loop_report(rep).entries)
+
+    def test_lattice_dual_report_matches_entry_loop(self):
+        g = lattice_graph(10)
+        sigma = random_patterned_cov(g, np.random.default_rng(3))
+        spec = SimSpec(sigma_true=sigma, sample_sizes=(300,), replications=3, seed=1000, methods=("dual",))
+        rep = run_simulation(spec, labels=g.vertices)
+        assert len(rep.entries) == 5050
+        assert rep.to_table() == entry_loop_report(rep).to_table()
