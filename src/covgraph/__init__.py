@@ -38,7 +38,6 @@ from .icf import fit_icf, icf_update_vertex
 from .icf_multi import BlockSelector, block_update, fit_icf_multi
 from .model import (
     ConstrainedCovariance,
-    DuplicationMap,
     ModelError,
     NotPositiveDefiniteError,
     PatternViolationError,

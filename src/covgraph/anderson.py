@@ -10,10 +10,10 @@ the conditional-fitting estimate.
 
 The system of a step is the free-pair form of K (x) K, K the inverse
 of the iterate, and the right-hand side is the duplication adjoint of
-K S K.  Both are read through one ``DuplicationMap`` planned once per
-fit: its index vectors gather the three blocks K[ii, ii], K[ii, jj]
-and K[jj, jj] that the symmetric form needs (``kron_form``), so a
-step costs an inverse, those gathers and a symmetric solve.
+K S K.  Both are read through the graph's free-entry map, built once
+with the graph: its index vectors gather the three blocks K[ii, ii],
+K[ii, jj] and K[jj, jj] that the symmetric form needs (``kron_form``),
+so a step costs an inverse, those gathers and a symmetric solve.
 """
 
 from __future__ import annotations
@@ -26,14 +26,14 @@ import scipy.linalg
 from .graphs import CovarianceGraph, free_index_set
 from .model import (
     ConstrainedCovariance,
-    DuplicationMap,
     ModelError,
     SampleStats,
     is_pos_def,
+    kron_form,
     profile_loglik,
     stationarity_residual,
 )
-from .results import FitConfig, FitResult, stop_reason
+from .results import FitConfig, FitResult, _resolve_start, stop_reason
 
 __all__ = ["fit_anderson"]
 
@@ -52,13 +52,8 @@ def fit_anderson(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None =
         stats = stats.aligned_to(g.vertices)
     if not stats.s_pos_def:
         raise ModelError("sample covariance must be positive definite")
-    dup = DuplicationMap(free_index_set(g))
-    if cfg.start is None:
-        sigma = np.eye(g.p)
-    elif isinstance(cfg.start, ConstrainedCovariance):
-        sigma = np.array(cfg.start.sigma)
-    else:
-        sigma = np.asarray(cfg.start, dtype=float)
+    fis = free_index_set(g)
+    sigma = np.array(_resolve_start(g, cfg).sigma)
 
     pd_flags: list[bool] = []
     trace: list[float | None] = []
@@ -75,8 +70,8 @@ def fit_anderson(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None =
             break
         # Scaling the rows of the edge pairs by 2 symmetrizes the system,
         # so a symmetric-indefinite solve applies even off the PD cone.
-        sym = dup.kron_form(k)
-        rhs = dup.adjoint_vec(k @ stats.s @ k)
+        sym = kron_form(k, fis)
+        rhs = fis.adjoint_vec(k @ stats.s @ k)
         try:
             # ill-conditioned systems are expected on divergent runs and
             # already surface through pd_flags and the detail tag
@@ -89,7 +84,7 @@ def fit_anderson(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None =
         if not np.all(np.isfinite(free)):
             detail = "diverged"
             break
-        new_sigma = dup.expand(free, g.p)
+        new_sigma = fis.expand(free)
         pd = is_pos_def(new_sigma)
         pd_flags.append(pd)
         if cfg.record_trace:

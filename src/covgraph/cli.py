@@ -71,12 +71,15 @@ def _build_parser() -> argparse.ArgumentParser:
             "--header", default="auto", choices=["auto", "yes", "no"],
             help="whether the data file starts with a label row",
         )
-        sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--max-iter", type=int, default=5000)
         sp.add_argument("--n-adjust", action="store_true", help="use n-1 in likelihood values")
 
+    def add_fitting(sp):
+        add_common(sp)
+        sp.add_argument("--tol", type=float, default=1e-8)
+        sp.add_argument("--max-iter", type=int, default=5000)
+
     fit = sub.add_parser("fit", help="fit one covariance estimate")
-    add_common(fit)
+    add_fitting(fit)
     fit.add_argument("--method", default="ml-icf", choices=METHOD_NAMES)
     fit.add_argument("--family", help="complete-set family file (ml-icf-multi)")
     fit.add_argument("--start", help="starting matrix file")
@@ -93,8 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--reps", type=int, default=200)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--methods", default="ml-icf,dual,el", help="comma-separated method names")
-    sim.add_argument("--tol", type=float, default=1e-8)
-    sim.add_argument("--max-iter", type=int, default=5000)
     sim.add_argument("--out", help="write the report table to this file")
 
     ll = sub.add_parser("loglik", help="evaluate a stored estimate")
@@ -102,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ll.add_argument("--matrix", required=True, help="estimate matrix file")
 
     cmp_ = sub.add_parser("compare", help="pairwise log-likelihood differences")
-    add_common(cmp_)
+    add_fitting(cmp_)
     cmp_.add_argument("--methods", default="ml-icf,dual", help="comma-separated method names")
     cmp_.add_argument("--family", help="complete-set family file (ml-icf-multi)")
     return ap
@@ -134,6 +135,8 @@ def _run_method(method, stats, data, g, args, cfg):
     if method == "el":
         if data is None:
             raise cio.InputError("method el needs raw data; weights require observations")
+        if cfg.start is not None:
+            raise cio.InputError("method el takes no starting value")
         fit = fit_el(data, g, ELConfig())
         try:
             ll = profile_loglik(stats, fit.sigma, n_adjust=args.n_adjust)

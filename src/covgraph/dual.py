@@ -160,8 +160,12 @@ def fit_dual(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None = Non
     reported log-likelihood is the Gaussian profile value at the dual
     estimate; the dual estimate is generally not a likelihood maximizer.
     An iterate that leaves the cone raises ``NotPositiveDefiniteError``.
+    The fit starts from the diagonal concentration of S, so a
+    ``cfg.start`` raises ``ModelError`` instead of being ignored.
     """
     cfg = cfg or FitConfig()
+    if cfg.start is not None:
+        raise ModelError("the dual fit takes no starting value")
     if stats.labels is not None and stats.labels != g.vertices:
         stats = stats.aligned_to(g.vertices)
     if not stats.s_pos_def:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import CovarianceGraph
+from .graphs import CovarianceGraph, _upper_pairs
 from .model import ModelError
 
 __all__ = [
@@ -114,17 +114,19 @@ class ELFit:
 
 
 def missing_pairs(g: CovarianceGraph) -> tuple[tuple[int, int], ...]:
-    """Non-adjacent index pairs (i < j): one product constraint each."""
-    adj = g.adjacency
-    return tuple(
-        (i, j) for i in range(g.p) for j in range(i + 1, g.p) if not adj[i, j]
-    )
+    """Non-adjacent index pairs (i < j), in lexicographic order: one product constraint each."""
+    return tuple(_upper_pairs(~g.adjacency))
 
 
-def _constraint_columns(data: np.ndarray, mu: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+def _missing_index(g: CovarianceGraph) -> np.ndarray:
+    """``missing_pairs`` as an (m, 2) int array, built once per fit."""
+    return np.array(missing_pairs(g), dtype=int).reshape(-1, 2)
+
+
+def _constraint_columns(data: np.ndarray, mu: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Deviations from ``mu``, then their products over the (m, 2) ``pairs``."""
     d = data - mu
-    cols = [d] + [(d[:, i] * d[:, j])[:, None] for i, j in pairs]
-    return np.hstack(cols)
+    return np.hstack([d, d[:, pairs[:, 0]] * d[:, pairs[:, 1]]])
 
 
 def _log_star(z: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -226,10 +228,10 @@ def _interior_feasible(gmat: np.ndarray, tol: float) -> bool:
 def _solve_at(
     data: np.ndarray,
     mu: np.ndarray,
-    pairs: Sequence[tuple[int, int]],
+    pairs: np.ndarray,
     cfg: ELConfig,
 ) -> WeightedSample | None:
-    """``inner_el`` on checked inputs, with the missing pairs given."""
+    """``inner_el`` on checked inputs, with the missing pairs given by ``_missing_index``."""
     n = data.shape[0]
     if n <= 1 + len(pairs):
         return None  # more constraints than the sample can carry
@@ -284,7 +286,7 @@ def inner_el(
     mu = np.asarray(mu, dtype=float)
     if data.ndim != 2 or data.shape[1] != g.p or mu.shape != (g.p,):
         raise ModelError("data, location, and graph dimensions disagree")
-    return _solve_at(data, mu, missing_pairs(g), cfg or ELConfig())
+    return _solve_at(data, mu, _missing_index(g), cfg or ELConfig())
 
 
 def fit_el(
@@ -318,7 +320,7 @@ def fit_el(
     n, p = data.shape
     if p != g.p:
         raise ModelError("data and graph dimensions disagree")
-    pairs = missing_pairs(g)
+    pairs = _missing_index(g)
     ybar = data.mean(axis=0)
     sd = data.std(axis=0)
     sd = np.where(sd > 0.0, sd, 1.0)

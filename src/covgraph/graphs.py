@@ -58,7 +58,7 @@ class CovarianceGraph:
         rejected; repeated pairs collapse to one edge.
     """
 
-    __slots__ = ("vertices", "_pos", "_adj")
+    __slots__ = ("vertices", "_pos", "_adj", "_free")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         vs = tuple(str(v) for v in vertices)
@@ -76,6 +76,7 @@ class CovarianceGraph:
             adj[i, j] = adj[j, i] = True
         adj.setflags(write=False)
         self._adj = adj
+        self._free = FreeIndexSet(adj)
 
     @property
     def p(self) -> int:
@@ -99,11 +100,11 @@ class CovarianceGraph:
     def edges(self) -> tuple[tuple[str, str], ...]:
         """Edges as label pairs, in lexicographic index order."""
         vs = self.vertices
-        return tuple((vs[i], vs[j]) for i, j in _upper_pairs(self._adj))
+        return tuple((vs[i], vs[j]) for i, j in self._free.pairs[self.p:])
 
     @property
     def n_edges(self) -> int:
-        return int(self._adj.sum()) // 2
+        return len(self._free) - self.p
 
     def spouse_idx(self, i: int) -> np.ndarray:
         """Positions of the vertices adjacent to position ``i``."""
@@ -130,27 +131,50 @@ def spouses(g: CovarianceGraph, i: str) -> tuple[str, ...]:
     return tuple(g.vertices[j] for j in g.spouse_idx(g.index(i)))
 
 
-@dataclass(frozen=True)
 class FreeIndexSet:
-    """Matrix positions left unrestricted by the graph.
+    """Index map between a patterned symmetric matrix and its free entries.
 
-    ``pairs`` lists the diagonal positions in vertex order followed by
-    the edge positions (i, j), i < j, in lexicographic order.  Its
-    length is the vertex count plus the edge count.
+    The free entries are the diagonal positions in vertex order followed
+    by the edge positions (i, j), i < j, in lexicographic order.  ``rows``
+    and ``cols`` hold them as read-only int arrays and ``pairs`` as
+    plain-int tuples; ``mult`` is the edge doubling, 1 on the diagonal
+    and 2 on an edge.  The map plays the role of the 0/1 duplication
+    matrix sending the free-entry vector to the vectorized matrix; it is
+    applied by gather and scatter, never materialized.  Each
+    ``CovarianceGraph`` builds its map once; read it by ``free_index_set``.
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("p", "rows", "cols", "mult", "pairs")
+
+    def __init__(self, adjacency: np.ndarray):
+        self.p = len(adjacency)
+        edge_rows, edge_cols = np.nonzero(np.triu(adjacency, 1))
+        diag = np.arange(self.p)
+        self.rows = np.concatenate([diag, edge_rows])
+        self.cols = np.concatenate([diag, edge_cols])
+        self.mult = np.where(self.rows == self.cols, 1.0, 2.0)
+        for a in (self.rows, self.cols, self.mult):
+            a.setflags(write=False)
+        self.pairs = tuple(zip(self.rows.tolist(), self.cols.tolist()))
 
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.pairs)
+    def expand(self, values: np.ndarray) -> np.ndarray:
+        """Symmetric p x p matrix with ``values`` on the free entries."""
+        out = np.zeros((self.p, self.p))
+        out[self.rows, self.cols] = values
+        out[self.cols, self.rows] = values
+        return out
+
+    def adjoint_vec(self, m: np.ndarray) -> np.ndarray:
+        """Adjoint applied to a vectorized symmetric matrix: doubles edges."""
+        return self.mult * np.asarray(m)[self.rows, self.cols]
 
 
 def free_index_set(g: CovarianceGraph) -> FreeIndexSet:
-    """Diagonal pairs plus edge pairs, in deterministic order."""
-    return FreeIndexSet(tuple((i, i) for i in range(g.p)) + tuple(_upper_pairs(g.adjacency)))
+    """The graph's free-entry map: diagonal pairs, then edge pairs."""
+    return g._free
 
 
 @dataclass(frozen=True)

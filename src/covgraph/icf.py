@@ -56,7 +56,7 @@ from .model import (
     profile_loglik,
     stationarity_residual,
 )
-from .results import FitConfig, FitResult, stop_reason
+from .results import FitConfig, FitResult, _resolve_start, stop_reason
 
 __all__ = [
     "BlockSelector",
@@ -81,13 +81,9 @@ class BlockSelector:
 
     @classmethod
     def from_graph(cls, g: CovarianceGraph, block: np.ndarray, spo: np.ndarray) -> "BlockSelector":
-        rows, cols = [], []
-        for b, j in enumerate(spo):
-            for a, i in enumerate(block):
-                if g.adjacency[i, j]:
-                    rows.append(a)
-                    cols.append(b)
-        return cls(np.array(rows, dtype=int), np.array(cols, dtype=int))
+        # The transposed grid's row-major nonzeros are the column-major ones.
+        cols, rows = np.nonzero(g.adjacency[np.ix_(spo, block)])
+        return cls(rows, cols)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -118,8 +114,9 @@ class _BlockPlan:
 
 def _plan(g: CovarianceGraph, idx: Iterable[int]) -> _BlockPlan:
     block = np.array(sorted(idx), dtype=int)
-    spo_set = {int(j) for i in block for j in g.spouse_idx(i)} - set(block.tolist())
-    spo = np.array(sorted(spo_set), dtype=int)
+    near = g.adjacency[block].any(axis=0)
+    near[block] = False
+    spo = np.flatnonzero(near)
     sel = BlockSelector.from_graph(g, block, spo)
     return _BlockPlan(
         block, spo, sel,
@@ -236,16 +233,6 @@ def icf_update_vertex(
     where everything but row and column ``i`` is frozen.
     """
     return block_update(stats, sigma, (i,))
-
-
-def _resolve_start(g: CovarianceGraph, cfg: FitConfig) -> ConstrainedCovariance:
-    if cfg.start is None:
-        return ConstrainedCovariance.identity(g)
-    if isinstance(cfg.start, ConstrainedCovariance):
-        if cfg.start.graph != g:
-            raise ModelError("starting value belongs to a different graph")
-        return cfg.start
-    return ConstrainedCovariance(g, np.asarray(cfg.start, dtype=float))
 
 
 def _sweep(s: np.ndarray, plans: list[_BlockPlan], x: _Point) -> _Point:

@@ -3,7 +3,9 @@
 Everything here is a pure function of sample moments and a patterned
 covariance matrix: profile log-likelihood, score, Hessian, Fisher
 information, stationarity residual of the likelihood equations, and
-deviance against the saturated model.
+deviance against the saturated model.  Whatever is indexed by the free
+entries reads them through the graph's one ``FreeIndexSet``, and the
+free-pair form of a Kronecker square is ``kron_form``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ __all__ = [
     "PatternViolationError",
     "SampleStats",
     "ConstrainedCovariance",
-    "DuplicationMap",
     "is_pos_def",
     "sample_stats",
     "stats_from_moments",
@@ -32,7 +33,7 @@ __all__ = [
     "hessian",
     "stationarity_residual",
     "deviance",
-    "pair_quadratic",
+    "kron_form",
 ]
 
 # Relative pivot tolerance for positive-definiteness checks.
@@ -233,79 +234,24 @@ def _effective_n(n: int, n_adjust: bool) -> int:
     return n - 1 if n_adjust else n
 
 
-class DuplicationMap:
-    """Index map between a patterned symmetric matrix and its free entries.
+def kron_form(k: np.ndarray, fis: FreeIndexSet) -> np.ndarray:
+    """Free-pair quadratic form of k (x) k for a symmetric ``k``.
 
-    Plays the role of the 0/1 matrix sending the free-entry vector to
-    the vectorized matrix; it is applied by gather/scatter, never
-    materialized densely.
+    This is the duplication-map sandwich around k (x) k, read from three
+    gathers.  With the pair rows ii and columns jj, A = k[ii, ii],
+    B = k[ii, jj] and C = k[jj, jj], the symmetry of k folds the form
+    into (2 A o C + B o B^T + B^T o B) / (d d^T), d being 2 on the
+    diagonal pairs and 1 on the edges, which is (A o C + B o B^T) times
+    half the outer product of the edge doubling (o is the elementwise
+    product).
     """
-
-    def __init__(self, fis: FreeIndexSet):
-        self.pairs = fis.pairs
-        self._rows = np.array([i for i, _ in fis.pairs])
-        self._cols = np.array([j for _, j in fis.pairs])
-        self._mult = np.where(self._rows == self._cols, 1.0, 2.0)
-
-    @classmethod
-    def from_graph(cls, g: CovarianceGraph) -> "DuplicationMap":
-        return cls(free_index_set(g))
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def expand(self, values: np.ndarray, p: int) -> np.ndarray:
-        """Symmetric p x p matrix with ``values`` on the free entries."""
-        out = np.zeros((p, p))
-        out[self._rows, self._cols] = values
-        out[self._cols, self._rows] = values
-        return out
-
-    def restrict(self, m: np.ndarray) -> np.ndarray:
-        """Free entries of a symmetric matrix, in pair order."""
-        return np.asarray(m)[self._rows, self._cols]
-
-    def adjoint_vec(self, m: np.ndarray) -> np.ndarray:
-        """Adjoint applied to a vectorized symmetric matrix: doubles edges."""
-        return self._mult * np.asarray(m)[self._rows, self._cols]
-
-    def kron_form(self, k: np.ndarray) -> np.ndarray:
-        """Free-pair quadratic form of k (x) k for a symmetric ``k``.
-
-        Equals ``pair_quadratic(k, k, pairs)`` up to rounding, from three
-        gathers instead of eight.  With the pair rows ii and columns jj,
-        A = k[ii, ii], B = k[ii, jj] and C = k[jj, jj], the symmetry of k
-        folds that form into (2 A o C + B o B^T + B^T o B) / (d d^T), which
-        is (A o C + B o B^T) times half the outer product of the edge
-        doubling (o is the elementwise product).
-        """
-        k_rows = k.take(self._rows, axis=0)
-        b = k_rows.take(self._cols, axis=1)
-        out = k_rows.take(self._rows, axis=1)
-        out *= k.take(self._cols, axis=0).take(self._cols, axis=1)
-        out += b * b.T
-        out *= np.multiply.outer(self._mult, 0.5 * self._mult)
-        return out
-
-
-def pair_quadratic(u: np.ndarray, w: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Free-pair quadratic form of the Kronecker product of ``u`` and ``w``.
-
-    For symmetric u, w this is the gather/scatter evaluation of the
-    duplication-map sandwich around u (x) w, a symmetric matrix indexed
-    by the free pairs.  ``DuplicationMap.kron_form`` evaluates the
-    symmetric u = w case from three gathers.
-    """
-    ii = np.array([i for i, _ in pairs])
-    jj = np.array([j for _, j in pairs])
-    g4 = (
-        u[np.ix_(ii, ii)] * w[np.ix_(jj, jj)]
-        + u[np.ix_(ii, jj)] * w[np.ix_(jj, ii)]
-        + u[np.ix_(jj, ii)] * w[np.ix_(ii, jj)]
-        + u[np.ix_(jj, jj)] * w[np.ix_(ii, ii)]
-    )
-    d = np.where(ii == jj, 2.0, 1.0)
-    return g4 / np.outer(d, d)
+    k_rows = k.take(fis.rows, axis=0)
+    b = k_rows.take(fis.cols, axis=1)
+    out = k_rows.take(fis.rows, axis=1)
+    out *= k.take(fis.cols, axis=0).take(fis.cols, axis=1)
+    out += b * b.T
+    out *= np.multiply.outer(fis.mult, 0.5 * fis.mult)
+    return out
 
 
 def profile_loglik(
@@ -331,31 +277,37 @@ def score(stats: SampleStats, sigma: ConstrainedCovariance, n_adjust: bool = Fal
     """Gradient of the profile log-likelihood over the free entries."""
     k = _inv_pd(sigma.sigma, "covariance")
     m = k @ stats.s @ k - k
-    dup = DuplicationMap.from_graph(sigma.graph)
     n = _effective_n(stats.n, n_adjust)
-    return 0.5 * n * dup.adjoint_vec(m)
+    return 0.5 * n * free_index_set(sigma.graph).adjoint_vec(m)
 
 
 def fisher_information(sigma: ConstrainedCovariance, n: int) -> np.ndarray:
     """Expected negated Hessian over the free entries; symmetric PD."""
     k = _inv_pd(sigma.sigma, "covariance")
-    return 0.5 * n * DuplicationMap.from_graph(sigma.graph).kron_form(k)
+    return 0.5 * n * kron_form(k, free_index_set(sigma.graph))
 
 
 def hessian(stats: SampleStats, sigma: ConstrainedCovariance, n_adjust: bool = False) -> np.ndarray:
-    """Second derivative of the profile log-likelihood over the free entries."""
+    """Second derivative of the profile log-likelihood over the free entries.
+
+    With F the free-pair form of the Kronecker square (``kron_form``) and
+    T = K S K, the second derivative is (n / 2) times the form of
+    K (x) K - K (x) T - T (x) K.  The mixed terms are read by
+    polarisation, F(K + T) - F(K) - F(T), so the whole is
+    (n / 2) (2 F(K) + F(T) - F(K + T)).
+    """
     k = _inv_pd(sigma.sigma, "covariance")
     t = k @ stats.s @ k
-    dup = DuplicationMap.from_graph(sigma.graph)
+    fis = free_index_set(sigma.graph)
     n = _effective_n(stats.n, n_adjust)
-    return 0.5 * n * (dup.kron_form(k) - pair_quadratic(k, t, dup.pairs) - pair_quadratic(t, k, dup.pairs))
+    return 0.5 * n * (2.0 * kron_form(k, fis) + kron_form(t, fis) - kron_form(k + t, fis))
 
 
 def unit_free_gap(gap: np.ndarray, sigma: np.ndarray, g: CovarianceGraph) -> float:
     """Max |d_i gap_ij d_j| over the free entries, d = sqrt(diag(sigma))."""
+    fis = free_index_set(g)
     d = np.sqrt(np.diag(sigma))
-    free = np.triu(g.adjacency | np.eye(g.p, dtype=bool))
-    return float(np.abs(gap * np.outer(d, d))[free].max())
+    return float(np.abs(gap[fis.rows, fis.cols] * (d[fis.rows] * d[fis.cols])).max())
 
 
 def stationarity_residual(stats: SampleStats, sigma: ConstrainedCovariance) -> float:

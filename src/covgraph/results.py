@@ -7,7 +7,8 @@ from typing import Callable
 
 import numpy as np
 
-from .model import ConstrainedCovariance, NotPositiveDefiniteError
+from .graphs import CovarianceGraph
+from .model import ConstrainedCovariance, ModelError, NotPositiveDefiniteError
 
 __all__ = ["FitConfig", "FitResult"]
 
@@ -18,7 +19,9 @@ class FitConfig:
 
     ``tol`` is unit-free: see ``stop_reason``, and the dual fitter
     stops once its residual is at most ``tol``.  ``start`` overrides
-    the identity starting value, ``record_trace`` keeps the per-sweep
+    the identity starting value of ``ml-icf``, ``ml-icf-multi`` and
+    ``ml-anderson`` (see ``_resolve_start``); the dual fitter has its
+    own start and rejects one.  ``record_trace`` keeps the per-sweep
     log-likelihood, and ``n_adjust`` substitutes n - 1 for n in
     reported likelihood values.
     """
@@ -34,6 +37,22 @@ class FitConfig:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+
+
+def _resolve_start(g: CovarianceGraph, cfg: FitConfig) -> ConstrainedCovariance:
+    """The starting value ``cfg`` asks for, checked against ``g``.
+
+    The identity when ``cfg.start`` is None; a start of another graph
+    raises ``ModelError``, and a plain matrix must be a valid patterned
+    covariance of ``g``.
+    """
+    if cfg.start is None:
+        return ConstrainedCovariance.identity(g)
+    if isinstance(cfg.start, ConstrainedCovariance):
+        if cfg.start.graph != g:
+            raise ModelError("starting value belongs to a different graph")
+        return cfg.start
+    return ConstrainedCovariance(g, np.asarray(cfg.start, dtype=float))
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,45 @@ def loglik_direct(n, s, sigma):
     return -0.5 * n * (p * np.log(2.0 * np.pi) + logdet + tr)
 
 
+def free_index_arrays(g):
+    """Rows and columns of the free pairs, from a double loop over the adjacency.
+
+    The diagonal comes first in vertex order, then the edges (i, j),
+    i < j, in lexicographic order.
+    """
+    p = g.p
+    pairs = [(i, i) for i in range(p)]
+    pairs += [(i, j) for i in range(p) for j in range(i + 1, p) if g.adjacency[i, j]]
+    return np.array(pairs, dtype=int).reshape(-1, 2).T
+
+
+def expand_free(values, rows, cols, p):
+    """Symmetric p x p matrix with ``values`` at (rows, cols), zero elsewhere."""
+    m = np.zeros((p, p))
+    m[rows, cols] = values
+    m[cols, rows] = values
+    return m
+
+
+def pair_quadratic(u, w, pairs):
+    """Free-pair quadratic form of the Kronecker product of ``u`` and ``w``.
+
+    For symmetric u, w this is the gather/scatter evaluation of the
+    duplication-map sandwich around u (x) w, a symmetric matrix indexed
+    by the free pairs, from eight gathers.
+    """
+    ii = np.array([i for i, _ in pairs])
+    jj = np.array([j for _, j in pairs])
+    g4 = (
+        u[np.ix_(ii, ii)] * w[np.ix_(jj, jj)]
+        + u[np.ix_(ii, jj)] * w[np.ix_(jj, ii)]
+        + u[np.ix_(jj, ii)] * w[np.ix_(ii, jj)]
+        + u[np.ix_(jj, jj)] * w[np.ix_(ii, ii)]
+    )
+    d = np.where(ii == jj, 2.0, 1.0)
+    return g4 / np.outer(d, d)
+
+
 def dense_duplication(g):
     """Dense 0/1 map from free entries to the vectorized matrix."""
     pairs = free_index_set(g).pairs
@@ -121,11 +160,11 @@ def brute_force_cliques(g):
 
 def brute_force_ml(stats, g, extra_starts=()):
     """Generic penalized maximizer of the likelihood over the free entries."""
-    dup = cg.DuplicationMap.from_graph(g)
+    rows, cols = free_index_arrays(g)
     p = g.p
 
     def neg(free):
-        m = dup.expand(free, p)
+        m = expand_free(free, rows, cols, p)
         if not is_pos_def(m):
             return 1e8
         return -profile_loglik(stats, m)
@@ -136,7 +175,7 @@ def brute_force_ml(stats, g, extra_starts=()):
     t = 1.0
     while not is_pos_def(diag + t * (proj - diag)):
         t *= 0.8
-    starts = [dup.restrict(diag + t * (proj - diag)), dup.restrict(diag)]
+    starts = [(diag + t * (proj - diag))[rows, cols], diag[rows, cols]]
     starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
     best = None
     for s0 in starts:
@@ -150,7 +189,7 @@ def brute_force_ml(stats, g, extra_starts=()):
         )
         if best is None or res.fun < best.fun:
             best = res
-    return -best.fun, dup.expand(best.x, p)
+    return -best.fun, expand_free(best.x, rows, cols, p)
 
 
 def section_maximize(stats, sigma_cc, indices, n_starts=3, seed=0):
@@ -160,14 +199,14 @@ def section_maximize(stats, sigma_cc, indices, n_starts=3, seed=0):
     entries stay at their current values.
     """
     g = sigma_cc.graph
-    dup = cg.DuplicationMap.from_graph(g)
-    base = dup.restrict(sigma_cc.sigma)
+    rows, cols = free_index_arrays(g)
+    base = sigma_cc.sigma[rows, cols]
     idx = list(indices)
 
     def neg(x):
         free = base.copy()
         free[idx] = x
-        m = dup.expand(free, g.p)
+        m = expand_free(free, rows, cols, g.p)
         if not is_pos_def(m):
             return 1e8
         return -profile_loglik(stats, m)
@@ -184,7 +223,7 @@ def section_maximize(stats, sigma_cc, indices, n_starts=3, seed=0):
             best = res
     free = base.copy()
     free[idx] = best.x
-    return -best.fun, dup.expand(free, g.p)
+    return -best.fun, expand_free(free, rows, cols, g.p)
 
 
 def primal_el(data, mu, pairs):
@@ -264,21 +303,21 @@ def primal_el(data, mu, pairs):
 
 def root_find_dual(stats, g):
     """Generic nonlinear root of the dual equations over the free entries."""
-    dup = cg.DuplicationMap.from_graph(g)
+    rows, cols = free_index_arrays(g)
     k = np.linalg.inv(stats.s)
-    target = dup.restrict(k)
+    target = k[rows, cols]
 
     def equations(free):
-        m = dup.expand(free, g.p)
+        m = expand_free(free, rows, cols, g.p)
         try:
             inv = np.linalg.inv(m)
         except np.linalg.LinAlgError:
             return np.full(len(free), 1e6)
-        return dup.restrict(inv) - target
+        return inv[rows, cols] - target
 
-    x0 = dup.restrict(np.diag(np.diag(stats.s)))
+    x0 = np.diag(np.diag(stats.s))[rows, cols]
     sol = scipy.optimize.root(equations, x0, method="hybr", tol=1e-13)
-    return dup.expand(sol.x, g.p), sol
+    return expand_free(sol.x, rows, cols, g.p), sol
 
 
 def plain_dual_ipf(s, adjacency, cliques, tol=1e-8, max_iter=5000):

@@ -5,14 +5,14 @@ import covgraph as cg
 from covgraph.anderson import fit_anderson
 from covgraph.graphs import CovarianceGraph, free_index_set
 from covgraph.icf import fit_icf
-from covgraph.model import DuplicationMap, ModelError, pair_quadratic, stats_from_moments, stationarity_residual
+from covgraph.model import ModelError, hessian, kron_form, stats_from_moments, stationarity_residual
 from covgraph.results import FitConfig, stop_reason
 
 from conftest import SIGMA_CHAIN, lattice_graph, random_patterned_cov, random_spd, random_stats
-from oracles import SingularSystemError, anderson_system, plain_anderson
+from oracles import SingularSystemError, anderson_system, pair_quadratic, plain_anderson
 
 # Iterations of fit_anderson on each case with its system built by
-# pair_quadratic(k, k, pairs); the planned kron_form must keep them.
+# the oracle pair_quadratic(k, k, pairs); kron_form must keep them.
 ITERATIONS = {"gd": 15, "gs": 15, "lattice": 14}
 
 
@@ -38,8 +38,20 @@ class TestPlannedSystem:
         k = np.linalg.inv(st.s)
         k = (k + k.T) / 2.0
         ref = pair_quadratic(k, k, fis.pairs)
-        got = DuplicationMap(fis).kron_form(k)
+        got = kron_form(k, fis)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("case", ITERATIONS)
+    def test_hessian_mixed_term_matches_pair_quadratic(self, case, yeast_stats, yeast_gd, yeast_gs):
+        # hessian reads K (x) T + T (x) K by polarisation of kron_form
+        st, g = case_inputs(case, yeast_stats, yeast_gd, yeast_gs)
+        est = fit_icf(st, g).estimate
+        k = np.linalg.inv(est.sigma)
+        k = (k + k.T) / 2.0
+        t = k @ st.s @ k
+        pairs = free_index_set(g).pairs
+        ref = 0.5 * st.n * (pair_quadratic(k, k, pairs) - pair_quadratic(k, t, pairs) - pair_quadratic(t, k, pairs))
+        assert np.abs(hessian(st, est) - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("case", ITERATIONS)
     def test_keeps_iterations_and_estimate(self, case, yeast_stats, yeast_gd, yeast_gs):
@@ -176,6 +188,12 @@ class TestFitAnderson:
         st = stats_from_moments(9, data.T @ data / 9)
         with pytest.raises(ModelError, match="positive definite"):
             fit_anderson(st, fig1)
+
+    def test_start_of_another_graph_rejected(self, fig1):
+        st = stats_from_moments(50, random_spd(4, 50, np.random.default_rng(6)))
+        other = cg.ConstrainedCovariance.identity(complete_graph(4))
+        with pytest.raises(ModelError, match="different graph"):
+            fit_anderson(st, fig1, FitConfig(start=other))
 
 
 class TestStopRule:

@@ -162,6 +162,11 @@ class TestFitDual:
         with pytest.raises(ModelError, match="positive definite"):
             fit_dual(st, fig1)
 
+    def test_start_rejected(self, fig1):
+        st = stats_from_moments(40, random_spd(4, 40, np.random.default_rng(3)))
+        with pytest.raises(ModelError, match="no starting value"):
+            fit_dual(st, fig1, FitConfig(start=np.eye(4)))
+
     def test_ill_conditioned_decomposable_converges_in_one_pass(self):
         # cond(S) = 2.5e6: the fit solves the problem in one pass, and its
         # residual must be read against the same Cholesky inverse of S

@@ -15,10 +15,11 @@ from covgraph.graphs import (
     spouses,
     validate_family,
 )
+from covgraph.emplik import missing_pairs
 from covgraph.icf import _plan
 
 from conftest import random_graph
-from oracles import brute_force_cliques, non_spouses, spouses_of_set
+from oracles import brute_force_cliques, free_index_arrays, non_spouses, spouses_of_set
 
 
 @st.composite
@@ -120,11 +121,10 @@ class TestFreeIndexSet:
         g = CovarianceGraph(["1", "2", "3"], [("1", "2"), ("1", "3"), ("2", "3")])
         assert len(free_index_set(g)) == 6
 
-    @given(small_graphs())
-    def test_idempotent_and_sized(self, g):
+    @given(small_graphs(), st.randoms(use_true_random=False))
+    def test_idempotent_and_sized(self, g, rnd):
         a = free_index_set(g)
-        b = free_index_set(g)
-        assert a == b
+        assert free_index_set(g) is a  # built once, with the graph
         assert len(a) == g.p + g.n_edges
         for i, j in a.pairs:
             assert i == j or g.adjacency[i, j]
@@ -133,6 +133,22 @@ class TestFreeIndexSet:
         assert list(edge_pairs) == sorted(edge_pairs)
         assert all(type(i) is int and type(j) is int for i, j in edge_pairs)
         assert g.edges == tuple((g.vertices[i], g.vertices[j]) for i, j in edge_pairs)
+        # the index arrays are the pairs, read-only, and match a plain loop
+        assert list(zip(a.rows.tolist(), a.cols.tolist())) == list(a.pairs)
+        assert np.array_equal(np.stack([a.rows, a.cols]), free_index_arrays(g))
+        assert not (a.rows.flags.writeable or a.cols.flags.writeable or a.mult.flags.writeable)
+        assert a.mult.tolist() == [1.0 if i == j else 2.0 for i, j in a.pairs]
+        # the missing pairs are exactly the complement of the edges
+        upper = {(i, j) for i in range(g.p) for j in range(i + 1, g.p)}
+        missing = missing_pairs(g)
+        assert list(missing) == sorted(upper - set(edge_pairs))
+        # expanding a gather gives back a patterned matrix
+        m = np.array([[rnd.uniform(-1.0, 1.0) for _ in range(g.p)] for _ in range(g.p)])
+        m = m + m.T
+        for i, j in missing:
+            m[i, j] = m[j, i] = 0.0
+        assert np.array_equal(a.expand(m[a.rows, a.cols]), m)
+        assert np.array_equal(a.adjoint_vec(m), a.mult * m[a.rows, a.cols])
 
 
 class TestCliques:

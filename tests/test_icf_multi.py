@@ -3,7 +3,7 @@ import pytest
 
 import covgraph as cg
 from covgraph.graphs import CompleteSetFamily, CovarianceGraph, cliques, singleton_family
-from covgraph.icf import fit_icf, icf_update_vertex
+from covgraph.icf import _plan, fit_icf, icf_update_vertex
 from covgraph.icf_multi import BlockSelector, block_update, fit_icf_multi
 from covgraph.model import (
     ConstrainedCovariance,
@@ -14,7 +14,7 @@ from covgraph.model import (
 from covgraph.results import FitConfig
 
 from conftest import SIGMA_CHAIN, random_graph, random_patterned_cov, random_spd
-from oracles import conditional_params, section_maximize
+from oracles import conditional_params, expand_free, free_index_arrays, section_maximize, spouses_of_set
 from covgraph.graphs import free_index_set
 
 
@@ -27,6 +27,17 @@ class TestBlockSelector:
         got = set(zip(sel.rows.tolist(), sel.cols.tolist()))
         assert got == {(0, 0), (1, 1)}
         assert len(sel) == 2
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_column_major_order_matches_loop(self, seed):
+        # the order of the free coefficients is the order of the normal equations
+        rng = np.random.default_rng(seed)
+        g = random_graph(9, rng, edge_prob=0.4)
+        for c in cliques(g):
+            plan = _plan(g, [g.index(v) for v in c])
+            loop = [(a, b) for b, j in enumerate(plan.spo) for a, i in enumerate(plan.block) if g.adjacency[i, j]]
+            assert list(zip(plan.sel.rows.tolist(), plan.sel.cols.tolist())) == loop
+            assert plan.spo.tolist() == [g.index(v) for v in spouses_of_set(g, c)]
 
 
 class TestBlockUpdate:
@@ -71,12 +82,12 @@ class TestBlockUpdate:
         lam_fixed = conditional_params(start, {"3", "4"}).conditional_cov
         fis = free_index_set(fig1)
         idx = [fis.pairs.index((0, 2)), fis.pairs.index((1, 3))]
-        dup = cg.DuplicationMap.from_graph(fig1)
+        rows, cols = free_index_arrays(fig1)
 
         def complete_with_fixed_lam(coef_vals):
-            free = dup.restrict(start.sigma).copy()
+            free = start.sigma[rows, cols]
             free[idx] = coef_vals
-            m = dup.expand(free, 4)
+            m = expand_free(free, rows, cols, 4)
             block = [2, 3]
             rest = [0, 1]
             b = m[np.ix_(block, rest)] @ np.linalg.inv(m[np.ix_(rest, rest)])
@@ -92,7 +103,7 @@ class TestBlockUpdate:
             return -profile_loglik(st, m)
 
         res = scipy.optimize.minimize(
-            neg, dup.restrict(start.sigma)[idx], method="Nelder-Mead",
+            neg, start.sigma[rows, cols][idx], method="Nelder-Mead",
             options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000},
         )
         # redo only stage one of the update to compare coefficients

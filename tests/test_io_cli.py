@@ -244,6 +244,22 @@ class TestCliFit:
         iters = int(next(l.split()[1] for l in out.splitlines() if l.startswith("iterations")))
         assert iters <= 3  # warm start is already at the optimum
 
+    def test_start_rejected_by_dual_and_el(self, tmp_path, capsys):
+        # neither fit reads a starting value, so one is an input error
+        est = tmp_path / "est.tsv"
+        write_matrix(est, SIGMA_CHAIN, labels=("1", "2", "3", "4"))
+        data = np.random.default_rng(1).standard_normal((60, 4)) @ np.linalg.cholesky(SIGMA_CHAIN).T
+        obs = tmp_path / "obs.csv"
+        obs.write_text("\n".join(",".join(format(x, ".17g") for x in row) for row in data) + "\n")
+        for method in ("dual", "el"):
+            rc = main([
+                "fit", "--graph", str(DATA / "fig1.graph"), "--data", str(obs),
+                "--method", method, "--start", str(est),
+            ])
+            captured = capsys.readouterr()
+            assert rc == 1 and captured.out == ""
+            assert "no starting value" in captured.err
+
     def test_fit_from_raw_data_ml_and_el(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         low = np.linalg.cholesky(SIGMA_CHAIN)
@@ -362,6 +378,26 @@ class TestCliSimulateLoglikCompare:
         out = capsys.readouterr().out
         assert rc == 0
         assert "dual\t20" in out
+
+    def test_fit_flags_only_on_fit_and_compare(self, tmp_path, capsys):
+        # simulate and loglik run no iterative fit, so they take no --tol or --max-iter
+        sig = tmp_path / "sigma.tsv"
+        write_matrix(sig, SIGMA_CHAIN)
+        stats = str(_chain_stats(tmp_path))
+        for argv in (
+            ["simulate", "--sigma", str(sig), "--reps", "1", "--methods", "dual", "--tol", "1e-6"],
+            ["loglik", "--graph", str(DATA / "fig1.graph"), "--stats", stats, "--matrix", str(sig),
+             "--max-iter", "3"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        rc = main([
+            "compare", "--graph", str(DATA / "fig1.graph"), "--stats", stats,
+            "--methods", "ml-icf,dual", "--tol", "1e-6", "--max-iter", "3000",
+        ])
+        assert rc == 0
 
     def test_simulate_graph_override_inconsistent(self, tmp_path, capsys):
         # a graph missing an edge where the truth matrix is nonzero
