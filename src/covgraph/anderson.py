@@ -26,14 +26,13 @@ import scipy.linalg
 from .graphs import CovarianceGraph, free_index_set
 from .model import (
     ConstrainedCovariance,
-    ModelError,
     SampleStats,
     is_pos_def,
     kron_form,
     profile_loglik,
     stationarity_residual,
 )
-from .results import FitConfig, FitResult, _resolve_start, stop_reason
+from .results import FitConfig, FitResult, _resolve_start, _resolve_stats, stop_reason
 
 __all__ = ["fit_anderson"]
 
@@ -48,10 +47,7 @@ def fit_anderson(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None =
     as ``singular-system``.
     """
     cfg = cfg or FitConfig()
-    if stats.labels is not None and stats.labels != g.vertices:
-        stats = stats.aligned_to(g.vertices)
-    if not stats.s_pos_def:
-        raise ModelError("sample covariance must be positive definite")
+    stats = _resolve_stats(stats, g)
     fis = free_index_set(g)
     sigma = np.array(_resolve_start(g, cfg).sigma)
 
@@ -88,7 +84,7 @@ def fit_anderson(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None =
         pd = is_pos_def(new_sigma)
         pd_flags.append(pd)
         if cfg.record_trace:
-            trace.append(profile_loglik(stats, new_sigma) if pd else None)
+            trace.append(profile_loglik(stats, new_sigma, n_adjust=cfg.n_adjust) if pd else None)
         sigma, old = new_sigma, sigma
         detail, residual = stop_reason(
             sigma, old, lambda: stationarity_residual(stats, ConstrainedCovariance(g, sigma)), cfg.tol

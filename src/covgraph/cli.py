@@ -23,7 +23,7 @@ from . import io as cio
 from .anderson import fit_anderson
 from .dual import fit_dual
 from .emplik import ELConfig, ELInfeasibleError, fit_el
-from .graphs import CovarianceGraph, GraphError, cliques, graph_from_matrix, validate_family
+from .graphs import CovarianceGraph, GraphError, cliques, graph_from_matrix, label_order, validate_family
 from .icf import fit_icf
 from .icf_multi import fit_icf_multi
 from .model import (
@@ -116,18 +116,15 @@ def _load_inputs(args) -> tuple[CovarianceGraph, SampleStats, np.ndarray | None]
         raise cio.InputError("exactly one of --data or --stats is required")
     if args.data:
         data, labels = cio.load_data(args.data, delimiter=args.delimiter, header=args.header)
-        if set(labels) != set(g.vertices):
-            if labels == tuple(f"X{k + 1}" for k in range(len(labels))) and len(labels) == g.p:
-                labels = g.vertices  # headerless table: adopt graph order
-            else:
-                raise cio.InputError("data columns do not match the graph's vertices")
-        stats = sample_stats(data, labels=labels).aligned_to(g.vertices)
-        perm = [labels.index(v) for v in g.vertices]
-        return g, stats, data[:, perm]
-    stats = cio.load_stats(args.stats)
-    if stats.labels is None or set(stats.labels) != set(g.vertices):
-        raise cio.InputError("stats variables do not match the graph's vertices")
-    return g, stats.aligned_to(g.vertices), None
+        data = data[:, label_order(g.vertices, labels, data.shape[1], args.data)]
+        return g, sample_stats(data, labels=g.vertices), data
+    return g, cio.load_stats(args.stats).aligned_to(g.vertices), None
+
+
+def _aligned(g: CovarianceGraph, labels: tuple[str, ...] | None, m: np.ndarray, what: str) -> np.ndarray:
+    """A square matrix read from ``what``, in the vertex order of ``g``."""
+    perm = label_order(g.vertices, labels, len(m), what)
+    return m[np.ix_(perm, perm)]
 
 
 def _run_method(method, stats, data, g, args, cfg):
@@ -179,8 +176,7 @@ def cmd_fit(args) -> int:
         g, stats, data = _load_inputs(args)
         start = None
         if args.start:
-            labels, m = cio.load_matrix(args.start)
-            start = ConstrainedCovariance(g, m)
+            start = ConstrainedCovariance(g, _aligned(g, *cio.load_matrix(args.start), args.start))
         cfg = FitConfig(
             tol=args.tol,
             max_iter=args.max_iter,
@@ -241,13 +237,8 @@ def cmd_fit(args) -> int:
 def cmd_simulate(args) -> int:
     try:
         labels, sigma = cio.load_matrix(args.sigma)
-        if args.graph:
-            g = cio.load_graph(args.graph)
-            ref = graph_from_matrix(sigma, labels=g.vertices)
-            extra = set(ref.edges) - set(g.edges)
-            if extra:
-                raise cio.InputError(f"--sigma has nonzeros outside --graph edges: {sorted(extra)}")
-            labels = g.vertices
+        g = cio.load_graph(args.graph) if args.graph else graph_from_matrix(sigma, labels=labels)
+        sigma = _aligned(g, labels, sigma, args.sigma)
         sizes = tuple(int(tok) for tok in str(args.n).split(",") if tok)
         methods = tuple(tok for tok in args.methods.split(",") if tok)
         spec = SimSpec(
@@ -259,7 +250,7 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
             methods=methods,
         )
-        report = run_simulation(spec, labels=labels)
+        report = run_simulation(spec, graph=g)
     except (cio.InputError, GraphError, ModelError, ValueError) as exc:
         return _fail(str(exc))
     for (method, n), reasons in report.failure_reasons.items():
@@ -279,9 +270,7 @@ def cmd_simulate(args) -> int:
 def cmd_loglik(args) -> int:
     try:
         g, stats, _ = _load_inputs(args)
-        labels, m = cio.load_matrix(args.matrix)
-        if m.shape != (g.p, g.p):
-            raise cio.InputError("matrix dimensions do not match the graph")
+        m = _aligned(g, *cio.load_matrix(args.matrix), args.matrix)
         ll = profile_loglik(stats, m, n_adjust=args.n_adjust)
         dev, df = deviance(stats, m, graph=g, n_adjust=args.n_adjust)
     except (cio.InputError, GraphError, ModelError) as exc:

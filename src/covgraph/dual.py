@@ -40,7 +40,7 @@ from .model import (
     profile_loglik,
     unit_free_gap,
 )
-from .results import FitConfig, FitResult
+from .results import FitConfig, FitResult, _resolve_stats
 
 __all__ = ["fit_dual", "dual_residual", "is_decomposable"]
 
@@ -166,10 +166,7 @@ def fit_dual(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None = Non
     cfg = cfg or FitConfig()
     if cfg.start is not None:
         raise ModelError("the dual fit takes no starting value")
-    if stats.labels is not None and stats.labels != g.vertices:
-        stats = stats.aligned_to(g.vertices)
-    if not stats.s_pos_def:
-        raise ModelError("sample covariance must be positive definite")
+    stats = _resolve_stats(stats, g)
     k = _inv_pd(stats.s, "sample covariance")
     plans = [_plan(k, c) for c in _clique_order(g, cliques(g))]
 

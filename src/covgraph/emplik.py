@@ -20,7 +20,6 @@ location is -n times the mean multipliers (Qin & Lawless 1994; Owen
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -289,15 +288,11 @@ def inner_el(
     return _solve_at(data, mu, _missing_index(g), cfg or ELConfig())
 
 
-def fit_el(
-    data: np.ndarray,
-    g: CovarianceGraph,
-    cfg: ELConfig | None = None,
-    labels: Sequence[str] | None = None,
-) -> ELFit:
+def fit_el(data: np.ndarray, g: CovarianceGraph, cfg: ELConfig | None = None) -> ELFit:
     """Profile the location and return weights plus the weighted covariance.
 
-    BFGS minimizes -el_log_ratio from the sample mean, over the location
+    ``data`` has one column per vertex of ``g``, in vertex order.  BFGS
+    minimizes -el_log_ratio from the sample mean, over the location
     measured in sample standard deviations, with the gradient taken from
     the inner multipliers.  A location that admits no weighting scores
     +inf, and the line search backs away from it.  The best location
@@ -310,13 +305,6 @@ def fit_el(
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise ModelError("data must be a two-dimensional table")
-    if labels is not None:
-        labels = list(labels)
-        try:
-            perm = [labels.index(v) for v in g.vertices]
-        except ValueError as exc:
-            raise ModelError(f"data labels do not cover the graph: {exc}") from None
-        data = data[:, perm]
     n, p = data.shape
     if p != g.p:
         raise ModelError("data and graph dimensions disagree")

@@ -10,6 +10,7 @@ and column order of every matrix indexed by the graph.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -29,6 +30,7 @@ __all__ = [
     "parse_graph_text",
     "parse_family_text",
     "graph_from_matrix",
+    "label_order",
 ]
 
 
@@ -65,7 +67,7 @@ class CovarianceGraph:
         if not vs:
             raise GraphError("a covariance graph needs at least one vertex")
         if len(vs) != len(set(vs)):
-            raise GraphError("duplicate vertex labels in declaration")
+            raise GraphError(f"duplicate vertex labels in declaration: {', '.join(map(repr, _duplicates(vs)))}")
         self.vertices = vs
         self._pos = {v: k for k, v in enumerate(vs)}
         adj = np.zeros((len(vs), len(vs)), dtype=bool)
@@ -87,9 +89,6 @@ class CovarianceGraph:
             return self._pos[label]
         except KeyError:
             raise GraphError(f"unknown vertex label {label!r}") from None
-
-    def has_edge(self, a: str, b: str) -> bool:
-        return bool(self._adj[self.index(a), self.index(b)])
 
     @property
     def adjacency(self) -> np.ndarray:
@@ -114,6 +113,10 @@ class CovarianceGraph:
         idx = list(idx)
         return all(self._adj[a, b] for a, b in itertools.combinations(idx, 2))
 
+    def __reduce__(self):
+        # Rebuilt, not restored slot by slot, so the arrays stay read-only.
+        return CovarianceGraph, (self.vertices, self.edges)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CovarianceGraph):
             return NotImplemented
@@ -124,6 +127,35 @@ class CovarianceGraph:
 
     def __repr__(self) -> str:
         return f"CovarianceGraph(p={self.p}, edges={self.n_edges})"
+
+
+def _duplicates(labels: Sequence[str]) -> list[str]:
+    return [lab for lab, count in Counter(labels).items() if count > 1]
+
+
+def label_order(
+    vertices: Sequence[str], labels: Sequence[str] | None, size: int, what: str
+) -> np.ndarray:
+    """Indices that read the ``size`` variables of input ``what`` in ``vertices`` order.
+
+    Unlabelled input (``labels`` None) is read in vertex order if ``size``
+    matches; labelled input must name each vertex once, else ``GraphError``
+    names every missing, extra and duplicate label.
+    """
+    if labels is None:
+        if size != len(vertices):
+            raise GraphError(f"{what} has {size} unlabelled variables for {len(vertices)} vertices")
+        return np.arange(size)
+    pos = {lab: k for k, lab in enumerate(labels)}
+    bad = {
+        "missing": [v for v in vertices if v not in pos],
+        "extra": sorted(pos.keys() - set(vertices)),
+        "duplicate": _duplicates(labels),
+    }
+    if any(bad.values()):
+        found = "; ".join(f"{kind} {', '.join(map(repr, labs))}" for kind, labs in bad.items() if labs)
+        raise GraphError(f"{what} labels do not match the graph's vertices: {found}")
+    return np.array([pos[v] for v in vertices])
 
 
 def spouses(g: CovarianceGraph, i: str) -> tuple[str, ...]:

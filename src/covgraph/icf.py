@@ -56,7 +56,7 @@ from .model import (
     profile_loglik,
     stationarity_residual,
 )
-from .results import FitConfig, FitResult, _resolve_start, stop_reason
+from .results import FitConfig, FitResult, _resolve_start, _resolve_stats, stop_reason
 
 __all__ = [
     "BlockSelector",
@@ -293,10 +293,7 @@ def _sweep_fit(
     ``max_iter`` sweeps.  Each sweep's result is factorised once, for
     the cone check, the next sweep's inverse and the log-likelihood.
     """
-    if stats.labels is not None and stats.labels != g.vertices:
-        stats = stats.aligned_to(g.vertices)
-    if not stats.s_pos_def:
-        raise ModelError("sample covariance must be positive definite")
+    stats = _resolve_stats(stats, g)
     s = stats.s
     plans = [_plan(g, b) for b in blocks]
     cur = _point(s, np.array(_resolve_start(g, cfg).sigma))

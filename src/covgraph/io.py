@@ -53,12 +53,12 @@ def load_data(
     path: str | os.PathLike,
     delimiter: str | None = None,
     header: str = "auto",
-) -> tuple[np.ndarray, tuple[str, ...]]:
+) -> tuple[np.ndarray, tuple[str, ...] | None]:
     """Read a delimited numeric table; returns (array, column labels).
 
     ``header`` is 'auto' (label row detected when the first row is not
-    numeric), 'yes', or 'no'.  Default labels are X1..Xp.  Ragged rows
-    and non-numeric cells are reported with their line and column.
+    numeric), 'yes', or 'no'; the labels are None without one.  Ragged
+    rows and non-numeric cells are reported with their line and column.
     """
     text = _read_text(path)
     rows: list[tuple[int, list[str]]] = []
@@ -91,9 +91,7 @@ def load_data(
                 raise InputError(
                     f"{path}:{lineno}: non-numeric cell {tok!r} in column {c + 1}"
                 ) from None
-    if labels is None:
-        labels = tuple(f"X{k + 1}" for k in range(width))
-    if len(labels) != width:
+    if labels is not None and len(labels) != width:
         raise InputError(f"{path}: header has {len(labels)} labels for {width} columns")
     return data, labels
 
@@ -222,7 +220,7 @@ def write_matrix(
 
 
 def load_matrix(path: str | os.PathLike) -> tuple[tuple[str, ...] | None, np.ndarray]:
-    """Read a matrix written by :func:`write_matrix`; labels optional.
+    """Read a square matrix written by :func:`write_matrix`; labels optional.
 
     Accepts either a ``#labels`` line or a bare non-numeric header row.
     """
@@ -245,7 +243,9 @@ def load_matrix(path: str | os.PathLike) -> tuple[tuple[str, ...] | None, np.nda
     if not rows:
         raise InputError(f"{path}: header without matrix rows")
     width = len(rows[0][1])
-    m = np.empty((len(rows), width))
+    if len(rows) != width:
+        raise InputError(f"{path}: matrix has {len(rows)} rows and {width} columns, not square")
+    m = np.empty((width, width))
     for r, (lineno, toks) in enumerate(rows):
         if len(toks) != width:
             raise InputError(f"{path}:{lineno}: ragged matrix row")

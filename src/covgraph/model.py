@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .graphs import CovarianceGraph, FreeIndexSet, free_index_set
+from .graphs import CovarianceGraph, FreeIndexSet, free_index_set, label_order
 
 __all__ = [
     "ModelError",
@@ -126,31 +126,21 @@ class SampleStats:
         return self.s.shape[0]
 
     def aligned_to(self, labels: Sequence[str]) -> "SampleStats":
-        """Reorder variables to match ``labels``; requires own labels."""
-        if self.labels is None:
-            raise ModelError("stats carry no labels to align by")
-        if tuple(labels) == self.labels:
+        """The variables in ``labels`` order, matched to them by ``label_order``."""
+        labels = tuple(labels)
+        perm = label_order(labels, self.labels, self.p, "stats")
+        if self.labels in (None, labels):
             return self
-        try:
-            perm = [self.labels.index(lab) for lab in labels]
-        except ValueError as exc:
-            raise ModelError(f"cannot align stats: {exc}") from None
-        if len(perm) != self.p:
-            raise ModelError("label sets differ, cannot align stats")
-        return SampleStats(
-            n=self.n,
-            mean=self.mean[perm],
-            s=self.s[np.ix_(perm, perm)],
-            labels=tuple(labels),
-        )
+        return SampleStats(n=self.n, mean=self.mean[perm], s=self.s[np.ix_(perm, perm)], labels=labels)
 
 
 def sample_stats(data: np.ndarray, labels: Sequence[str] | None = None) -> SampleStats:
     """Column means and empirical covariance with divisor n.
 
-    Requires at least two rows and a fully numeric table.
+    Requires at least two rows and a fully numeric table, read row-major
+    so that its memory layout cannot change the last bits.
     """
-    arr = np.asarray(data, dtype=float)
+    arr = np.ascontiguousarray(data, dtype=float)
     if arr.ndim != 2:
         raise ModelError("data must be a two-dimensional table")
     if arr.shape[0] < 2:
@@ -199,6 +189,7 @@ class ConstrainedCovariance:
         if np.any(m[off] != 0.0):
             i, j = np.argwhere(off & (m != 0.0))[0]
             raise PatternViolationError(
+                "nonzeros outside the graph's edges: "
                 f"entry ({self.graph.vertices[i]}, {self.graph.vertices[j]}) must be zero"
             )
         if not is_pos_def(m):
@@ -213,15 +204,6 @@ class ConstrainedCovariance:
     @classmethod
     def identity(cls, graph: CovarianceGraph) -> "ConstrainedCovariance":
         return cls(graph, np.eye(graph.p))
-
-    @classmethod
-    def from_matrix(cls, graph: CovarianceGraph, m: np.ndarray, project: bool = False) -> "ConstrainedCovariance":
-        """Wrap ``m``; with ``project=True`` off-pattern entries are zeroed first."""
-        m = np.array(m, dtype=float)
-        if project:
-            keep = graph.adjacency | np.eye(graph.p, dtype=bool)
-            m = np.where(keep, (m + m.T) / 2.0, 0.0)
-        return cls(graph, m)
 
 
 def _as_matrix(sigma: ConstrainedCovariance | np.ndarray) -> np.ndarray:

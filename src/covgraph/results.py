@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 from .graphs import CovarianceGraph
-from .model import ConstrainedCovariance, ModelError, NotPositiveDefiniteError
+from .model import ConstrainedCovariance, ModelError, NotPositiveDefiniteError, SampleStats
 
 __all__ = ["FitConfig", "FitResult"]
 
@@ -53,6 +53,14 @@ def _resolve_start(g: CovarianceGraph, cfg: FitConfig) -> ConstrainedCovariance:
             raise ModelError("starting value belongs to a different graph")
         return cfg.start
     return ConstrainedCovariance(g, np.asarray(cfg.start, dtype=float))
+
+
+def _resolve_stats(stats: SampleStats, g: CovarianceGraph) -> SampleStats:
+    """``stats`` in the vertex order of ``g``; its covariance must be positive definite."""
+    stats = stats.aligned_to(g.vertices)
+    if not stats.s_pos_def:
+        raise ModelError("sample covariance must be positive definite")
+    return stats
 
 
 @dataclass(frozen=True)

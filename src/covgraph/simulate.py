@@ -10,9 +10,10 @@ so results are bit-reproducible and independent of execution order.
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .emplik import ELConfig, fit_el
 from .graphs import CovarianceGraph, cliques, graph_from_matrix
 from .icf import fit_icf
 from .icf_multi import fit_icf_multi
-from .model import ModelError, is_pos_def, sample_stats
+from .model import ConstrainedCovariance, ModelError, is_pos_def, sample_stats
 from .results import FitConfig
 
 __all__ = [
@@ -44,8 +45,9 @@ METHOD_NAMES = ("ml-icf", "ml-icf-multi", "ml-anderson", "dual", "el")
 class SimSpec:
     """One simulation design.
 
-    The covariance graph is read off the zero pattern of
-    ``sigma_true``.  For the t distribution the dispersion matrix is
+    The fitted graph is not part of the design: ``run_simulation`` takes
+    it, and reads it off the zero pattern of ``sigma_true`` when none is
+    given.  For the t distribution the dispersion matrix is
     ``sigma_true`` and the actual covariance is df / (df - 2) times it,
     which is what errors are measured against.
     """
@@ -175,7 +177,7 @@ def default_fitters(
     """
     fit_cfg = FitConfig(tol=tol, max_iter=max_iter)
     el_cfg = ELConfig()
-    fam = cliques(graph)
+    family = functools.cache(lambda: cliques(graph))  # found on the first blockwise fit only
 
     def need_converged(res):
         if not res.converged or res.estimate is None:
@@ -185,7 +187,7 @@ def default_fitters(
     return {
         "ml-icf": lambda data: need_converged(fit_icf(sample_stats(data), graph, fit_cfg)),
         "ml-icf-multi": lambda data: need_converged(
-            fit_icf_multi(sample_stats(data), graph, fam, fit_cfg)
+            fit_icf_multi(sample_stats(data), graph, family(), fit_cfg)
         ),
         "ml-anderson": lambda data: need_converged(fit_anderson(sample_stats(data), graph, fit_cfg)),
         "dual": lambda data: need_converged(fit_dual(sample_stats(data), graph, fit_cfg)),
@@ -229,9 +231,13 @@ def _run_one_rep(
 def run_simulation(
     spec: SimSpec,
     fitters: Mapping[str, Callable[[np.ndarray], np.ndarray]] | None = None,
-    labels: Sequence[str] | None = None,
+    graph: CovarianceGraph | None = None,
 ) -> SimReport:
     """Run the full design and aggregate entrywise bias and RMSE.
+
+    The estimators fit ``graph``, in the vertex order of ``sigma_true``
+    and with edges covering its nonzero entries; without one they fit the
+    zero pattern of ``sigma_true``, with vertices X1..Xp.
 
     Aggregation reads stored per-replication errors in replication
     order, so the report only depends on the spec, never on scheduling.
@@ -241,7 +247,9 @@ def run_simulation(
     root of the mean square the RMSE.  A cell in which every
     replication failed reports NaN for both.
     """
-    graph = graph_from_matrix(spec.sigma_true, labels=labels)
+    if graph is None:
+        graph = graph_from_matrix(spec.sigma_true)
+    ConstrainedCovariance(graph, spec.sigma_true.copy())  # the truth must lie in the fitted pattern
     if fitters is None:
         fitters = default_fitters(graph)
     missing = [m for m in spec.methods if m not in fitters]

@@ -158,22 +158,41 @@ def brute_force_cliques(g):
     return sorted(maximal)
 
 
+def cholesky_loglik(n, s, sigma):
+    """The same log-likelihood from numpy's own Cholesky factor; None off the cone.
+
+    With L the factor, log det sigma = 2 sum log L_ii and
+    trace(sigma^-1 S) = sum((L^-1 S) o L^-1).
+    """
+    try:
+        low = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        return None
+    inv_low = np.linalg.inv(low)
+    logdet = 2.0 * float(np.log(np.diag(low)).sum())
+    tr = float(np.sum((inv_low @ s) * inv_low))
+    return -0.5 * n * (len(sigma) * np.log(2.0 * np.pi) + logdet + tr)
+
+
+def penalized_neg_loglik(stats, m):
+    """-cholesky_loglik at ``m``, or a flat 1e8 off the positive-definite cone."""
+    value = cholesky_loglik(stats.n, stats.s, m)
+    return 1e8 if value is None else -value
+
+
 def brute_force_ml(stats, g, extra_starts=()):
     """Generic penalized maximizer of the likelihood over the free entries."""
     rows, cols = free_index_arrays(g)
     p = g.p
 
     def neg(free):
-        m = expand_free(free, rows, cols, p)
-        if not is_pos_def(m):
-            return 1e8
-        return -profile_loglik(stats, m)
+        return penalized_neg_loglik(stats, expand_free(free, rows, cols, p))
 
     diag = np.diag(np.diag(stats.s))
     keep = g.adjacency | np.eye(p, dtype=bool)
     proj = np.where(keep, stats.s, 0.0)
     t = 1.0
-    while not is_pos_def(diag + t * (proj - diag)):
+    while cholesky_loglik(stats.n, stats.s, diag + t * (proj - diag)) is None:
         t *= 0.8
     starts = [(diag + t * (proj - diag))[rows, cols], diag[rows, cols]]
     starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
@@ -206,10 +225,7 @@ def section_maximize(stats, sigma_cc, indices, n_starts=3, seed=0):
     def neg(x):
         free = base.copy()
         free[idx] = x
-        m = expand_free(free, rows, cols, g.p)
-        if not is_pos_def(m):
-            return 1e8
-        return -profile_loglik(stats, m)
+        return penalized_neg_loglik(stats, expand_free(free, rows, cols, g.p))
 
     rng = np.random.default_rng(seed)
     best = None

@@ -230,12 +230,3 @@ class TestFitEl:
         fit = fit_el(data, g)
         eigs = np.linalg.eigvalsh(fit.sigma)
         assert eigs.min() > -1e-10
-
-    def test_labels_reorder_columns(self, fig1):
-        data = draw_chain_data(40, 13)
-        perm = [2, 0, 3, 1]
-        shuffled = data[:, perm]
-        labels = tuple(np.array(fig1.vertices)[perm])
-        a = fit_el(data, fig1)
-        b = fit_el(shuffled, fig1, labels=labels)
-        assert np.abs(a.sigma - b.sigma).max() < 1e-8

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,7 @@ from covgraph.graphs import (
     cliques,
     free_index_set,
     graph_from_matrix,
+    label_order,
     parse_graph_text,
     singleton_family,
     spouses,
@@ -52,6 +55,45 @@ class TestConstruction:
     def test_adjacency_readonly(self, fig1):
         with pytest.raises(ValueError):
             fig1.adjacency[0, 1] = True
+
+    def test_pickle_round_trip_keeps_arrays_read_only(self, fig1):
+        back = pickle.loads(pickle.dumps(fig1))
+        assert back == fig1 and back.edges == fig1.edges
+        fis = free_index_set(back)
+        assert fis.pairs == free_index_set(fig1).pairs
+        for a in (back.adjacency, fis.rows, fis.cols, fis.mult):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+
+
+class TestLabelOrder:
+    def test_permutation_reads_the_input_in_vertex_order(self):
+        perm = label_order(("a", "b", "c"), ("c", "a", "b"), 3, "input")
+        assert perm.tolist() == [1, 2, 0]
+        assert [("c", "a", "b")[k] for k in perm] == ["a", "b", "c"]
+
+    def test_unlabelled_input_takes_vertex_order_at_matching_size(self):
+        assert label_order(("a", "b"), None, 2, "input").tolist() == [0, 1]
+        with pytest.raises(GraphError, match="f.txt has 3 unlabelled variables for 2 vertices"):
+            label_order(("a", "b"), None, 3, "f.txt")
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (("a", "b"), "missing 'c'"),
+            (("a", "b", "c", "d"), "extra 'd'"),
+            (("a", "b", "b", "c"), "duplicate 'b'"),
+            (("b", "b", "x"), "missing 'a', 'c'; extra 'x'; duplicate 'b'"),
+        ],
+    )
+    def test_mismatch_names_the_labels(self, labels, message):
+        with pytest.raises(GraphError, match=f"f.txt labels do not match the graph's vertices: .*{message}"):
+            label_order(("a", "b", "c"), labels, len(labels), "f.txt")
+
+    def test_duplicate_vertex_declaration_names_the_label(self):
+        with pytest.raises(GraphError, match="duplicate vertex labels in declaration: 'a'"):
+            CovarianceGraph(["a", "b", "a"])
 
 
 class TestSpouses:
@@ -104,7 +146,7 @@ class TestSpousesOfSet:
         # no edges between c and rest
         for a in c:
             for b in rest:
-                assert not g.has_edge(a, b)
+                assert not g.adjacency[g.index(a), g.index(b)]
 
 
 class TestFreeIndexSet:

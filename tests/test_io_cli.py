@@ -28,7 +28,7 @@ class TestLoadData:
         f = tmp_path / "d.txt"
         f.write_text("1 2\n3 4\n")
         data, labels = load_data(f)
-        assert labels == ("X1", "X2")
+        assert labels is None  # unlabelled: read in graph order
         assert np.allclose(data, [[1, 2], [3, 4]])
 
     def test_non_numeric_cell_cites_position(self, tmp_path):
@@ -99,6 +99,13 @@ class TestMatrixRoundTrip:
     def test_digits_formatting(self):
         text = format_matrix(np.array([[1.23456]]), digits=2)
         assert text == "1.23\n"
+
+    def test_non_square_matrix_rejected(self, tmp_path):
+        # labels name the columns only, so a spare row would go unread
+        f = tmp_path / "m.tsv"
+        f.write_text("#labels\ta\tb\n1\t0\n0\t1\n0\t0\n")
+        with pytest.raises(InputError, match="3 rows and 2 columns, not square"):
+            load_matrix(f)
 
 
 class TestCliFit:
@@ -300,6 +307,19 @@ class TestCliFit:
             vals[flag] = float(next(l.split()[1] for l in out.splitlines() if l.startswith("loglik")))
         assert vals[True] == pytest.approx(vals[False] * 59 / 60, rel=1e-12)
 
+    def test_trace_ends_at_the_reported_loglik(self, tmp_path, capsys):
+        # the trace obeys --n-adjust as the loglik line does, for every ML method
+        for method in ("ml-icf", "ml-icf-multi", "ml-anderson"):
+            trace = tmp_path / f"{method}.trace"
+            rc = main([
+                "fit", "--graph", str(DATA / "gd.graph"), "--stats", str(DATA / "table1.stats"),
+                "--method", method, "--n-adjust", "--trace", str(trace),
+            ])
+            out = capsys.readouterr().out
+            assert rc == 0
+            loglik = next(l.split()[1] for l in out.splitlines() if l.startswith("loglik"))
+            assert trace.read_text().splitlines()[-1].split("\t")[1] == loglik
+
 
 class TestCliSimulateLoglikCompare:
     def test_simulate_byte_identical(self, tmp_path, capsys):
@@ -464,3 +484,136 @@ def _chain_stats(tmp_path):
             lines.append(" ".join(format(corr[i, j], ".17g") for j in range(i)))
         f.write_text("\n".join(lines) + "\n")
     return f
+
+
+def _reversed_copy(src, dst):
+    """The matrix file ``src`` rewritten with its variables in reverse order."""
+    labels, m = load_matrix(src)
+    write_matrix(dst, m[::-1, ::-1], labels=labels[::-1])
+
+
+class TestLabelledInputsFollowGraphOrder:
+    """Every labelled input is read in the graph's vertex order."""
+
+    def _yeast_fit(self, tmp_path, capsys, method):
+        est = tmp_path / f"{method}.tsv"
+        rc = main([
+            "fit", "--graph", str(DATA / "gd.graph"), "--stats", str(DATA / "table1.stats"),
+            "--method", method, "--out", str(est),
+        ])
+        capsys.readouterr()
+        assert rc == 0
+        rev = tmp_path / f"{method}-reversed.tsv"
+        _reversed_copy(est, rev)
+        return est, rev
+
+    def test_loglik_matrix_in_reversed_label_order(self, tmp_path, capsys):
+        outs = []
+        for est in self._yeast_fit(tmp_path, capsys, "ml-icf"):
+            rc = main([
+                "loglik", "--graph", str(DATA / "gd.graph"), "--stats", str(DATA / "table1.stats"),
+                "--matrix", str(est),
+            ])
+            outs.append(capsys.readouterr().out)
+            assert rc == 0
+        assert outs[0] == outs[1]
+        assert outs[0].startswith("loglik -1008.77957345942")
+
+    def test_fit_start_in_reversed_label_order(self, tmp_path, capsys):
+        # the dual estimate is a start some sweeps away from the ML estimate
+        outs = []
+        for start in self._yeast_fit(tmp_path, capsys, "dual"):
+            rc = main([
+                "fit", "--graph", str(DATA / "gd.graph"), "--stats", str(DATA / "table1.stats"),
+                "--method", "ml-icf", "--start", str(start),
+            ])
+            outs.append(capsys.readouterr().out)
+            assert rc == 0
+        assert outs[0] == outs[1]
+        assert "iterations 1\n" not in outs[0]
+
+    def test_simulate_sigma_in_permuted_label_order(self, tmp_path, capsys):
+        perm = [2, 3, 0, 1]
+        labels = ("1", "2", "3", "4")
+        files = {"graph-order": (SIGMA_CHAIN, labels)}
+        files["permuted"] = (SIGMA_CHAIN[np.ix_(perm, perm)], tuple(labels[k] for k in perm))
+        reports = []
+        for name, (m, labs) in files.items():
+            sig = tmp_path / f"{name}.tsv"
+            write_matrix(sig, m, labels=labs)
+            out = tmp_path / f"{name}-report.tsv"
+            rc = main([
+                "simulate", "--sigma", str(sig), "--graph", str(DATA / "fig1.graph"),
+                "--seed", "4", "--n", "20", "--reps", "3", "--methods", "ml-icf,dual",
+                "--out", str(out),
+            ])
+            assert rc == 0, capsys.readouterr().err
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_simulate_fits_the_given_supergraph(self, tmp_path, capsys):
+        # sigma is zero on the edge 2-4 that the graph keeps free
+        sigma = SIGMA_CHAIN.copy()
+        sigma[1, 3] = sigma[3, 1] = 0.0
+        sig = tmp_path / "sigma.tsv"
+        write_matrix(sig, sigma, labels=("1", "2", "3", "4"))
+        base = ["simulate", "--sigma", str(sig), "--seed", "5", "--n", "30", "--reps", "4",
+                "--methods", "dual"]
+        assert main(base + ["--graph", str(DATA / "fig1.graph")]) == 0
+        fitted = capsys.readouterr().out
+        assert main(base) == 0
+        pattern = capsys.readouterr().out
+        assert fitted != pattern
+        rmse = {tuple(l.split("\t")[2:4]): float(l.split("\t")[5])
+                for l in fitted.splitlines() if l.startswith("dual\t")}
+        assert rmse[("2", "4")] > 0.0
+        assert rmse[("1", "2")] == 0.0
+
+    @pytest.mark.parametrize(
+        "labels, named",
+        [
+            (("1", "2", "3", "5"), ["missing '4'", "extra '5'"]),
+            (("1", "2", "3", "3"), ["missing '4'", "duplicate '3'"]),
+            (("4", "3", "2", "1", "0"), ["extra '0'"]),
+        ],
+    )
+    def test_bad_matrix_labels_exit_one_naming_them(self, tmp_path, capsys, labels, named):
+        m = np.eye(len(labels))
+        sig = tmp_path / "m.tsv"
+        write_matrix(sig, m, labels=labels)
+        stats = str(_chain_stats(tmp_path))
+        graph = str(DATA / "fig1.graph")
+        for argv in (
+            ["loglik", "--graph", graph, "--stats", stats, "--matrix", str(sig)],
+            ["fit", "--graph", graph, "--stats", stats, "--start", str(sig)],
+            ["simulate", "--graph", graph, "--sigma", str(sig), "--reps", "1", "--methods", "dual"],
+        ):
+            rc = main(argv)
+            captured = capsys.readouterr()
+            assert rc == 1 and captured.out == "", argv
+            assert all(part in captured.err for part in named), captured.err
+
+    @pytest.mark.parametrize(
+        "header, named",
+        [("1,2,3,x", ["missing '4'", "extra 'x'"]), ("1,2,4,4", ["missing '3'", "duplicate '4'"])],
+    )
+    def test_bad_table_labels_exit_one_naming_them(self, tmp_path, capsys, header, named):
+        data = np.random.default_rng(2).standard_normal((30, 4))
+        f = tmp_path / "obs.csv"
+        f.write_text(header + "\n" + "\n".join(",".join(map(str, row)) for row in data) + "\n")
+        rc = main([
+            "fit", "--graph", str(DATA / "fig1.graph"), "--data", str(f), "--header", "yes",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert all(part in captured.err for part in named), captured.err
+
+    def test_unlabelled_input_must_match_the_graph_size(self, tmp_path, capsys):
+        sig = tmp_path / "m.tsv"
+        write_matrix(sig, np.eye(3))
+        rc = main([
+            "loglik", "--graph", str(DATA / "fig1.graph"), "--stats", str(_chain_stats(tmp_path)),
+            "--matrix", str(sig),
+        ])
+        assert rc == 1
+        assert "3 unlabelled variables for 4 vertices" in capsys.readouterr().err

@@ -209,6 +209,39 @@ class TestRunSimulation:
         fails = rep.entries[0].failures
         assert 0 < fails <= 10  # feasible starting values are hard at n=10
 
+    @pytest.mark.parametrize("methods, calls", [(("ml-icf", "dual"), 0), (("ml-icf-multi", "dual"), 1)])
+    def test_cliques_found_once_and_only_for_blockwise_fits(self, monkeypatch, methods, calls):
+        import covgraph.simulate as sim
+
+        found = []
+        monkeypatch.setattr(sim, "cliques", lambda g: found.append(g) or cg.cliques(g))
+        spec = SimSpec(sigma_true=SIGMA_CHAIN, sample_sizes=(20, 30), replications=3, seed=7, methods=methods)
+        rep = run_simulation(spec)
+        assert len(found) == calls
+        assert all(e.failures == 0 for e in rep.entries)
+
+    def test_given_graph_is_fitted_and_names_the_entries(self, fig1):
+        # sigma is zero on the edge 2-4, which the given graph keeps free
+        sigma = SIGMA_CHAIN.copy()
+        sigma[1, 3] = sigma[3, 1] = 0.0
+        spec = SimSpec(sigma_true=sigma, sample_sizes=(30,), replications=4, seed=5, methods=("dual",))
+        rep = run_simulation(spec, graph=fig1)
+        assert rep.labels == fig1.vertices
+        ok = ~np.isnan(rep.raw_errors[("dual", 30)][:, 0, 0])
+        assert np.all(rep.raw_errors[("dual", 30)][ok][:, 1, 3] != 0.0)
+        assert np.all(rep.raw_errors[("dual", 30)][ok][:, 0, 1] == 0.0)
+        pattern = run_simulation(spec)
+        assert pattern.labels == ("X1", "X2", "X3", "X4")
+        assert np.all(pattern.raw_errors[("dual", 30)][:, 1, 3] == 0.0)
+
+    def test_given_graph_must_cover_the_truth(self):
+        sparse = cg.CovarianceGraph(["1", "2", "3", "4"], [("1", "3"), ("3", "4")])
+        spec = SimSpec(sigma_true=SIGMA_CHAIN, replications=1, methods=("dual",))
+        with pytest.raises(ModelError, match=r"nonzeros outside the graph's edges: entry \(2, 4\) must be zero"):
+            run_simulation(spec, graph=sparse)
+        with pytest.raises(ModelError, match="does not match graph with 3 vertices"):
+            run_simulation(spec, graph=cg.CovarianceGraph(["a", "b", "c"]))
+
 
 def entry_loop_report(report):
     """The report with its entries rebuilt by the per-entry loop oracle."""
@@ -268,6 +301,6 @@ class TestOnePassAggregation:
         g = lattice_graph(10)
         sigma = random_patterned_cov(g, np.random.default_rng(3))
         spec = SimSpec(sigma_true=sigma, sample_sizes=(300,), replications=3, seed=1000, methods=("dual",))
-        rep = run_simulation(spec, labels=g.vertices)
+        rep = run_simulation(spec, graph=g)
         assert len(rep.entries) == 5050
         assert rep.to_table() == entry_loop_report(rep).to_table()
