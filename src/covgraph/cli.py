@@ -143,6 +143,7 @@ def _run_method(method, stats, data, g, args, cfg):
             "iterations": fit.outer_iterations,
             "inner_solves": fit.inner_solves,
             "detail": fit.detail,
+            "residual": fit.residual,
             "el_log_ratio": fit.weighted.el_log_ratio,
         }
         return fit.sigma, ll, fit.converged, extras

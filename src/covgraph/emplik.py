@@ -9,12 +9,14 @@ the number of constraints.  Each constraint column is divided by its
 root mean square first, so the dual's stop rule and its feasibility
 checks do not depend on the units of the data.
 
-The location is profiled by BFGS from the sample mean.  The gradient of
-the profile objective comes from the inner multipliers by the envelope
-theorem: at the optimal weights the weighted deviations sum to zero, so
-the product constraints drop out and the gradient with respect to the
-location is -n times the mean multipliers (Qin & Lawless 1994; Owen
-2001, ch. 3).
+The location is profiled by safeguarded Newton steps from the sample
+mean.  The gradient of the profile objective comes from the inner
+multipliers by the envelope theorem: at the optimal weights the
+weighted deviations sum to zero, so the product constraints drop out
+and the gradient with respect to the location is -n times the mean
+multipliers (Qin & Lawless 1994; Owen 2001, ch. 3).  Its derivative,
+the exact profile Hessian, follows from differentiating the inner
+stationarity equations in the location (Owen 2001, ch. 12).
 """
 
 from __future__ import annotations
@@ -41,11 +43,13 @@ __all__ = [
 # Outer stationarity, max_i n |lambda_mean,i| sd_i: the gradient of the
 # profile objective over the location in sample standard deviations.
 _STATIONARY_TOL = 1e-5
-# BFGS's own stop on the same gradient, ten times tighter.  Stopping there
-# leaves sigma within about 2e-8 of a fully polished fit, and the margin
-# lets a fit that BFGS ends on a line-search failure at its precision
-# floor count as converged.
-_BFGS_GTOL = 1e-6
+# The Newton steps stop on the same gradient ten times tighter.  Stopping
+# there leaves sigma within about 2e-8 of a fully polished fit, and the
+# margin lets a search that stalls at its precision floor count as
+# converged.
+_NEWTON_GTOL = 1e-6
+# Armijo's sufficient-decrease fraction for an accepted location step.
+_ARMIJO = 1e-4
 
 
 class ELInfeasibleError(ModelError):
@@ -62,8 +66,8 @@ class ELConfig:
 
     ``tol`` stops the inner dual once every constraint, scaled to unit
     root mean square, holds to it; ``constraint_tol`` is the acceptance
-    check on the same scale.  ``outer_max_iter`` caps the BFGS
-    iterations of the location search.
+    check on the same scale.  ``outer_max_iter`` caps the accepted
+    Newton steps of the location search.
     """
 
     tol: float = 1e-10
@@ -94,10 +98,11 @@ class ELFit:
     ``detail`` is the stop reason: ``converged`` when the returned
     location is stationary on a unit-free scale, max_i n |lambda_mean,i|
     sd_i <= 1e-5 with sd the sample standard deviations; ``max-iter``
-    when the location search used ``outer_max_iter`` iterations; and
+    when the location search used ``outer_max_iter`` Newton steps; and
     ``stalled`` when it ended earlier without reaching stationarity.
-    ``inner_solves`` counts the inner dual problems solved, the sample
-    mean included.
+    ``residual`` is that unit-free stationarity.  ``inner_solves``
+    counts the inner dual problems solved, the sample mean and the
+    rejected steps included.
     """
 
     weighted: WeightedSample
@@ -106,6 +111,7 @@ class ELFit:
     detail: str
     outer_iterations: int
     inner_solves: int
+    residual: float
 
     @property
     def converged(self) -> bool:
@@ -131,6 +137,8 @@ def _constraint_columns(data: np.ndarray, mu: np.ndarray, pairs: np.ndarray) -> 
 def _log_star(z: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """log with a quadratic extension below eps; value, d/dz, d2/dz2."""
     z = np.asarray(z, dtype=float)
+    if z.min() >= eps:  # the common case near the optimum: no extension needed
+        return np.log(z), 1.0 / z, -1.0 / z**2
     lo = z < eps
     val = np.empty_like(z)
     d1 = np.empty_like(z)
@@ -288,19 +296,60 @@ def inner_el(
     return _solve_at(data, mu, _missing_index(g), cfg or ELConfig())
 
 
+def _profile_hessian(
+    x: np.ndarray, t: np.ndarray, w: np.ndarray, lam: np.ndarray, pairs: np.ndarray
+) -> np.ndarray:
+    """Exact Hessian of -el_log_ratio over the location, on standardized data.
+
+    ``x`` is the data less its mean, in sample standard deviations, and
+    ``t`` the location on that scale; ``w`` and ``lam`` are the inner
+    solution's weights and its multipliers in the same units.  With
+    z_i = 1 / (n w_i), the constraint rows g_i and their derivatives
+    J_i in the location, the inner stationarity sum_i g_i / z_i = 0
+    gives dlam/dmu = A^-1 B, where A = sum_i g_i g_i' / z_i^2 and
+    B = sum_i (J_i / z_i - g_i lam'J_i / z_i^2).  The gradient is
+    -n lam_mean, so the Hessian is -n times the mean rows of A^-1 B.
+    """
+    n, p = x.shape
+    iz = n * w  # 1 / z_i
+    g = _constraint_columns(x, t, pairs)
+    d = g[:, :p]
+    gz = g * iz[:, None]  # g_i / z_i
+    a, b = pairs[:, 0], pairs[:, 1]
+    # lam'J_i = -lam_mean - L d_i, with L symmetric and holding the
+    # product multipliers at the missing pairs.
+    prod = np.zeros((p, p))
+    prod[a, b] = lam[p:]
+    lj = -lam[:p] - d @ (prod + prod.T)
+    # sum_i J_i / z_i: the mean rows of J_i are -I; the row of the pair
+    # (a, b) is -(d_ib e_a + d_ia e_b).
+    s = iz @ d
+    rows = np.arange(p, p + len(pairs))
+    jsum = np.zeros((p + len(pairs), p))
+    jsum[:p] = -iz.sum() * np.eye(p)
+    jsum[rows, a] = -s[b]
+    jsum[rows, b] = -s[a]
+    dlam = np.linalg.solve(gz.T @ gz, jsum - gz.T @ (lj * iz[:, None]))
+    h = -n * dlam[:p]
+    return (h + h.T) / 2.0
+
+
 def fit_el(data: np.ndarray, g: CovarianceGraph, cfg: ELConfig | None = None) -> ELFit:
     """Profile the location and return weights plus the weighted covariance.
 
-    ``data`` has one column per vertex of ``g``, in vertex order.  BFGS
-    minimizes -el_log_ratio from the sample mean, over the location
-    measured in sample standard deviations, with the gradient taken from
-    the inner multipliers.  A location that admits no weighting scores
-    +inf, and the line search backs away from it.  The best location
-    probed is returned.  Raises when the sample mean itself is
-    infeasible, the small-sample failure mode of the method.
+    ``data`` has one column per vertex of ``g``, in vertex order.  The
+    location is measured in sample standard deviations from the sample
+    mean, t, and -el_log_ratio is minimized over it by Newton steps on
+    the exact profile Hessian, with the gradient taken from the inner
+    multipliers.  Each step is Levenberg-Marquardt shifted: it solves
+    with H + (max(0, -lambda_min(H)) + tau |H|) I, and is accepted only
+    at a location that admits a weighting and passes Armijo's test;
+    tau grows tenfold on a rejection and shrinks tenfold on an
+    acceptance.  The search stops at a gradient of 1e-6, at
+    ``outer_max_iter`` accepted steps, or when a step no longer moves
+    the location.  Raises when the sample mean itself is infeasible,
+    the small-sample failure mode of the method.
     """
-    import scipy.optimize
-
     cfg = cfg or ELConfig()
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -317,29 +366,34 @@ def fit_el(data: np.ndarray, g: CovarianceGraph, cfg: ELConfig | None = None) ->
         raise ELInfeasibleError(
             "no feasible weights at the sample mean; sample too small for the constraint set"
         )
-    solves = 1
-
-    def neg_ratio(t: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal best, solves
-        mu = ybar + sd * t
-        if np.array_equal(mu, best.mean):
-            ws = best
-        else:
+    x = (data - ybar) / sd
+    col_scale = np.concatenate([sd, sd[pairs[:, 0]] * sd[pairs[:, 1]]])  # raw -> standardized
+    t = np.zeros(p)
+    solves, steps, tau = 1, 0, 1e-3
+    while steps < cfg.outer_max_iter:
+        lam = best.multipliers * col_scale
+        grad = -n * lam[:p]
+        if np.abs(grad).max() <= _NEWTON_GTOL:
+            break
+        evals, evecs = np.linalg.eigh(_profile_hessian(x, t, best.weights, lam, pairs))
+        along = evecs.T @ grad
+        f = -best.el_log_ratio
+        ws = None
+        while ws is None:
+            step = -evecs @ (along / (evals + max(0.0, -evals[0]) + tau * np.abs(evals).max()))
+            cand = t + step
+            if np.array_equal(cand, t):
+                break
             solves += 1
             try:
-                ws = _solve_at(data, mu, pairs, cfg)
+                ws = _solve_at(data, ybar + sd * cand, pairs, cfg)
             except ELConvergenceError:
-                ws = None  # a failed probe only rules out that location
-            if ws is None:
-                return np.inf, np.zeros(p)
-            if ws.el_log_ratio > best.el_log_ratio:
-                best = ws
-        return -ws.el_log_ratio, -n * sd * ws.multipliers[:p]
-
-    res = scipy.optimize.minimize(
-        neg_ratio, np.zeros(p), jac=True, method="BFGS",
-        options={"maxiter": cfg.outer_max_iter, "gtol": _BFGS_GTOL},
-    )
+                ws = None  # a failed solve only rules out that location
+            if ws is None or -ws.el_log_ratio > f + _ARMIJO * (grad @ step):
+                ws, tau = None, tau * 10.0
+        if ws is None:
+            break  # the shifted step no longer moves the location
+        best, t, steps, tau = ws, cand, steps + 1, tau / 10.0
     stationarity = float((n * np.abs(best.multipliers[:p]) * sd).max())
     d = data - best.mean
     sigma = d.T @ (best.weights[:, None] * d)
@@ -349,12 +403,13 @@ def fit_el(data: np.ndarray, g: CovarianceGraph, cfg: ELConfig | None = None) ->
     if stationarity <= _STATIONARY_TOL:
         detail = "converged"
     else:
-        detail = "max-iter" if res.nit >= cfg.outer_max_iter else "stalled"
+        detail = "max-iter" if steps >= cfg.outer_max_iter else "stalled"
     return ELFit(
         weighted=best,
         sigma=sigma,
         sigma_singular=singular,
         detail=detail,
-        outer_iterations=int(res.nit),
+        outer_iterations=steps,
         inner_solves=solves,
+        residual=stationarity,
     )

@@ -177,7 +177,7 @@ class ConstrainedCovariance:
     sigma: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.sigma, dtype=float)
+        m = np.array(self.sigma, dtype=float)  # a copy: the caller's array stays writeable
         p = self.graph.p
         if m.shape != (p, p):
             raise ModelError(f"matrix shape {m.shape} does not match graph with {p} vertices")

@@ -184,6 +184,11 @@ def default_fitters(
             raise NotConvergedError(res.method, res.detail)
         return res.estimate.sigma
 
+    def need_converged_el(res):
+        if not res.converged:
+            raise NotConvergedError("el", res.detail)
+        return res.sigma
+
     return {
         "ml-icf": lambda data: need_converged(fit_icf(sample_stats(data), graph, fit_cfg)),
         "ml-icf-multi": lambda data: need_converged(
@@ -191,7 +196,7 @@ def default_fitters(
         ),
         "ml-anderson": lambda data: need_converged(fit_anderson(sample_stats(data), graph, fit_cfg)),
         "dual": lambda data: need_converged(fit_dual(sample_stats(data), graph, fit_cfg)),
-        "el": lambda data: fit_el(data, graph, el_cfg).sigma,
+        "el": lambda data: need_converged_el(fit_el(data, graph, el_cfg)),
     }
 
 
@@ -249,7 +254,7 @@ def run_simulation(
     """
     if graph is None:
         graph = graph_from_matrix(spec.sigma_true)
-    ConstrainedCovariance(graph, spec.sigma_true.copy())  # the truth must lie in the fitted pattern
+    ConstrainedCovariance(graph, spec.sigma_true)  # the truth must lie in the fitted pattern
     if fitters is None:
         fitters = default_fitters(graph)
     missing = [m for m in spec.methods if m not in fitters]

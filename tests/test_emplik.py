@@ -5,6 +5,8 @@ import covgraph as cg
 from covgraph.emplik import (
     ELConfig,
     ELInfeasibleError,
+    _log_star,
+    _profile_hessian,
     fit_el,
     inner_el,
     missing_pairs,
@@ -150,6 +152,39 @@ class TestInnerEl:
         assert ws.multipliers.shape == (4 + 3,)
 
 
+class TestLogStar:
+    def test_unextended_values_match_the_masked_branch_bit_for_bit(self):
+        eps = 1.0 / 30
+        z = np.random.default_rng(1).uniform(eps, 3.0, 50)
+        z[0] = eps
+        masked = _log_star(np.append(z, eps / 2.0), eps)  # one value below eps
+        for fast, full in zip(_log_star(z, eps), masked):
+            assert np.array_equal(fast, full[:-1])
+
+
+class TestProfileHessian:
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_central_differences_of_the_gradient(self, fig1, seed):
+        # On standardized data the location is t itself and the
+        # multipliers are in the Hessian's own units.
+        data = t5_chain_data(20260810, seed + 1)
+        x = (data - data.mean(axis=0)) / data.std(axis=0)
+        n = len(x)
+        t = 0.1 * np.random.default_rng(seed).standard_normal(4)
+        ws = inner_el(x, t, fig1)
+        assert np.abs(n * ws.multipliers[:4]).max() > 1.0  # well off the optimum
+        exact = _profile_hessian(x, t, ws.weights, ws.multipliers, np.array(missing_pairs(fig1)))
+        h = 1e-5
+        fd = np.empty((4, 4))
+        for k in range(4):
+            e = np.zeros(4)
+            e[k] = h
+            up = -n * inner_el(x, t + e, fig1).multipliers[:4]
+            down = -n * inner_el(x, t - e, fig1).multipliers[:4]
+            fd[:, k] = (up - down) / (2.0 * h)
+        assert np.abs(exact - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
 class TestFitEl:
     def test_complete_graph_reproduces_sample_moments(self):
         rng = np.random.default_rng(7)
@@ -206,6 +241,21 @@ class TestFitEl:
         assert fit.inner_solves < 100
         capped = fit_el(draw_chain_data(100, 14), fig1, ELConfig(outer_max_iter=1))
         assert capped.detail == "max-iter" and not capped.converged
+
+    def test_acceptance_replications_converge_in_few_solves(self, fig1):
+        # the 200 t5 replications of acceptance 6; a deterministic count guard
+        fits = [fit_el(t5_chain_data(20260810, rep + 1), fig1) for rep in range(200)]
+        assert all(f.detail == "converged" for f in fits)
+        assert np.mean([f.inner_solves for f in fits]) <= 6.0
+
+    def test_residual_is_the_unit_free_stationarity(self, fig1):
+        data = t5_chain_data(1000, 2)
+        for cfg in (ELConfig(), ELConfig(outer_max_iter=1)):
+            fit = fit_el(data, fig1, cfg)
+            sd = data.std(axis=0)
+            assert fit.residual == (len(data) * np.abs(fit.weighted.multipliers[:4]) * sd).max()
+            assert fit.converged == (fit.residual <= 1e-5)
+        assert fit_el(100.0 * data, fig1).residual <= 1e-5
 
     def test_monotone_degradation_when_removing_edges(self):
         rng = np.random.default_rng(10)

@@ -293,6 +293,8 @@ class TestCliFit:
         assert rc == 0 and "converged true" in out and "detail converged" in out.splitlines()
         assert any(l.startswith("el-log-ratio") for l in out.splitlines())
         assert any(l.startswith("inner-solves") for l in out.splitlines())
+        residual = next(l for l in out.splitlines() if l.startswith("residual "))
+        assert float(residual.split()[1]) <= 1e-5
         assert not any(l.startswith("rejected-extrapolations") for l in out.splitlines())
 
     def test_n_adjust_scales_loglik(self, tmp_path, capsys):

@@ -123,6 +123,17 @@ class TestConstrainedCovariance:
         with pytest.raises(NotPositiveDefiniteError):
             ConstrainedCovariance(fig1, m)
 
+    def test_callers_arrays_stay_writeable(self, fig1):
+        a = SIGMA_CHAIN.copy()
+        cc = ConstrainedCovariance(fig1, a)
+        assert a.flags.writeable and not cc.sigma.flags.writeable
+        a[0, 0] = 2.0  # the record holds its own copy
+        assert cc.sigma[0, 0] == 1.0
+        b = SIGMA_CHAIN.copy()
+        stats = sample_stats(np.random.default_rng(0).standard_normal((30, 4)))
+        res = cg.fit_icf(stats, fig1, cg.FitConfig(start=b))
+        assert res.converged and b.flags.writeable
+
 
 class TestProfileLoglik:
     def test_scalar_formula(self):

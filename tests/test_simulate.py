@@ -209,6 +209,19 @@ class TestRunSimulation:
         fails = rep.entries[0].failures
         assert 0 < fails <= 10  # feasible starting values are hard at n=10
 
+    def test_el_fit_that_did_not_converge_counts_as_failure(self, monkeypatch):
+        import covgraph.simulate as sim
+
+        def stalled(data, graph, cfg):
+            fit = cg.fit_el(data, graph, cfg)
+            return dataclasses.replace(fit, detail="stalled")
+
+        monkeypatch.setattr(sim, "fit_el", stalled)
+        spec = SimSpec(sigma_true=SIGMA_CHAIN, sample_sizes=(100,), replications=1, seed=3, methods=("el",))
+        rep = run_simulation(spec)
+        assert rep.failure_reasons[("el", 100)] == ["stalled"]
+        assert all(e.failures == 1 for e in rep.entries)
+
     @pytest.mark.parametrize("methods, calls", [(("ml-icf", "dual"), 0), (("ml-icf-multi", "dual"), 1)])
     def test_cliques_found_once_and_only_for_blockwise_fits(self, monkeypatch, methods, calls):
         import covgraph.simulate as sim
