@@ -12,7 +12,6 @@ from .dual import dual_residual, fit_dual, is_decomposable
 from .emplik import (
     ELConfig,
     ELConvergenceError,
-    ELFit,
     ELInfeasibleError,
     WeightedSample,
     fit_el,

@@ -11,6 +11,7 @@ Setting ``COVGRAPH_QUIET`` or ``NO_COLOR`` silences stderr progress.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -22,7 +23,7 @@ import numpy as np
 from . import io as cio
 from .anderson import fit_anderson
 from .dual import fit_dual
-from .emplik import ELConfig, ELInfeasibleError, fit_el
+from .emplik import fit_el
 from .graphs import CovarianceGraph, GraphError, cliques, graph_from_matrix, label_order, validate_family
 from .icf import fit_icf
 from .icf_multi import fit_icf_multi
@@ -34,7 +35,7 @@ from .model import (
     profile_loglik,
     sample_stats,
 )
-from .results import FitConfig
+from .results import FitConfig, FitResult
 from .simulate import METHOD_NAMES, SimSpec, run_simulation
 
 EXIT_OK = 0
@@ -127,53 +128,38 @@ def _aligned(g: CovarianceGraph, labels: tuple[str, ...] | None, m: np.ndarray, 
     return m[np.ix_(perm, perm)]
 
 
-def _run_method(method, stats, data, g, args, cfg):
-    """Dispatch one fit; returns (matrix, loglik, converged, extras)."""
+def _run_method(method, stats, data, g, args, cfg) -> FitResult:
+    """Dispatch one fit; an ``el`` record carries the Gaussian log-likelihood of its sigma."""
     if method == "el":
         if data is None:
             raise cio.InputError("method el needs raw data; weights require observations")
         if cfg.start is not None:
             raise cio.InputError("method el takes no starting value")
-        fit = fit_el(data, g, ELConfig())
+        res = fit_el(data, g)
         try:
-            ll = profile_loglik(stats, fit.sigma, n_adjust=args.n_adjust)
+            ll = profile_loglik(stats, res.sigma, n_adjust=args.n_adjust)
         except ModelError:
             ll = float("nan")
-        extras = {
-            "iterations": fit.outer_iterations,
-            "inner_solves": fit.inner_solves,
-            "detail": fit.detail,
-            "residual": fit.residual,
-            "el_log_ratio": fit.weighted.el_log_ratio,
-        }
-        return fit.sigma, ll, fit.converged, extras
+        return dataclasses.replace(res, loglik=ll)
     if method == "ml-icf":
-        res = fit_icf(stats, g, cfg)
-    elif method == "ml-icf-multi":
+        return fit_icf(stats, g, cfg)
+    if method == "ml-icf-multi":
         fam = cio.load_family(args.family, g) if getattr(args, "family", None) else cliques(g)
         bad = validate_family(g, fam)
         if bad is not None:
             raise cio.InputError(f"invalid family: {bad.message}")
-        res = fit_icf_multi(stats, g, fam, cfg)
-    elif method == "ml-anderson":
-        res = fit_anderson(stats, g, cfg)
-    elif method == "dual":
-        res = fit_dual(stats, g, cfg)
-    else:
-        raise cio.InputError(f"unknown method {method!r}")
-    extras = {
-        "iterations": res.iterations,
-        "rejected_extrapolations": res.rejected_extrapolations,
-        "residual": res.residual,
-        "detail": res.detail,
-        "trace": res.trace,
-    }
-    matrix = None if res.estimate is None else res.estimate.sigma
-    return matrix, res.loglik, res.converged, extras
+        return fit_icf_multi(stats, g, fam, cfg)
+    if method == "ml-anderson":
+        return fit_anderson(stats, g, cfg)
+    if method == "dual":
+        return fit_dual(stats, g, cfg)
+    raise cio.InputError(f"unknown method {method!r}")
 
 
 def cmd_fit(args) -> int:
     try:
+        if args.digits is not None and args.digits < 0:
+            raise cio.InputError("--digits must be non-negative")
         g, stats, data = _load_inputs(args)
         start = None
         if args.start:
@@ -186,23 +172,24 @@ def cmd_fit(args) -> int:
             n_adjust=args.n_adjust,
         )
         t0 = time.perf_counter()
-        sigma, ll, converged, extras = _run_method(args.method, stats, data, g, args, cfg)
+        res = _run_method(args.method, stats, data, g, args, cfg)
         elapsed = time.perf_counter() - t0
-    except (cio.InputError, GraphError, ModelError, ELInfeasibleError) as exc:
+    except (cio.InputError, GraphError, ModelError) as exc:
         return _fail(str(exc))
+    # An ML fit without an estimate prints none; el prints its sigma whatever its stop reason.
+    sigma = res.sigma if res.estimate is not None or args.method not in ML_METHODS else None
     out = sys.stdout
     print(f"method {args.method}", file=out)
     print(f"n {stats.n}", file=out)
     print(f"p {stats.p}", file=out)
-    print(f"converged {str(converged).lower()}", file=out)
-    if extras.get("iterations") is not None:
-        print(f"iterations {extras['iterations']}", file=out)
-    if extras.get("rejected_extrapolations") is not None:
-        print(f"rejected-extrapolations {extras['rejected_extrapolations']}", file=out)
-    if extras.get("inner_solves") is not None:
-        print(f"inner-solves {extras['inner_solves']}", file=out)
-    if ll is not None:
-        print(f"loglik {format(ll, '.17g')}", file=out)
+    print(f"converged {str(res.converged).lower()}", file=out)
+    print(f"iterations {res.iterations}", file=out)
+    if res.rejected_extrapolations is not None:
+        print(f"rejected-extrapolations {res.rejected_extrapolations}", file=out)
+    if res.inner_solves is not None:
+        print(f"inner-solves {res.inner_solves}", file=out)
+    if res.loglik is not None:
+        print(f"loglik {format(res.loglik, '.17g')}", file=out)
     if sigma is not None:
         try:
             dev, df = deviance(stats, sigma, graph=g, n_adjust=args.n_adjust)
@@ -212,17 +199,16 @@ def cmd_fit(args) -> int:
             key = "deviance" if args.method in ML_METHODS else "deviance-functional"
             print(f"{key} {format(dev, '.17g')}", file=out)
             print(f"df {df}", file=out)
-    if extras.get("detail"):
-        print(f"detail {extras['detail']}", file=out)
-    if extras.get("residual") is not None:
-        print(f"residual {format(extras['residual'], '.3g')}", file=out)
-    if extras.get("el_log_ratio") is not None:
-        print(f"el-log-ratio {format(extras['el_log_ratio'], '.17g')}", file=out)
+    print(f"detail {res.detail}", file=out)
+    if res.residual is not None:
+        print(f"residual {format(res.residual, '.3g')}", file=out)
+    if res.weighted is not None:
+        print(f"el-log-ratio {format(res.weighted.el_log_ratio, '.17g')}", file=out)
     _note(f"fit finished in {elapsed:.3f}s")
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write("sweep\tloglik\n")
-            for k, value in enumerate(extras.get("trace") or (), start=1):
+            for k, value in enumerate(res.trace or (), start=1):
                 fh.write(f"{k}\t{'' if value is None else format(value, '.17g')}\n")
     if sigma is None:
         print("estimate none", file=out)
@@ -232,7 +218,7 @@ def cmd_fit(args) -> int:
     else:
         print("matrix", file=out)
         out.write(cio.format_matrix(sigma, labels=g.vertices, digits=args.digits))
-    return EXIT_OK if converged else EXIT_NO_CONVERGENCE
+    return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
 def cmd_simulate(args) -> int:
@@ -292,10 +278,10 @@ def cmd_compare(args) -> int:
         logliks = {}
         all_converged = True
         for m in methods:
-            sigma, ll, converged, _ = _run_method(m, stats, data, g, args, cfg)
-            all_converged &= converged
-            logliks[m] = ll if ll is not None else float("nan")
-    except (cio.InputError, GraphError, ModelError, ELInfeasibleError) as exc:
+            res = _run_method(m, stats, data, g, args, cfg)
+            all_converged &= res.converged
+            logliks[m] = res.loglik if res.loglik is not None else float("nan")
+    except (cio.InputError, GraphError, ModelError) as exc:
         return _fail(str(exc))
     for m in methods:
         print(f"loglik {m} {format(logliks[m], '.17g')}")

@@ -27,11 +27,11 @@ import numpy as np
 
 from .graphs import CovarianceGraph, _upper_pairs
 from .model import ModelError
+from .results import FitResult
 
 __all__ = [
     "ELConfig",
     "WeightedSample",
-    "ELFit",
     "ELInfeasibleError",
     "ELConvergenceError",
     "missing_pairs",
@@ -40,6 +40,12 @@ __all__ = [
 ]
 
 
+# The inner dual stops once every constraint, scaled to unit root mean
+# square, holds to _DUAL_TOL, or after _DUAL_MAX_ITER Newton steps; a
+# weighting is accepted when it holds to _CONSTRAINT_TOL on that scale.
+_DUAL_TOL = 1e-10
+_DUAL_MAX_ITER = 200
+_CONSTRAINT_TOL = 1e-8
 # Outer stationarity, max_i n |lambda_mean,i| sd_i: the gradient of the
 # profile objective over the location in sample standard deviations.
 _STATIONARY_TOL = 1e-5
@@ -62,18 +68,9 @@ class ELConvergenceError(ModelError):
 
 @dataclass(frozen=True)
 class ELConfig:
-    """Solver settings.
+    """Solver settings: ``outer_max_iter`` caps the accepted Newton steps of the location search."""
 
-    ``tol`` stops the inner dual once every constraint, scaled to unit
-    root mean square, holds to it; ``constraint_tol`` is the acceptance
-    check on the same scale.  ``outer_max_iter`` caps the accepted
-    Newton steps of the location search.
-    """
-
-    tol: float = 1e-10
-    max_iter: int = 200
     outer_max_iter: int = 400
-    constraint_tol: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -89,33 +86,6 @@ class WeightedSample:
     mean: np.ndarray
     multipliers: np.ndarray
     el_log_ratio: float
-
-
-@dataclass(frozen=True)
-class ELFit:
-    """Profiled solution and the induced weighted covariance estimate.
-
-    ``detail`` is the stop reason: ``converged`` when the returned
-    location is stationary on a unit-free scale, max_i n |lambda_mean,i|
-    sd_i <= 1e-5 with sd the sample standard deviations; ``max-iter``
-    when the location search used ``outer_max_iter`` Newton steps; and
-    ``stalled`` when it ended earlier without reaching stationarity.
-    ``residual`` is that unit-free stationarity.  ``inner_solves``
-    counts the inner dual problems solved, the sample mean and the
-    rejected steps included.
-    """
-
-    weighted: WeightedSample
-    sigma: np.ndarray
-    sigma_singular: bool
-    detail: str
-    outer_iterations: int
-    inner_solves: int
-    residual: float
-
-    @property
-    def converged(self) -> bool:
-        return self.detail == "converged"
 
 
 def missing_pairs(g: CovarianceGraph) -> tuple[tuple[int, int], ...]:
@@ -154,10 +124,10 @@ def _log_star(z: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.nda
     return val, d1, d2
 
 
-def _solve_dual(gmat: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+def _solve_dual(gmat: np.ndarray) -> np.ndarray:
     """Damped Newton minimization of the safeguarded dual objective.
 
-    Stops once every weighted constraint mean is within ``tol`` of zero.
+    Stops once every weighted constraint mean is within ``_DUAL_TOL`` of zero.
     Returns the best multiplier vector found; the caller decides
     validity by checking the primal constraints, since near the
     optimum the gradient stalls at the floating-point floor.
@@ -165,9 +135,9 @@ def _solve_dual(gmat: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     n, m = gmat.shape
     eps = 1.0 / n
     lam = np.zeros(m)
-    gtol = tol * n  # the gradient is -n times the weighted constraint means
+    gtol = _DUAL_TOL * n  # the gradient is -n times the weighted constraint means
     at_lam = _log_star(1.0 + gmat @ lam, eps)
-    for _ in range(max_iter):
+    for _ in range(_DUAL_MAX_ITER):
         val, d1, d2 = at_lam
         grad = -gmat.T @ d1
         if np.abs(grad).max() <= gtol:
@@ -203,12 +173,13 @@ def _solve_dual(gmat: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     return lam
 
 
-def _interior_feasible(gmat: np.ndarray, tol: float) -> bool:
+def _interior_feasible(gmat: np.ndarray) -> bool:
     """Phase-1 linear program: is 0 strictly inside the hull of the rows?
 
     A point counts as a certificate only if the solver's weight vector
-    actually satisfies the moment equations to ``tol``; near-ties that
-    pass only by the solver's own slack are treated as infeasible.
+    actually satisfies the moment equations to ``_CONSTRAINT_TOL``;
+    near-ties that pass only by the solver's own slack are treated as
+    infeasible.
     """
     import scipy.optimize
 
@@ -229,15 +200,10 @@ def _interior_feasible(gmat: np.ndarray, tol: float) -> bool:
     if not res.success or float(res.x[-1]) <= 1e-9 / n:
         return False
     w = res.x[:n]
-    return bool(np.abs(w @ gmat).max() <= tol and abs(w.sum() - 1.0) <= tol)
+    return bool(np.abs(w @ gmat).max() <= _CONSTRAINT_TOL and abs(w.sum() - 1.0) <= _CONSTRAINT_TOL)
 
 
-def _solve_at(
-    data: np.ndarray,
-    mu: np.ndarray,
-    pairs: np.ndarray,
-    cfg: ELConfig,
-) -> WeightedSample | None:
+def _solve_at(data: np.ndarray, mu: np.ndarray, pairs: np.ndarray) -> WeightedSample | None:
     """``inner_el`` on checked inputs, with the missing pairs given by ``_missing_index``."""
     n = data.shape[0]
     if n <= 1 + len(pairs):
@@ -248,17 +214,17 @@ def _solve_at(
     rms = np.sqrt((gmat**2).mean(axis=0))
     scale = np.where(rms > 0.0, rms, 1.0)
     gmat = gmat / scale
-    lam = _solve_dual(gmat, cfg.tol, cfg.max_iter)
+    lam = _solve_dual(gmat)
     z = 1.0 + gmat @ lam
     valid = False
     if z.min() > 0.0:
         w = 1.0 / (n * z)
         moment_gap = np.abs(w @ gmat).max()
         valid = (
-            w.min() >= -cfg.constraint_tol
-            and abs(w.sum() - 1.0) <= cfg.constraint_tol
-            and moment_gap <= cfg.constraint_tol
-            and z.min() >= 1.0 / n - cfg.constraint_tol
+            w.min() >= -_CONSTRAINT_TOL
+            and abs(w.sum() - 1.0) <= _CONSTRAINT_TOL
+            and moment_gap <= _CONSTRAINT_TOL
+            and z.min() >= 1.0 / n - _CONSTRAINT_TOL
         )
     if not valid:
         # An unbounded dual (weights draining away, or a constraint
@@ -266,7 +232,7 @@ def _solve_at(
         # hull; only a stalled solve on a certified-feasible problem is
         # a genuine solver failure.
         diverged = z.min() <= 0.0 or abs((1.0 / (n * np.maximum(z, 1e-300))).sum() - 1.0) > 1e-3
-        if diverged or not _interior_feasible(gmat, cfg.constraint_tol):
+        if diverged or not _interior_feasible(gmat):
             return None
         raise ELConvergenceError("dual solver failed on a feasible problem")
     return WeightedSample(
@@ -277,12 +243,7 @@ def _solve_at(
     )
 
 
-def inner_el(
-    data: np.ndarray,
-    mu: np.ndarray,
-    g: CovarianceGraph,
-    cfg: ELConfig | None = None,
-) -> WeightedSample | None:
+def inner_el(data: np.ndarray, mu: np.ndarray, g: CovarianceGraph) -> WeightedSample | None:
     """Maximize the weight log-likelihood ratio for a fixed location.
 
     Returns None when the problem is infeasible: either the sample size
@@ -293,7 +254,7 @@ def inner_el(
     mu = np.asarray(mu, dtype=float)
     if data.ndim != 2 or data.shape[1] != g.p or mu.shape != (g.p,):
         raise ModelError("data, location, and graph dimensions disagree")
-    return _solve_at(data, mu, _missing_index(g), cfg or ELConfig())
+    return _solve_at(data, mu, _missing_index(g))
 
 
 def _profile_hessian(
@@ -334,7 +295,7 @@ def _profile_hessian(
     return (h + h.T) / 2.0
 
 
-def fit_el(data: np.ndarray, g: CovarianceGraph, cfg: ELConfig | None = None) -> ELFit:
+def fit_el(data: np.ndarray, g: CovarianceGraph, cfg: ELConfig | None = None) -> FitResult:
     """Profile the location and return weights plus the weighted covariance.
 
     ``data`` has one column per vertex of ``g``, in vertex order.  The
@@ -349,6 +310,16 @@ def fit_el(data: np.ndarray, g: CovarianceGraph, cfg: ELConfig | None = None) ->
     ``outer_max_iter`` accepted steps, or when a step no longer moves
     the location.  Raises when the sample mean itself is infeasible,
     the small-sample failure mode of the method.
+
+    The record's ``sigma`` (its ``final_sigma``) is the weighted
+    covariance, ``weighted`` the optimal weighting, ``iterations`` the
+    accepted Newton steps and ``inner_solves`` the inner dual problems
+    solved, the sample mean and rejected steps included.  ``residual``
+    is the unit-free stationarity max_i n |lambda_mean,i| sd_i, with sd
+    the sample standard deviations; ``detail`` is ``converged`` when it
+    is at most 1e-5, else ``max-iter`` when the search used
+    ``outer_max_iter`` steps, else ``stalled``.  ``estimate`` and
+    ``loglik`` are None.
     """
     cfg = cfg or ELConfig()
     data = np.asarray(data, dtype=float)
@@ -361,7 +332,7 @@ def fit_el(data: np.ndarray, g: CovarianceGraph, cfg: ELConfig | None = None) ->
     ybar = data.mean(axis=0)
     sd = data.std(axis=0)
     sd = np.where(sd > 0.0, sd, 1.0)
-    best = _solve_at(data, ybar, pairs, cfg)  # solver errors here are real
+    best = _solve_at(data, ybar, pairs)  # solver errors here are real
     if best is None:
         raise ELInfeasibleError(
             "no feasible weights at the sample mean; sample too small for the constraint set"
@@ -386,7 +357,7 @@ def fit_el(data: np.ndarray, g: CovarianceGraph, cfg: ELConfig | None = None) ->
                 break
             solves += 1
             try:
-                ws = _solve_at(data, ybar + sd * cand, pairs, cfg)
+                ws = _solve_at(data, ybar + sd * cand, pairs)
             except ELConvergenceError:
                 ws = None  # a failed solve only rules out that location
             if ws is None or -ws.el_log_ratio > f + _ARMIJO * (grad @ step):
@@ -397,19 +368,18 @@ def fit_el(data: np.ndarray, g: CovarianceGraph, cfg: ELConfig | None = None) ->
     stationarity = float((n * np.abs(best.multipliers[:p]) * sd).max())
     d = data - best.mean
     sigma = d.T @ (best.weights[:, None] * d)
-    sigma = (sigma + sigma.T) / 2.0
-    eigs = np.linalg.eigvalsh(sigma)
-    singular = bool(eigs.min() <= 1e-10 * max(eigs.max(), 1e-300))
     if stationarity <= _STATIONARY_TOL:
         detail = "converged"
     else:
         detail = "max-iter" if steps >= cfg.outer_max_iter else "stalled"
-    return ELFit(
-        weighted=best,
-        sigma=sigma,
-        sigma_singular=singular,
+    return FitResult(
+        method="el",
+        estimate=None,
+        loglik=None,
+        iterations=steps,
         detail=detail,
-        outer_iterations=steps,
-        inner_solves=solves,
+        final_sigma=(sigma + sigma.T) / 2.0,
         residual=stationarity,
+        inner_solves=solves,
+        weighted=best,
     )

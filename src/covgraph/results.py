@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .graphs import CovarianceGraph
 from .model import ConstrainedCovariance, ModelError, NotPositiveDefiniteError, SampleStats
+
+if TYPE_CHECKING:
+    from .emplik import WeightedSample
 
 __all__ = ["FitConfig", "FitResult"]
 
@@ -34,9 +37,9 @@ class FitConfig:
 
     def __post_init__(self):
         if not self.tol > 0:
-            raise ValueError("tol must be positive")
+            raise ModelError("tol must be positive")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+            raise ModelError("max_iter must be at least 1")
 
 
 def _resolve_start(g: CovarianceGraph, cfg: FitConfig) -> ConstrainedCovariance:
@@ -65,17 +68,21 @@ def _resolve_stats(stats: SampleStats, g: CovarianceGraph) -> SampleStats:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of one covariance fit.
+    """Outcome of one covariance fit, for every method.
 
     ``estimate`` is None when the final iterate is not a valid
-    patterned covariance (possible for the linear-equation method);
-    ``final_sigma`` always holds the raw final matrix.  ``detail`` is
-    the stop reason (converged, stalled, max-iter, diverged,
-    singular-system or not-pd), ``pd_flags`` the per-iterate
-    positive-definiteness record where the method tracks it,
-    ``residual`` the method's own unit-free defining residual at exit,
-    and ``rejected_extrapolations`` the number of extrapolation steps
-    the ICF fitters tried and threw away.
+    patterned covariance (possible for the linear-equation method) and
+    for ``el``, whose weighted covariance need not be positive definite;
+    ``final_sigma`` always holds the raw final matrix.  ``loglik`` is
+    None for ``el``.  ``detail`` is the stop reason (converged, stalled,
+    max-iter, diverged, singular-system or not-pd), ``iterations`` the
+    sweeps, iterations or, for ``el``, accepted Newton steps,
+    ``pd_flags`` the per-iterate positive-definiteness record where the
+    method tracks it, ``residual`` the method's own unit-free defining
+    residual at exit, and ``rejected_extrapolations`` the number of
+    extrapolation steps the ICF fitters tried and threw away.  Only
+    ``el`` sets ``inner_solves``, the inner dual problems it solved, and
+    ``weighted``, its optimal weighting.
     """
 
     method: str
@@ -88,6 +95,8 @@ class FitResult:
     pd_flags: tuple[bool, ...] | None = None
     residual: float | None = None
     rejected_extrapolations: int | None = None
+    inner_solves: int | None = None
+    weighted: WeightedSample | None = None
 
     @property
     def converged(self) -> bool:

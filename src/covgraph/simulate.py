@@ -49,7 +49,8 @@ class SimSpec:
     it, and reads it off the zero pattern of ``sigma_true`` when none is
     given.  For the t distribution the dispersion matrix is
     ``sigma_true`` and the actual covariance is df / (df - 2) times it,
-    which is what errors are measured against.
+    which is what errors are measured against.  Methods and sample
+    sizes must each be distinct.
     """
 
     sigma_true: np.ndarray
@@ -75,6 +76,10 @@ class SimSpec:
         unknown = [m_ for m_ in self.methods if m_ not in METHOD_NAMES]
         if unknown:
             raise ModelError(f"unknown methods: {unknown}")
+        for what, values in (("methods", self.methods), ("sample sizes", self.sample_sizes)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ModelError(f"repeated {what}: {repeated}")
 
     @property
     def truth(self) -> np.ndarray:
@@ -180,13 +185,8 @@ def default_fitters(
     family = functools.cache(lambda: cliques(graph))  # found on the first blockwise fit only
 
     def need_converged(res):
-        if not res.converged or res.estimate is None:
-            raise NotConvergedError(res.method, res.detail)
-        return res.estimate.sigma
-
-    def need_converged_el(res):
         if not res.converged:
-            raise NotConvergedError("el", res.detail)
+            raise NotConvergedError(res.method, res.detail)
         return res.sigma
 
     return {
@@ -196,7 +196,7 @@ def default_fitters(
         ),
         "ml-anderson": lambda data: need_converged(fit_anderson(sample_stats(data), graph, fit_cfg)),
         "dual": lambda data: need_converged(fit_dual(sample_stats(data), graph, fit_cfg)),
-        "el": lambda data: need_converged_el(fit_el(data, graph, el_cfg)),
+        "el": lambda data: need_converged(fit_el(data, graph, el_cfg)),
     }
 
 

@@ -297,6 +297,42 @@ class TestCliFit:
         assert float(residual.split()[1]) <= 1e-5
         assert not any(l.startswith("rejected-extrapolations") for l in out.splitlines())
 
+    @pytest.mark.parametrize(
+        "method, keys",
+        [
+            ("ml-icf", ["rejected-extrapolations", "loglik", "deviance", "df", "detail", "residual"]),
+            ("ml-icf-multi", ["rejected-extrapolations", "loglik", "deviance", "df", "detail", "residual"]),
+            ("ml-anderson", ["loglik", "deviance", "df", "detail", "residual"]),
+            ("dual", ["loglik", "deviance-functional", "df", "detail", "residual"]),
+            ("el", ["inner-solves", "loglik", "deviance-functional", "df", "detail", "residual",
+                    "el-log-ratio"]),
+        ],
+    )
+    def test_fit_prints_its_record_in_a_fixed_order(self, tmp_path, capsys, method, keys):
+        data = np.random.default_rng(3).standard_normal((60, 4)) @ np.linalg.cholesky(SIGMA_CHAIN).T
+        f = tmp_path / "obs.csv"
+        f.write_text("\n".join(",".join(format(x, ".17g") for x in row) for row in data) + "\n")
+        rc = main(["fit", "--graph", str(DATA / "fig1.graph"), "--data", str(f), "--method", method])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        head = [l.split()[0] for l in lines[: lines.index("matrix") + 1]]
+        assert head == ["method", "n", "p", "converged", "iterations", *keys, "matrix"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "--tol", "0"], "tol must be positive"),
+            (["fit", "--max-iter", "0"], "max_iter must be at least 1"),
+            (["fit", "--digits", "-1"], "--digits must be non-negative"),
+            (["compare", "--tol", "0"], "tol must be positive"),
+        ],
+    )
+    def test_bad_numeric_flag_exits_one_with_a_message(self, tmp_path, capsys, argv, message):
+        rc = main([*argv, "--graph", str(DATA / "fig1.graph"), "--stats", str(_chain_stats(tmp_path))])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_n_adjust_scales_loglik(self, tmp_path, capsys):
         vals = {}
         for flag in (False, True):
@@ -338,6 +374,18 @@ class TestCliSimulateLoglikCompare:
             outs.append(out.read_bytes())
         capsys.readouterr()
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--methods", "dual,ml-icf,dual"], "repeated methods"), (["--n", "20,20"], "repeated sample sizes")],
+    )
+    def test_simulate_repeats_exit_one(self, tmp_path, capsys, flags, message):
+        sig = tmp_path / "sigma.tsv"
+        write_matrix(sig, SIGMA_CHAIN)
+        rc = main(["simulate", "--sigma", str(sig), "--reps", "2", *flags])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert message in captured.err
 
     def test_simulate_t_metadata_scaling(self, tmp_path, capsys):
         sig = tmp_path / "sigma.tsv"

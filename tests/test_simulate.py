@@ -88,6 +88,16 @@ class TestSimSpec:
         with pytest.raises(ModelError, match="unknown methods"):
             SimSpec(sigma_true=SIGMA_CHAIN, methods=("nope",), replications=1)
 
+    def test_rejects_repeated_methods(self):
+        # a repeated method would fit each replication twice and print every row twice
+        with pytest.raises(ModelError, match=r"repeated methods: \['ml-icf'\]"):
+            SimSpec(sigma_true=SIGMA_CHAIN, methods=("ml-icf", "dual", "ml-icf"), replications=1)
+
+    def test_rejects_repeated_sample_sizes(self):
+        # two different rows for one (method, n, i, j), and the stored errors of one lost
+        with pytest.raises(ModelError, match=r"repeated sample sizes: \[20\]"):
+            SimSpec(sigma_true=SIGMA_CHAIN, sample_sizes=(20, 30, 20), replications=1)
+
 
 class TestRunSimulation:
     def test_truth_fitter_plumbing_gives_zero_error(self):
