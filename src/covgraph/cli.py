@@ -160,6 +160,8 @@ def cmd_fit(args) -> int:
     try:
         if args.digits is not None and args.digits < 0:
             raise cio.InputError("--digits must be non-negative")
+        if args.trace and args.method not in ML_METHODS:
+            raise cio.InputError(f"--trace needs a sweep method ({', '.join(ML_METHODS)}), not {args.method}")
         g, stats, data = _load_inputs(args)
         start = None
         if args.start:

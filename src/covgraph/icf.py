@@ -21,8 +21,12 @@ refreshed after every update, so an update factorises nothing larger
 than its block: the inverse incoming conditional covariance is K's
 block, the inverse of the fixed rest is the Schur complement of that
 block in K, and two rank-|C| terms turn K into the inverse of the
-refitted iterate.  An update of a block C with spouses S costs
-O(p^2 (|C| + |S|)) instead of the O(p^3) of inverting the rest.
+refitted iterate.  An update forms only the spouse columns of the
+rest inverse, and refreshes K in place by two BLAS gemm passes, one
+per rank-|C| term, with the block's rows and columns zeroed between
+them, so it allocates nothing p x p.  An update of a block C with
+spouses S costs O(p^2 (|C| + |S|)) flops and O(p (|C| + |S|)) new
+memory, instead of the O(p^3) of inverting the rest.
 
 What an update needs from the graph alone, index grids included, is
 planned once per fit, and the small factorisations call LAPACK
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
+from scipy.linalg.blas import dgemm, dtrsm
 from scipy.linalg.lapack import dpotrs
 
 from .graphs import CovarianceGraph
@@ -106,10 +110,10 @@ class _BlockPlan:
     cc: tuple  # np.ix_(block, block)
     cs: tuple  # np.ix_(block, spo)
     sc: tuple  # np.ix_(spo, block)
-    ss: tuple  # np.ix_(spo, spo)
     sel_rows: tuple  # np.ix_(sel.rows, sel.rows)
     sel_cols: tuple  # np.ix_(sel.cols, sel.cols)
     eye: np.ndarray  # the |C| x |C| identity
+    rowcol: np.ndarray  # flat positions of the block rows and columns of a p x p array
 
 
 def _plan(g: CovarianceGraph, idx: Iterable[int]) -> _BlockPlan:
@@ -118,10 +122,13 @@ def _plan(g: CovarianceGraph, idx: Iterable[int]) -> _BlockPlan:
     near[block] = False
     spo = np.flatnonzero(near)
     sel = BlockSelector.from_graph(g, block, spo)
+    rowcol = np.zeros((g.p, g.p), dtype=bool)
+    rowcol[block] = rowcol[:, block] = True
     return _BlockPlan(
         block, spo, sel,
-        np.ix_(block, block), np.ix_(block, spo), np.ix_(spo, block), np.ix_(spo, spo),
+        np.ix_(block, block), np.ix_(block, spo), np.ix_(spo, block),
         np.ix_(sel.rows, sel.rows), np.ix_(sel.cols, sel.cols), np.eye(block.size),
+        np.flatnonzero(rowcol),
     )
 
 
@@ -171,17 +178,17 @@ def _update(s: np.ndarray, m: np.ndarray, k: np.ndarray, plan: _BlockPlan) -> No
     low_omega = _cholesky(omega)
     if low_omega is None:
         raise ModelError("incoming conditional covariance is singular")
-    # Inverse of the fixed rest block, the Schur complement of K_CC,
-    # with zero block rows and columns.  The triangular solves call BLAS
-    # trsm: OpenBLAS runs LAPACK's trtrs on its thread pool even for a
-    # 1x1 triangle, and waking the pool costs more than the whole update.
+    # The inverse of the fixed rest block is the Schur complement K - z^T z
+    # of K_CC, zero on the block rows and columns; only its spouse columns
+    # W are formed.  The triangular solves call BLAS trsm: OpenBLAS runs
+    # LAPACK's trtrs on its thread pool even for a 1x1 triangle, and
+    # waking the pool costs more than the whole update.
     z = dtrsm(1.0, low_omega, k[block], lower=1)
-    inv_rest = k - z.T @ z
-    inv_rest[block, :] = 0.0
-    inv_rest[:, block] = 0.0
+    w = k[:, spo] - z.T @ z[:, spo]
+    w[block] = 0.0
     # A block without spouses is a union of whole components: the
     # arrays below are empty and the residual covariance is the sample block.
-    cross, gram = _pseudo_moments(s, block, inv_rest[:, spo])
+    cross, gram = _pseudo_moments(s, block, w)
     coef = np.zeros((block.size, spo.size))
     if sel.rows.size:
         low_normal = _cholesky(gram[plan.sel_cols] * omega[plan.sel_rows])
@@ -198,15 +205,23 @@ def _update(s: np.ndarray, m: np.ndarray, k: np.ndarray, plan: _BlockPlan) -> No
     m[:, block] = 0.0
     m[plan.cs] = coef
     m[plan.sc] = coef.T
-    block_cov = lam_new + coef @ inv_rest[plan.ss] @ coef.T
+    block_cov = lam_new + coef @ w[spo] @ coef.T
     m[plan.cc] = (block_cov + block_cov.T) / 2.0
 
-    # Block inverse of the refitted m: the rest inverse plus E^T lam^-1 E
-    # with E = [I on the block, -coef times the spouse rows of inv_rest].
-    e = -coef @ inv_rest[spo]
+    # Block inverse of the refitted m: the rest inverse plus y^T y with
+    # y = lam^-1/2 E and E = [I on the block, -coef times W^T].  K is
+    # refreshed in place: one dgemm takes it to the rest inverse K - z^T z,
+    # whose block rows and columns are then set to their exact zeros, and
+    # a second adds y^T y.  The symmetric K goes to BLAS as its F-ordered
+    # transpose, and trsm returns y and z F-ordered, so nothing p x p is
+    # copied.
+    e = -coef @ w.T
     e[:, block] = plan.eye
     y = dtrsm(1.0, low_lam, e, lower=1)
-    np.add(inv_rest, y.T @ y, out=k)
+    kt = dgemm(-1.0, z, z, 1.0, k.T, trans_a=1, overwrite_c=1)
+    k.reshape(-1)[plan.rowcol] = 0.0
+    kt = dgemm(1.0, y, y, 1.0, kt, trans_a=1, overwrite_c=1)
+    assert np.may_share_memory(kt, k), "dgemm copied K instead of updating it"
 
 
 def block_update(

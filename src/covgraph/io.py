@@ -78,19 +78,23 @@ def load_data(
         if not rows:
             raise InputError(f"{path}: header present but no data rows")
     width = len(rows[0][1])
-    data = np.empty((len(rows), width))
-    for r, (lineno, toks) in enumerate(rows):
+    for lineno, toks in rows:
         if len(toks) != width:
             raise InputError(
                 f"{path}:{lineno}: ragged row, expected {width} values, found {len(toks)}"
             )
-        for c, tok in enumerate(toks):
-            try:
-                data[r, c] = float(tok)
-            except ValueError:
-                raise InputError(
-                    f"{path}:{lineno}: non-numeric cell {tok!r} in column {c + 1}"
-                ) from None
+    try:
+        # numpy parses each cell with Python's float(), so this equals a
+        # cell-by-cell conversion; only a failure is re-scanned for its cell.
+        data = np.array([toks for _, toks in rows], dtype=float)
+    except ValueError:
+        for lineno, toks in rows:
+            for c, tok in enumerate(toks):
+                if not _is_number(tok):
+                    raise InputError(
+                        f"{path}:{lineno}: non-numeric cell {tok!r} in column {c + 1}"
+                    ) from None
+        raise
     if labels is not None and len(labels) != width:
         raise InputError(f"{path}: header has {len(labels)} labels for {width} columns")
     return data, labels

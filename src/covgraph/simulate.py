@@ -50,7 +50,7 @@ class SimSpec:
     given.  For the t distribution the dispersion matrix is
     ``sigma_true`` and the actual covariance is df / (df - 2) times it,
     which is what errors are measured against.  Methods and sample
-    sizes must each be distinct.
+    sizes must each be distinct, and every sample size at least 2.
     """
 
     sigma_true: np.ndarray
@@ -76,6 +76,9 @@ class SimSpec:
         unknown = [m_ for m_ in self.methods if m_ not in METHOD_NAMES]
         if unknown:
             raise ModelError(f"unknown methods: {unknown}")
+        too_small = sorted({n for n in self.sample_sizes if n < 2})
+        if too_small:
+            raise ModelError(f"sample sizes must be at least 2: {too_small}")
         for what, values in (("methods", self.methods), ("sample sizes", self.sample_sizes)):
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:

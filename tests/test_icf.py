@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -442,6 +444,28 @@ class TestMaintainedInverse:
         sigma = random_patterned_cov(g, rng)
         data = rng.standard_normal((150, g.p)) @ np.linalg.cholesky(sigma).T
         assert_inverse_kept(sample_stats(data), g, family_blocks(g, family), sweeps=3)
+
+    def test_lean_update_on_a_p100_lattice(self):
+        # at p = 100 an update refreshes the caller's K in place and, reading
+        # the rest inverse only through its spouse columns, allocates less
+        # than one p x p array
+        g = lattice_graph(10)
+        rng = np.random.default_rng(63)
+        sigma = random_patterned_cov(g, rng)
+        st_ = sample_stats(rng.standard_normal((300, g.p)) @ np.linalg.cholesky(sigma).T)
+        for family in ("vertex", "clique"):
+            assert_inverse_kept(st_, g, family_blocks(g, family), sweeps=2)
+            plans = [_plan(g, b) for b in family_blocks(g, family)]
+            m = np.eye(g.p)
+            k = _point(st_.s, m).inv
+            for plan in plans:
+                tracemalloc.start()
+                try:
+                    _update(st_.s, m, k, plan)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < m.nbytes, (plan.block, peak)
 
     def test_whole_component_blocks(self):
         # {a, b} is a component and f is isolated: clique blocks with no

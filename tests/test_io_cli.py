@@ -333,6 +333,22 @@ class TestCliFit:
         assert rc == 1 and captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("method", ["dual", "el"])
+    def test_trace_needs_a_sweep_method(self, tmp_path, capsys, method):
+        # dual and el keep no per-sweep trace: refused before any fit, no file written
+        data = np.random.default_rng(4).standard_normal((60, 4)) @ np.linalg.cholesky(SIGMA_CHAIN).T
+        f, trace = tmp_path / "obs.csv", tmp_path / "t.tsv"
+        f.write_text("\n".join(",".join(format(x, ".17g") for x in row) for row in data) + "\n")
+        rc = main([
+            "fit", "--graph", str(DATA / "fig1.graph"), "--data", str(f),
+            "--method", method, "--trace", str(trace),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and not trace.exists()
+        assert captured.err == (
+            f"error: --trace needs a sweep method (ml-icf, ml-icf-multi, ml-anderson), not {method}\n"
+        )
+
     def test_n_adjust_scales_loglik(self, tmp_path, capsys):
         vals = {}
         for flag in (False, True):
@@ -386,6 +402,15 @@ class TestCliSimulateLoglikCompare:
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize("sizes, named", [("0", "[0]"), ("20,1", "[1]"), ("-5", "[-5]")])
+    def test_simulate_sample_size_below_two_exits_one(self, tmp_path, capsys, sizes, named):
+        sig = tmp_path / "sigma.tsv"
+        write_matrix(sig, SIGMA_CHAIN)
+        rc = main(["simulate", "--sigma", str(sig), "--reps", "2", "--n", sizes])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == f"error: sample sizes must be at least 2: {named}\n"
 
     def test_simulate_t_metadata_scaling(self, tmp_path, capsys):
         sig = tmp_path / "sigma.tsv"

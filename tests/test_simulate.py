@@ -98,6 +98,11 @@ class TestSimSpec:
         with pytest.raises(ModelError, match=r"repeated sample sizes: \[20\]"):
             SimSpec(sigma_true=SIGMA_CHAIN, sample_sizes=(20, 30, 20), replications=1)
 
+    def test_rejects_sample_sizes_below_two(self):
+        # n = 0 and 1 used to fail every fit silently, and n = -5 with numpy's message
+        with pytest.raises(ModelError, match=r"sample sizes must be at least 2: \[-5, 0, 1\]"):
+            SimSpec(sigma_true=SIGMA_CHAIN, sample_sizes=(1, 20, -5, 0), replications=1)
+
 
 class TestRunSimulation:
     def test_truth_fitter_plumbing_gives_zero_error(self):
