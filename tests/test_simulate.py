@@ -99,7 +99,7 @@ class TestSimSpec:
             SimSpec(sigma_true=SIGMA_CHAIN, sample_sizes=(20, 30, 20), replications=1)
 
     def test_rejects_sample_sizes_below_two(self):
-        # n = 0 and 1 used to fail every fit silently, and n = -5 with numpy's message
+        # below two observations no covariance can be estimated; every bad size is named
         with pytest.raises(ModelError, match=r"sample sizes must be at least 2: \[-5, 0, 1\]"):
             SimSpec(sigma_true=SIGMA_CHAIN, sample_sizes=(1, 20, -5, 0), replications=1)
 
