@@ -10,7 +10,6 @@ likelihood, and ships a Monte-Carlo harness comparing them.
 from .anderson import fit_anderson
 from .dual import dual_residual, fit_dual, is_decomposable
 from .emplik import (
-    ELConfig,
     ELConvergenceError,
     ELInfeasibleError,
     WeightedSample,
@@ -34,7 +33,7 @@ from .graphs import (
     validate_family,
 )
 from .icf import fit_icf, icf_update_vertex
-from .icf_multi import BlockSelector, block_update, fit_icf_multi
+from .icf_multi import block_update, fit_icf_multi
 from .model import (
     ConstrainedCovariance,
     ModelError,

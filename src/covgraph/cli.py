@@ -5,7 +5,7 @@ Carlo comparison), ``loglik`` (evaluate a stored estimate), and
 ``compare`` (pairwise log-likelihood differences between methods).
 Data lines go to stdout, diagnostics to stderr; exit code 0 means a
 converged fit, 2 a fit that did not converge, 1 an input error.
-Setting ``COVGRAPH_QUIET`` or ``NO_COLOR`` silences stderr progress.
+Setting ``COVGRAPH_QUIET`` silences stderr progress.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ ML_METHODS = ("ml-icf", "ml-icf-multi", "ml-anderson")
 
 
 def _quiet() -> bool:
-    return bool(os.environ.get("COVGRAPH_QUIET") or os.environ.get("NO_COLOR"))
+    return bool(os.environ.get("COVGRAPH_QUIET"))
 
 
 def _note(msg: str) -> None:
@@ -144,7 +144,7 @@ def _run_method(method, stats, data, g, args, cfg) -> FitResult:
     if method == "ml-icf":
         return fit_icf(stats, g, cfg)
     if method == "ml-icf-multi":
-        fam = cio.load_family(args.family, g) if getattr(args, "family", None) else cliques(g)
+        fam = cio.load_family(args.family, g) if args.family else cliques(g)
         bad = validate_family(g, fam)
         if bad is not None:
             raise cio.InputError(f"invalid family: {bad.message}")
@@ -162,6 +162,8 @@ def cmd_fit(args) -> int:
             raise cio.InputError("--digits must be non-negative")
         if args.trace and args.method not in ML_METHODS:
             raise cio.InputError(f"--trace needs a sweep method ({', '.join(ML_METHODS)}), not {args.method}")
+        if args.family and args.method != "ml-icf-multi":
+            raise cio.InputError(f"--family needs method ml-icf-multi, not {args.method}")
         g, stats, data = _load_inputs(args)
         start = None
         if args.start:
@@ -276,6 +278,8 @@ def cmd_compare(args) -> int:
         methods = tuple(tok for tok in args.methods.split(",") if tok)
         if len(methods) < 2:
             raise cio.InputError("compare needs at least two methods")
+        if args.family and "ml-icf-multi" not in methods:
+            raise cio.InputError("--family needs ml-icf-multi among the compared methods")
         cfg = FitConfig(tol=args.tol, max_iter=args.max_iter, n_adjust=args.n_adjust)
         logliks = {}
         all_converged = True

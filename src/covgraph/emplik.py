@@ -30,7 +30,6 @@ from .model import ModelError
 from .results import FitResult
 
 __all__ = [
-    "ELConfig",
     "WeightedSample",
     "ELInfeasibleError",
     "ELConvergenceError",
@@ -56,6 +55,8 @@ _STATIONARY_TOL = 1e-5
 _NEWTON_GTOL = 1e-6
 # Armijo's sufficient-decrease fraction for an accepted location step.
 _ARMIJO = 1e-4
+# The location search stops after this many accepted Newton steps.
+_OUTER_MAX_ITER = 400
 
 
 class ELInfeasibleError(ModelError):
@@ -64,13 +65,6 @@ class ELInfeasibleError(ModelError):
 
 class ELConvergenceError(ModelError):
     """The dual solver failed to converge on a feasible problem."""
-
-
-@dataclass(frozen=True)
-class ELConfig:
-    """Solver settings: ``outer_max_iter`` caps the accepted Newton steps of the location search."""
-
-    outer_max_iter: int = 400
 
 
 @dataclass(frozen=True)
@@ -295,7 +289,7 @@ def _profile_hessian(
     return (h + h.T) / 2.0
 
 
-def fit_el(data: np.ndarray, g: CovarianceGraph, cfg: ELConfig | None = None) -> FitResult:
+def fit_el(data: np.ndarray, g: CovarianceGraph) -> FitResult:
     """Profile the location and return weights plus the weighted covariance.
 
     ``data`` has one column per vertex of ``g``, in vertex order.  The
@@ -306,10 +300,10 @@ def fit_el(data: np.ndarray, g: CovarianceGraph, cfg: ELConfig | None = None) ->
     with H + (max(0, -lambda_min(H)) + tau |H|) I, and is accepted only
     at a location that admits a weighting and passes Armijo's test;
     tau grows tenfold on a rejection and shrinks tenfold on an
-    acceptance.  The search stops at a gradient of 1e-6, at
-    ``outer_max_iter`` accepted steps, or when a step no longer moves
-    the location.  Raises when the sample mean itself is infeasible,
-    the small-sample failure mode of the method.
+    acceptance.  The search stops at a gradient of 1e-6, at 400
+    accepted steps, or when a step no longer moves the location.
+    Raises when the sample mean itself is infeasible, the small-sample
+    failure mode of the method.
 
     The record's ``sigma`` (its ``final_sigma``) is the weighted
     covariance, ``weighted`` the optimal weighting, ``iterations`` the
@@ -317,11 +311,9 @@ def fit_el(data: np.ndarray, g: CovarianceGraph, cfg: ELConfig | None = None) ->
     solved, the sample mean and rejected steps included.  ``residual``
     is the unit-free stationarity max_i n |lambda_mean,i| sd_i, with sd
     the sample standard deviations; ``detail`` is ``converged`` when it
-    is at most 1e-5, else ``max-iter`` when the search used
-    ``outer_max_iter`` steps, else ``stalled``.  ``estimate`` and
-    ``loglik`` are None.
+    is at most 1e-5, else ``max-iter`` when the search used all 400
+    steps, else ``stalled``.  ``estimate`` and ``loglik`` are None.
     """
-    cfg = cfg or ELConfig()
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise ModelError("data must be a two-dimensional table")
@@ -341,7 +333,7 @@ def fit_el(data: np.ndarray, g: CovarianceGraph, cfg: ELConfig | None = None) ->
     col_scale = np.concatenate([sd, sd[pairs[:, 0]] * sd[pairs[:, 1]]])  # raw -> standardized
     t = np.zeros(p)
     solves, steps, tau = 1, 0, 1e-3
-    while steps < cfg.outer_max_iter:
+    while steps < _OUTER_MAX_ITER:
         lam = best.multipliers * col_scale
         grad = -n * lam[:p]
         if np.abs(grad).max() <= _NEWTON_GTOL:
@@ -371,7 +363,7 @@ def fit_el(data: np.ndarray, g: CovarianceGraph, cfg: ELConfig | None = None) ->
     if stationarity <= _STATIONARY_TOL:
         detail = "converged"
     else:
-        detail = "max-iter" if steps >= cfg.outer_max_iter else "stalled"
+        detail = "max-iter" if steps >= _OUTER_MAX_ITER else "stalled"
     return FitResult(
         method="el",
         estimate=None,

@@ -295,6 +295,14 @@ def validate_family(g: CovarianceGraph, fam: CompleteSetFamily | Iterable[Iterab
     return None
 
 
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) of every line left nonblank once its ``#`` comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_graph_text(text: str, source: str = "<string>") -> CovarianceGraph:
     """Parse the plain-text graph format.
 
@@ -306,10 +314,7 @@ def parse_graph_text(text: str, source: str = "<string>") -> CovarianceGraph:
     edges: list[tuple[str, str]] = []
     seen_edges: set[frozenset[str]] = set()
     edges_started = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         parts = line.split()
         where = f"{source}:{lineno}"
         if parts[0] == "vertex":
@@ -337,10 +342,7 @@ def parse_graph_text(text: str, source: str = "<string>") -> CovarianceGraph:
 def parse_family_text(text: str, g: CovarianceGraph, source: str = "<string>") -> CompleteSetFamily:
     """Parse a complete-set family: one set per line, labels comma-separated."""
     sets: list[tuple[str, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         labels = tuple(part.strip() for part in line.split(","))
         if any(not lab for lab in labels):
             raise GraphError(f"{source}:{lineno}: empty label in set")
@@ -350,8 +352,8 @@ def parse_family_text(text: str, g: CovarianceGraph, source: str = "<string>") -
     return CompleteSetFamily(tuple(sets))
 
 
-def graph_from_matrix(m: np.ndarray, labels: Sequence[str] | None = None, tol: float = 0.0) -> CovarianceGraph:
-    """Graph whose edges mark the nonzero off-diagonal entries of ``m``."""
+def graph_from_matrix(m: np.ndarray, labels: Sequence[str] | None = None) -> CovarianceGraph:
+    """Graph whose edges mark the nonzero off-diagonal entries of ``m``, in either triangle."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise GraphError("expected a square matrix")
@@ -359,6 +361,6 @@ def graph_from_matrix(m: np.ndarray, labels: Sequence[str] | None = None, tol: f
     if labels is None:
         labels = [f"X{k + 1}" for k in range(p)]
     labels = tuple(labels)
-    nonzero = np.abs(m) > tol
+    nonzero = m != 0.0
     edges = [(labels[i], labels[j]) for i, j in _upper_pairs(nonzero | nonzero.T)]
     return CovarianceGraph(labels, edges)

@@ -63,7 +63,6 @@ from .model import (
 from .results import FitConfig, FitResult, _resolve_start, _resolve_stats, stop_reason
 
 __all__ = [
-    "BlockSelector",
     "block_update",
     "icf_update_vertex",
     "fit_icf",
@@ -71,47 +70,29 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class BlockSelector:
-    """Positions of the unrestricted coefficients of one block.
-
-    The free coefficients are the pairs (i in block, j in spouses of
-    the block) joined by an edge; ``rows`` and ``cols`` hold their
-    positions inside the block and spouse orderings, listed
-    column-major so they follow matrix vectorization order.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-
-    @classmethod
-    def from_graph(cls, g: CovarianceGraph, block: np.ndarray, spo: np.ndarray) -> "BlockSelector":
-        # The transposed grid's row-major nonzeros are the column-major ones.
-        cols, rows = np.nonzero(g.adjacency[np.ix_(spo, block)])
-        return cls(rows, cols)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
-@dataclass(frozen=True)
 class _BlockPlan:
     """The graph-only part of one block update.
 
-    ``block`` is the complete set C, ``spo`` its spouses (the vertices
-    outside C adjacent to a member) and ``sel`` the positions of its
-    free coefficients.  ``_plan`` also builds the index grids and the
-    block identity, once per fit; everything that depends on the
-    iterate is read from the maintained inverse when the update runs.
+    ``block`` is the complete set C and ``spo`` its spouses (the
+    vertices outside C adjacent to a member).  The free coefficients
+    are the pairs (i in C, j in spouses) joined by an edge;
+    ``free_rows`` and ``free_cols`` hold their positions inside the
+    block and spouse orderings, listed column-major so they follow
+    matrix vectorization order.  ``_plan`` also builds the index grids
+    and the block identity, once per fit; everything that depends on
+    the iterate is read from the maintained inverse when the update
+    runs.
     """
 
     block: np.ndarray
     spo: np.ndarray
-    sel: BlockSelector
+    free_rows: np.ndarray
+    free_cols: np.ndarray
     cc: tuple  # np.ix_(block, block)
     cs: tuple  # np.ix_(block, spo)
     sc: tuple  # np.ix_(spo, block)
-    sel_rows: tuple  # np.ix_(sel.rows, sel.rows)
-    sel_cols: tuple  # np.ix_(sel.cols, sel.cols)
+    row_grid: tuple  # np.ix_(free_rows, free_rows)
+    col_grid: tuple  # np.ix_(free_cols, free_cols)
     eye: np.ndarray  # the |C| x |C| identity
     rowcol: np.ndarray  # flat positions of the block rows and columns of a p x p array
 
@@ -121,13 +102,14 @@ def _plan(g: CovarianceGraph, idx: Iterable[int]) -> _BlockPlan:
     near = g.adjacency[block].any(axis=0)
     near[block] = False
     spo = np.flatnonzero(near)
-    sel = BlockSelector.from_graph(g, block, spo)
+    # The transposed grid's row-major nonzeros are the column-major ones.
+    cols, rows = np.nonzero(g.adjacency[np.ix_(spo, block)])
     rowcol = np.zeros((g.p, g.p), dtype=bool)
     rowcol[block] = rowcol[:, block] = True
     return _BlockPlan(
-        block, spo, sel,
+        block, spo, rows, cols,
         np.ix_(block, block), np.ix_(block, spo), np.ix_(spo, block),
-        np.ix_(sel.rows, sel.rows), np.ix_(sel.cols, sel.cols), np.eye(block.size),
+        np.ix_(rows, rows), np.ix_(cols, cols), np.eye(block.size),
         np.flatnonzero(rowcol),
     )
 
@@ -172,7 +154,7 @@ def _update(s: np.ndarray, m: np.ndarray, k: np.ndarray, plan: _BlockPlan) -> No
     ``k`` holds the inverse of ``m`` on entry and is refreshed in place
     to the inverse of the refitted ``m``.
     """
-    block, spo, sel = plan.block, plan.spo, plan.sel
+    block, spo, rows, cols = plan.block, plan.spo, plan.free_rows, plan.free_cols
     # Weight matrix: the inverse incoming conditional covariance is K_CC.
     omega = k[plan.cc]
     low_omega = _cholesky(omega)
@@ -190,11 +172,11 @@ def _update(s: np.ndarray, m: np.ndarray, k: np.ndarray, plan: _BlockPlan) -> No
     # arrays below are empty and the residual covariance is the sample block.
     cross, gram = _pseudo_moments(s, block, w)
     coef = np.zeros((block.size, spo.size))
-    if sel.rows.size:
-        low_normal = _cholesky(gram[plan.sel_cols] * omega[plan.sel_rows])
+    if rows.size:
+        low_normal = _cholesky(gram[plan.col_grid] * omega[plan.row_grid])
         if low_normal is None:
             raise ModelError("generalized least squares system is not positive definite")
-        coef[sel.rows, sel.cols] = dpotrs(low_normal, (omega @ cross)[sel.rows, sel.cols], lower=1)[0]
+        coef[rows, cols] = dpotrs(low_normal, (omega @ cross)[rows, cols], lower=1)[0]
     lam_new = s[plan.cc] - coef @ cross.T - cross @ coef.T + coef @ gram @ coef.T
     lam_new = (lam_new + lam_new.T) / 2.0
     low_lam = _cholesky(lam_new)

@@ -10,11 +10,11 @@ complete sets that one sweep cycles through.
 from __future__ import annotations
 
 from .graphs import CompleteSetFamily, CovarianceGraph, cliques, validate_family
-from .icf import BlockSelector, _sweep_fit, block_update
+from .icf import _sweep_fit, block_update
 from .model import ModelError, SampleStats
 from .results import FitConfig, FitResult
 
-__all__ = ["BlockSelector", "block_update", "fit_icf_multi"]
+__all__ = ["block_update", "fit_icf_multi"]
 
 
 def fit_icf_multi(

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import os
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .graphs import CompleteSetFamily, CovarianceGraph, parse_family_text, parse_graph_text
+from .graphs import CompleteSetFamily, CovarianceGraph, _content_lines, parse_family_text, parse_graph_text
 from .model import SampleStats, is_pos_def, stats_from_moments
 
 __all__ = [
@@ -49,6 +49,28 @@ def _split_row(line: str, delimiter: str | None) -> list[str]:
     return [tok.strip() for tok in line.split(delimiter)]
 
 
+def _numeric_table(path: str | os.PathLike, rows: list[tuple[int, list[str]]], what: str) -> np.ndarray:
+    """``rows`` of (line number, cells) as one float array; ragged rows and bad cells cite their line."""
+    width = len(rows[0][1])
+    for lineno, toks in rows:
+        if len(toks) != width:
+            raise InputError(
+                f"{path}:{lineno}: ragged {what}, expected {width} values, found {len(toks)}"
+            )
+    try:
+        # numpy parses each cell with Python's float(), so this equals a
+        # cell-by-cell conversion; only a failure is re-scanned for its cell.
+        return np.array([toks for _, toks in rows], dtype=float)
+    except ValueError:
+        for lineno, toks in rows:
+            for c, tok in enumerate(toks):
+                if not _is_number(tok):
+                    raise InputError(
+                        f"{path}:{lineno}: non-numeric cell {tok!r} in column {c + 1}"
+                    ) from None
+        raise
+
+
 def load_data(
     path: str | os.PathLike,
     delimiter: str | None = None,
@@ -60,13 +82,7 @@ def load_data(
     numeric), 'yes', or 'no'; the labels are None without one.  Ragged
     rows and non-numeric cells are reported with their line and column.
     """
-    text = _read_text(path)
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        rows.append((lineno, _split_row(line, delimiter)))
+    rows = [(lineno, _split_row(line, delimiter)) for lineno, line in _content_lines(_read_text(path))]
     if not rows:
         raise InputError(f"{path}: file holds no data rows")
     labels: tuple[str, ...] | None = None
@@ -77,26 +93,9 @@ def load_data(
         rows = rows[1:]
         if not rows:
             raise InputError(f"{path}: header present but no data rows")
-    width = len(rows[0][1])
-    for lineno, toks in rows:
-        if len(toks) != width:
-            raise InputError(
-                f"{path}:{lineno}: ragged row, expected {width} values, found {len(toks)}"
-            )
-    try:
-        # numpy parses each cell with Python's float(), so this equals a
-        # cell-by-cell conversion; only a failure is re-scanned for its cell.
-        data = np.array([toks for _, toks in rows], dtype=float)
-    except ValueError:
-        for lineno, toks in rows:
-            for c, tok in enumerate(toks):
-                if not _is_number(tok):
-                    raise InputError(
-                        f"{path}:{lineno}: non-numeric cell {tok!r} in column {c + 1}"
-                    ) from None
-        raise
-    if labels is not None and len(labels) != width:
-        raise InputError(f"{path}: header has {len(labels)} labels for {width} columns")
+    data = _numeric_table(path, rows, "row")
+    if labels is not None and len(labels) != data.shape[1]:
+        raise InputError(f"{path}: header has {len(labels)} labels for {data.shape[1]} columns")
     return data, labels
 
 
@@ -116,18 +115,12 @@ def load_stats(path: str | os.PathLike) -> SampleStats:
     k has k entries).  The covariance is rebuilt as r_ij sd_i sd_j and
     must come out positive definite.
     """
-    text = _read_text(path)
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((lineno, line))
     n = None
     labels: tuple[str, ...] | None = None
     sds: np.ndarray | None = None
     corr_rows: list[tuple[int, list[str]]] = []
     in_corr = False
-    for lineno, line in lines:
+    for lineno, line in _content_lines(_read_text(path)):
         toks = line.split()
         if not in_corr:
             key = toks[0].lower()
@@ -210,17 +203,14 @@ def format_matrix(
 
 
 def write_matrix(
-    target: str | os.PathLike | IO[str],
+    path: str | os.PathLike,
     m: np.ndarray,
     labels: Sequence[str] | None = None,
     digits: int | None = None,
 ) -> None:
-    text = format_matrix(m, labels, digits)
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    """Write ``format_matrix``'s text to ``path``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_matrix(m, labels, digits))
 
 
 def load_matrix(path: str | os.PathLike) -> tuple[tuple[str, ...] | None, np.ndarray]:
@@ -230,15 +220,10 @@ def load_matrix(path: str | os.PathLike) -> tuple[tuple[str, ...] | None, np.nda
     """
     text = _read_text(path)
     labels = None
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped.startswith("#labels"):
-            labels = tuple(stripped.split()[1:])
-            continue
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((lineno, line.split()))
+    for raw in text.splitlines():
+        if raw.strip().startswith("#labels"):
+            labels = tuple(raw.split()[1:])
+    rows = [(lineno, line.split()) for lineno, line in _content_lines(text)]
     if not rows:
         raise InputError(f"{path}: no matrix content")
     if labels is None and not all(_is_number(t) for t in rows[0][1]):
@@ -249,14 +234,7 @@ def load_matrix(path: str | os.PathLike) -> tuple[tuple[str, ...] | None, np.nda
     width = len(rows[0][1])
     if len(rows) != width:
         raise InputError(f"{path}: matrix has {len(rows)} rows and {width} columns, not square")
-    m = np.empty((width, width))
-    for r, (lineno, toks) in enumerate(rows):
-        if len(toks) != width:
-            raise InputError(f"{path}:{lineno}: ragged matrix row")
-        try:
-            m[r] = [float(t) for t in toks]
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: non-numeric matrix entry") from None
+    m = _numeric_table(path, rows, "matrix row")
     if labels is not None and len(labels) != width:
         raise InputError(f"{path}: label count does not match matrix width")
     return labels, m

@@ -52,17 +52,17 @@ class PatternViolationError(ModelError):
     """A matrix has a nonzero entry where the graph prescribes zero."""
 
 
-def is_pos_def(a: np.ndarray, rel_tol: float = PD_REL_TOL) -> bool:
+def is_pos_def(a: np.ndarray) -> bool:
     """Positive definiteness via Cholesky with a relative pivot floor.
 
     Accepts iff ``a`` is square, nonempty and finite, the factorization exists
-    and every pivot exceeds ``rel_tol`` times its own diagonal entry of
+    and every pivot exceeds ``PD_REL_TOL`` times its own diagonal entry of
     ``a``.  A pivot over its diagonal entry is one minus the squared
     multiple correlation on the earlier variables, so the verdict does
     not depend on units.
     """
     try:
-        _chol(a, rel_tol=rel_tol)
+        _chol(a)
     except NotPositiveDefiniteError:
         return False
     return True
@@ -78,7 +78,7 @@ def _cholesky(a: np.ndarray) -> np.ndarray | None:
     return None if info else low
 
 
-def _chol(a: np.ndarray, what: str = "matrix", rel_tol: float = PD_REL_TOL) -> np.ndarray:
+def _chol(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Lower Cholesky factor of ``a``, which must pass ``is_pos_def``.
 
     One factorisation serves the check and the caller; raises
@@ -87,7 +87,7 @@ def _chol(a: np.ndarray, what: str = "matrix", rel_tol: float = PD_REL_TOL) -> n
     a = np.asarray(a, dtype=float)
     if a.ndim == 2 and a.shape[0] == a.shape[1] > 0 and np.all(np.isfinite(a)):
         low = _cholesky(a)
-        if low is not None and np.all(np.diag(low) ** 2 > rel_tol * a.diagonal()):
+        if low is not None and np.all(np.diag(low) ** 2 > PD_REL_TOL * a.diagonal()):
             return low
     raise NotPositiveDefiniteError(f"{what} is not positive definite")
 
@@ -99,7 +99,11 @@ def _inv_pd(a: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampleStats:
-    """Sample size, mean vector, and empirical covariance (divisor n)."""
+    """Sample size, mean vector, and empirical covariance (divisor n).
+
+    The sample size must be at least 2, whether the moments come from
+    raw data or from a moment file.
+    """
 
     n: int
     mean: np.ndarray
@@ -108,6 +112,8 @@ class SampleStats:
     s_pos_def: bool = field(init=False)
 
     def __post_init__(self):
+        if self.n < 2:
+            raise ModelError(f"need at least 2 observations, got {self.n}")
         mean = np.asarray(self.mean, dtype=float)
         s = np.asarray(self.s, dtype=float)
         if s.ndim != 2 or s.shape[0] != s.shape[1] or mean.shape != (s.shape[0],):
@@ -143,8 +149,6 @@ def sample_stats(data: np.ndarray, labels: Sequence[str] | None = None) -> Sampl
     arr = np.ascontiguousarray(data, dtype=float)
     if arr.ndim != 2:
         raise ModelError("data must be a two-dimensional table")
-    if arr.shape[0] < 2:
-        raise ModelError(f"need at least 2 observations, got {arr.shape[0]}")
     if not np.all(np.isfinite(arr)):
         bad = np.argwhere(~np.isfinite(arr))[0]
         raise ModelError(f"non-numeric cell at row {bad[0] + 1}, column {bad[1] + 1}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .anderson import fit_anderson
 from .dual import fit_dual
-from .emplik import ELConfig, fit_el
+from .emplik import fit_el
 from .graphs import CovarianceGraph, cliques, graph_from_matrix
 from .icf import fit_icf
 from .icf_multi import fit_icf_multi
@@ -174,17 +174,15 @@ class NotConvergedError(ModelError):
         self.reason = reason
 
 
-def default_fitters(
-    graph: CovarianceGraph, tol: float = 1e-8, max_iter: int = 5000
-) -> dict[str, Callable[[np.ndarray], np.ndarray]]:
+def default_fitters(graph: CovarianceGraph) -> dict[str, Callable[[np.ndarray], np.ndarray]]:
     """Built-in method table mapping names to data -> estimate callables.
 
     Each callable raises on failure, ``NotConvergedError`` for a fit that
     stopped without converging; the harness turns raises into failure
-    counts.
+    counts.  The likelihood and dual fitters run with the ``FitConfig``
+    defaults.
     """
-    fit_cfg = FitConfig(tol=tol, max_iter=max_iter)
-    el_cfg = ELConfig()
+    fit_cfg = FitConfig()
     family = functools.cache(lambda: cliques(graph))  # found on the first blockwise fit only
 
     def need_converged(res):
@@ -199,7 +197,7 @@ def default_fitters(
         ),
         "ml-anderson": lambda data: need_converged(fit_anderson(sample_stats(data), graph, fit_cfg)),
         "dual": lambda data: need_converged(fit_dual(sample_stats(data), graph, fit_cfg)),
-        "el": lambda data: need_converged(fit_el(data, graph, el_cfg)),
+        "el": lambda data: need_converged(fit_el(data, graph)),
     }
 
 

@@ -3,7 +3,7 @@ import pytest
 
 import covgraph as cg
 from covgraph.emplik import (
-    ELConfig,
+    _OUTER_MAX_ITER,
     ELInfeasibleError,
     _log_star,
     _profile_hessian,
@@ -234,12 +234,13 @@ class TestFitEl:
         fd = profile_fd_gradient(data, fit.weighted.mean, fig1, 1e-5 * sd)
         assert np.abs(fd * sd).max() <= 1e-4
 
-    def test_outer_search_is_cheap_and_reported(self, fig1):
+    def test_outer_search_is_cheap_and_reported(self, fig1, monkeypatch):
         fit = fit_el(draw_chain_data(100, 14), fig1)
         assert fit.converged and fit.detail == "converged"
-        assert 1 <= fit.iterations <= ELConfig().outer_max_iter
+        assert 1 <= fit.iterations <= _OUTER_MAX_ITER
         assert fit.inner_solves < 100
-        capped = fit_el(draw_chain_data(100, 14), fig1, ELConfig(outer_max_iter=1))
+        monkeypatch.setattr("covgraph.emplik._OUTER_MAX_ITER", 1)
+        capped = fit_el(draw_chain_data(100, 14), fig1)
         assert capped.detail == "max-iter" and not capped.converged
 
     def test_acceptance_replications_converge_in_few_solves(self, fig1):
@@ -248,10 +249,12 @@ class TestFitEl:
         assert all(f.detail == "converged" for f in fits)
         assert np.mean([f.inner_solves for f in fits]) <= 6.0
 
-    def test_residual_is_the_unit_free_stationarity(self, fig1):
+    def test_residual_is_the_unit_free_stationarity(self, fig1, monkeypatch):
         data = t5_chain_data(1000, 2)
-        for cfg in (ELConfig(), ELConfig(outer_max_iter=1)):
-            fit = fit_el(data, fig1, cfg)
+        for cap in (_OUTER_MAX_ITER, 1):
+            with monkeypatch.context() as mp:
+                mp.setattr("covgraph.emplik._OUTER_MAX_ITER", cap)
+                fit = fit_el(data, fig1)
             sd = data.std(axis=0)
             assert fit.residual == (len(data) * np.abs(fit.weighted.multipliers[:4]) * sd).max()
             assert fit.converged == (fit.residual <= 1e-5)

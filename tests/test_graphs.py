@@ -299,10 +299,11 @@ class TestGraphFromMatrix:
         m = np.eye(4)
         m[0, 2] = 0.5  # upper triangle only
         m[3, 1] = -0.2  # lower triangle only
-        m[1, 2] = m[2, 1] = 0.05  # at or below tol
-        m[0, 3] = 0.1
-        g = graph_from_matrix(m, tol=0.1)
-        assert g.edges == (("X1", "X3"), ("X2", "X4"))
+        m[1, 2] = m[2, 1] = 0.0  # exact zeros, of either sign, are no edge
+        m[0, 3] = -0.0
+        m[0, 1] = 5e-324  # the smallest nonzero is an edge
+        g = graph_from_matrix(m)
+        assert g.edges == (("X1", "X2"), ("X1", "X3"), ("X2", "X4"))
 
     def test_default_labels(self):
         g = graph_from_matrix(np.eye(3))

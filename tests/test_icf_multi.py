@@ -4,7 +4,7 @@ import pytest
 import covgraph as cg
 from covgraph.graphs import CompleteSetFamily, CovarianceGraph, cliques, singleton_family
 from covgraph.icf import _plan, fit_icf, icf_update_vertex
-from covgraph.icf_multi import BlockSelector, block_update, fit_icf_multi
+from covgraph.icf_multi import block_update, fit_icf_multi
 from covgraph.model import (
     ConstrainedCovariance,
     ModelError,
@@ -20,13 +20,12 @@ from covgraph.graphs import free_index_set
 
 class TestBlockSelector:
     def test_positions_follow_edges(self, fig1):
-        block = np.array([fig1.index("3"), fig1.index("4")])
-        spo = np.array([fig1.index("1"), fig1.index("2")])
-        sel = BlockSelector.from_graph(fig1, block, spo)
+        plan = _plan(fig1, [fig1.index("3"), fig1.index("4")])
+        assert plan.spo.tolist() == [fig1.index("1"), fig1.index("2")]
         # only 3-1 and 4-2 are edges
-        got = set(zip(sel.rows.tolist(), sel.cols.tolist()))
+        got = set(zip(plan.free_rows.tolist(), plan.free_cols.tolist()))
         assert got == {(0, 0), (1, 1)}
-        assert len(sel) == 2
+        assert plan.free_rows.size == plan.free_cols.size == 2
 
     @pytest.mark.parametrize("seed", range(5))
     def test_column_major_order_matches_loop(self, seed):
@@ -36,7 +35,7 @@ class TestBlockSelector:
         for c in cliques(g):
             plan = _plan(g, [g.index(v) for v in c])
             loop = [(a, b) for b, j in enumerate(plan.spo) for a, i in enumerate(plan.block) if g.adjacency[i, j]]
-            assert list(zip(plan.sel.rows.tolist(), plan.sel.cols.tolist())) == loop
+            assert list(zip(plan.free_rows.tolist(), plan.free_cols.tolist())) == loop
             assert plan.spo.tolist() == [g.index(v) for v in spouses_of_set(g, c)]
 
 

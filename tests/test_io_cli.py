@@ -197,6 +197,47 @@ class TestCliFit:
         ])
         assert capsys.readouterr().err == ""
 
+    def test_no_color_keeps_progress(self, tmp_path, capsys, monkeypatch):
+        # NO_COLOR asks for no colour, and the progress note has none
+        monkeypatch.delenv("COVGRAPH_QUIET", raising=False)
+        monkeypatch.setenv("NO_COLOR", "1")
+        rc = main([
+            "fit", "--graph", str(DATA / "fig1.graph"),
+            "--stats", str(_chain_stats(tmp_path)), "--method", "ml-icf",
+        ])
+        assert rc == 0
+        assert "fit finished in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_stats_file_below_two_observations_exits_one(self, tmp_path, capsys, n):
+        f = tmp_path / "small.stats"
+        f.write_text(_chain_stats(tmp_path).read_text().replace("n 60", f"n {n}"))
+        rc = main(["fit", "--graph", str(DATA / "fig1.graph"), "--stats", str(f)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == f"error: need at least 2 observations, got {n}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "--method", method], f"--family needs method ml-icf-multi, not {method}")
+            for method in ("ml-icf", "ml-anderson", "dual", "el")
+        ] + [
+            (["compare", "--methods", "ml-icf,dual"], "--family needs ml-icf-multi among the compared methods"),
+        ],
+    )
+    def test_family_without_ml_icf_multi_exits_one(self, tmp_path, capsys, argv, message):
+        # the family 1,2 is not complete on fig1, but is refused before it is read
+        fam = tmp_path / "fam.txt"
+        fam.write_text("1,2\n3,4\n")
+        rc = main([
+            *argv, "--graph", str(DATA / "fig1.graph"),
+            "--stats", str(_chain_stats(tmp_path)), "--family", str(fam),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_bad_family_exits_one(self, tmp_path, capsys):
         fam = tmp_path / "fam.txt"
         fam.write_text("1,2\n3,4\n")
@@ -444,7 +485,6 @@ class TestCliSimulateLoglikCompare:
                 monkeypatch.setenv("COVGRAPH_QUIET", "1")
             else:
                 monkeypatch.delenv("COVGRAPH_QUIET", raising=False)
-                monkeypatch.delenv("NO_COLOR", raising=False)
             out = tmp_path / f"report-{quiet}.tsv"
             rc = main([
                 "simulate", "--sigma", str(sig), "--seed", "3", "--n", "10",

@@ -227,8 +227,8 @@ class TestRunSimulation:
     def test_el_fit_that_did_not_converge_counts_as_failure(self, monkeypatch):
         import covgraph.simulate as sim
 
-        def stalled(data, graph, cfg):
-            fit = cg.fit_el(data, graph, cfg)
+        def stalled(data, graph):
+            fit = cg.fit_el(data, graph)
             return dataclasses.replace(fit, detail="stalled")
 
         monkeypatch.setattr(sim, "fit_el", stalled)
