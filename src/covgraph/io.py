@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import CompleteSetFamily, CovarianceGraph, _content_lines, parse_family_text, parse_graph_text
-from .model import SampleStats, is_pos_def, stats_from_moments
+from .model import ModelError, SampleStats, is_pos_def, stats_from_moments
 
 __all__ = [
     "InputError",
@@ -172,7 +172,10 @@ def load_stats(path: str | os.PathLike) -> SampleStats:
     s = corr * np.outer(sds, sds)
     if not is_pos_def(s):
         raise InputError(f"{path}: reconstructed covariance is not positive definite")
-    return stats_from_moments(n=n, s=s, labels=labels)
+    try:
+        return stats_from_moments(n=n, s=s, labels=labels)
+    except ModelError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def load_graph(path: str | os.PathLike) -> CovarianceGraph:

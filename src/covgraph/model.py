@@ -92,6 +92,11 @@ def _chol(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     raise NotPositiveDefiniteError(f"{what} is not positive definite")
 
 
+def _check_sample_size(n: int) -> None:
+    if n < 2:
+        raise ModelError(f"need at least 2 observations, got {n}")
+
+
 def _inv_pd(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     inv, _ = dpotrs(_chol(a, what), np.eye(a.shape[0]), lower=1)
     return (inv + inv.T) / 2.0
@@ -112,8 +117,7 @@ class SampleStats:
     s_pos_def: bool = field(init=False)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ModelError(f"need at least 2 observations, got {self.n}")
+        _check_sample_size(self.n)
         mean = np.asarray(self.mean, dtype=float)
         s = np.asarray(self.s, dtype=float)
         if s.ndim != 2 or s.shape[0] != s.shape[1] or mean.shape != (s.shape[0],):
@@ -149,6 +153,7 @@ def sample_stats(data: np.ndarray, labels: Sequence[str] | None = None) -> Sampl
     arr = np.ascontiguousarray(data, dtype=float)
     if arr.ndim != 2:
         raise ModelError("data must be a two-dimensional table")
+    _check_sample_size(arr.shape[0])  # before numpy averages an empty table
     if not np.all(np.isfinite(arr)):
         bad = np.argwhere(~np.isfinite(arr))[0]
         raise ModelError(f"non-numeric cell at row {bad[0] + 1}, column {bad[1] + 1}")

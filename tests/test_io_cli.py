@@ -107,6 +107,21 @@ class TestMatrixRoundTrip:
         with pytest.raises(InputError, match="3 rows and 2 columns, not square"):
             load_matrix(f)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 0\n0 1 2\n", ":2: ragged matrix row, expected 2 values, found 3"),
+            ("# comment\n1 0 # trailing\n\n0 x\n", ":4: non-numeric cell 'x' in column 2"),
+        ],
+        ids=["ragged", "non-numeric"],
+    )
+    def test_bad_matrix_row_cites_its_line(self, tmp_path, text, message):
+        f = tmp_path / "m.tsv"
+        f.write_text(text)
+        with pytest.raises(InputError) as exc:
+            load_matrix(f)
+        assert str(exc.value) == f"{f}{message}"
+
 
 class TestCliFit:
     def test_fit_stats_ml_icf(self, tmp_path, capsys):
@@ -215,7 +230,7 @@ class TestCliFit:
         rc = main(["fit", "--graph", str(DATA / "fig1.graph"), "--stats", str(f)])
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == ""
-        assert captured.err == f"error: need at least 2 observations, got {n}\n"
+        assert captured.err == f"error: {f}: need at least 2 observations, got {n}\n"
 
     @pytest.mark.parametrize(
         "argv, message",
