@@ -16,16 +16,20 @@ H with one rank-|C| term, so it costs O(p^2 |C|) instead of a p x p
 factorisation.  Once per cycle the iterate is factorised afresh: that
 checks it is still in the cone, gives the exact H the next cycle
 starts from, so rounding does not build up across cycles, and gives
-the residual.  What a step needs from the graph and K is planned once
-per fit.
+the residual.  The rank-|C| term is added to H in place by one BLAS
+gemm, so a step allocates nothing p x p.  What a step needs from the
+graph alone (the clique order and index grids) is planned once per
+graph, and what it needs from K once per fit.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotrs
 
 # free_index_set is unused here but stays: perfbench/spans.py wraps this name.
@@ -98,9 +102,28 @@ def _clique_order(g: CovarianceGraph, fam: CompleteSetFamily) -> list[tuple[int,
     return sorted(idx_sets, key=lambda c: (max(rank[v] for v in c), c))
 
 
+class _CliqueGrid(NamedTuple):
+    """The graph-only part of a clique step."""
+
+    idx: np.ndarray  # the clique's vertex positions
+    cc: tuple  # np.ix_(idx, idx)
+    eye: np.ndarray  # the |C| x |C| identity
+
+
+def _clique_grids(g: CovarianceGraph) -> tuple[_CliqueGrid, ...]:
+    """The grids of the cliques in ``_clique_order``, built on first use and kept on ``g``."""
+    if g._clique_grids is None:
+        grids = []
+        for c in _clique_order(g, cliques(g)):
+            idx = np.array(c, dtype=int)
+            grids.append(_CliqueGrid(idx, np.ix_(idx, idx), np.eye(idx.size)))
+        g._clique_grids = tuple(grids)
+    return g._clique_grids
+
+
 @dataclass(frozen=True)
 class _CliquePlan:
-    """What a clique step needs from the graph and the target, built once per fit."""
+    """A clique step's grids with its target blocks, built once per fit."""
 
     idx: np.ndarray  # the clique's vertex positions
     cc: tuple  # np.ix_(idx, idx)
@@ -109,11 +132,10 @@ class _CliquePlan:
     eye: np.ndarray  # the |C| x |C| identity
 
 
-def _plan(k: np.ndarray, c: tuple[int, ...]) -> _CliquePlan:
-    idx = np.array(c, dtype=int)
-    cc = np.ix_(idx, idx)
-    eye = np.eye(idx.size)
-    return _CliquePlan(idx, cc, k[cc], _block_inv(k[cc], eye, "inverse sample covariance block"), eye)
+def _plan(k: np.ndarray, grid: _CliqueGrid) -> _CliquePlan:
+    k_cc = k[grid.cc]
+    inv = _block_inv(k_cc, grid.eye, "inverse sample covariance block")
+    return _CliquePlan(grid.idx, grid.cc, k_cc, inv, grid.eye)
 
 
 def _block_inv(a: np.ndarray, eye: np.ndarray, what: str) -> np.ndarray:
@@ -139,7 +161,11 @@ def _cycle(plans: list[_CliquePlan], sigma: np.ndarray, h: np.ndarray) -> np.nda
         b = _block_inv(h_cc, plan.eye, "clique block of the inverse iterate")
         w = h[:, plan.idx] @ b
         sigma[plan.cc] += plan.k_cc_inv - b
-        h += w @ (plan.k_cc - h_cc) @ w.T
+        # H += u w^T with u = w (K_CC - H_CC), in place: the symmetric H goes
+        # to BLAS as its F-ordered transpose, which receives w u^T, and the
+        # result is kept, so a copy made by the wrapper would not be lost.
+        u = w @ (plan.k_cc - h_cc)
+        h = dgemm(1.0, w.T, u.T, 1.0, h.T, trans_a=1, overwrite_c=1).T
     return _inv_pd(sigma, "dual iterate")
 
 
@@ -168,7 +194,7 @@ def fit_dual(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None = Non
         raise ModelError("the dual fit takes no starting value")
     stats = _resolve_stats(stats, g)
     k = _inv_pd(stats.s, "sample covariance")
-    plans = [_plan(k, c) for c in _clique_order(g, cliques(g))]
+    plans = [_plan(k, grid) for grid in _clique_grids(g)]
 
     sigma = np.diag(1.0 / np.diag(k))  # patterned start: diagonal concentration
     h = _inv_pd(sigma, "dual iterate")

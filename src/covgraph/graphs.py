@@ -49,6 +49,11 @@ class CovarianceGraph:
 
     Edges are unordered pairs of distinct vertices.  Instances are
     immutable after construction and safe to share across threads.
+    What the fitters derive from the graph alone is built once per
+    graph: the ``FreeIndexSet`` on construction, and the cliques, the
+    dual fit's clique grids and the ICF block plans on first use, into
+    slots that ``cliques``, :mod:`covgraph.dual` and :mod:`covgraph.icf`
+    fill.  Filling is idempotent, so a race at most builds a value twice.
 
     Parameters
     ----------
@@ -60,7 +65,7 @@ class CovarianceGraph:
         rejected; repeated pairs collapse to one edge.
     """
 
-    __slots__ = ("vertices", "_pos", "_adj", "_free")
+    __slots__ = ("vertices", "_pos", "_adj", "_free", "_cliques", "_clique_grids", "_block_plans")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         vs = tuple(str(v) for v in vertices)
@@ -79,6 +84,9 @@ class CovarianceGraph:
         adj.setflags(write=False)
         self._adj = adj
         self._free = FreeIndexSet(adj)
+        self._cliques: CompleteSetFamily | None = None
+        self._clique_grids = None
+        self._block_plans: dict = {}
 
     @property
     def p(self) -> int:
@@ -225,9 +233,19 @@ class CompleteSetFamily:
 def cliques(g: CovarianceGraph) -> CompleteSetFamily:
     """All maximal complete sets, each once, in deterministic order.
 
-    Bron-Kerbosch with a deterministic pivot (largest candidate
-    intersection, ties broken by smallest index).  Graphs handled here
-    are small, so the exponential worst case is acceptable.
+    Found on the first call for a graph and kept on it.
+    """
+    if g._cliques is None:
+        g._cliques = _maximal_cliques(g)
+    return g._cliques
+
+
+def _maximal_cliques(g: CovarianceGraph) -> CompleteSetFamily:
+    """Bron-Kerbosch with a deterministic pivot.
+
+    The pivot has the largest candidate intersection, ties broken by
+    smallest index.  Graphs handled here are small, so the exponential
+    worst case is acceptable.
     """
     adj = [set(np.flatnonzero(row)) for row in g.adjacency]
     found: list[tuple[int, ...]] = []

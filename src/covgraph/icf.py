@@ -29,8 +29,8 @@ spouses S costs O(p^2 (|C| + |S|)) flops and O(p (|C| + |S|)) new
 memory, instead of the O(p^3) of inverting the rest.
 
 What an update needs from the graph alone, index grids included, is
-planned once per fit, and the small factorisations call LAPACK
-directly.  All regressions are expressed through the empirical
+planned once per graph and block, and the small factorisations call
+LAPACK directly.  All regressions are expressed through the empirical
 covariance matrix, so the sample size never enters the per-sweep cost.
 
 The sweeps are accelerated by SQUAREM (Varadhan and Roland 2008): every
@@ -79,7 +79,8 @@ class _BlockPlan:
     ``free_rows`` and ``free_cols`` hold their positions inside the
     block and spouse orderings, listed column-major so they follow
     matrix vectorization order.  ``_plan`` also builds the index grids
-    and the block identity, once per fit; everything that depends on
+    and the block identity; ``_plans`` keeps each plan on the graph, so
+    it is built once per graph and block.  Everything that depends on
     the iterate is read from the maintained inverse when the update
     runs.
     """
@@ -89,12 +90,11 @@ class _BlockPlan:
     free_rows: np.ndarray
     free_cols: np.ndarray
     cc: tuple  # np.ix_(block, block)
-    cs: tuple  # np.ix_(block, spo)
-    sc: tuple  # np.ix_(spo, block)
     row_grid: tuple  # np.ix_(free_rows, free_rows)
     col_grid: tuple  # np.ix_(free_cols, free_cols)
     eye: np.ndarray  # the |C| x |C| identity
     rowcol: np.ndarray  # flat positions of the block rows and columns of a p x p array
+    source: np.ndarray  # where each of them is read from in [coef, block covariance, 0]
 
 
 def _plan(g: CovarianceGraph, idx: Iterable[int]) -> _BlockPlan:
@@ -104,14 +104,37 @@ def _plan(g: CovarianceGraph, idx: Iterable[int]) -> _BlockPlan:
     spo = np.flatnonzero(near)
     # The transposed grid's row-major nonzeros are the column-major ones.
     cols, rows = np.nonzero(g.adjacency[np.ix_(spo, block)])
-    rowcol = np.zeros((g.p, g.p), dtype=bool)
-    rowcol[block] = rowcol[:, block] = True
+    # The block rows of the refitted m read [coef, block covariance, 0]
+    # at ``rows_from``; its block columns are their transpose.  An entry of
+    # the block's own square is listed twice, once from each side, and
+    # reads the symmetric block covariance at (a, b) and at (b, a).
+    p, nb, ns = g.p, block.size, spo.size
+    rows_from = np.full((nb, p), nb * (ns + nb))
+    rows_from[:, spo] = np.arange(nb * ns).reshape(nb, ns)
+    rows_from[:, block] = nb * ns + np.arange(nb * nb).reshape(nb, nb)
+    every = np.arange(p)
+    rowcol = np.concatenate(((block[:, None] * p + every).ravel(), (every[:, None] * p + block).ravel()))
+    source = np.concatenate((rows_from.ravel(), rows_from.T.ravel()))
     return _BlockPlan(
         block, spo, rows, cols,
-        np.ix_(block, block), np.ix_(block, spo), np.ix_(spo, block),
-        np.ix_(rows, rows), np.ix_(cols, cols), np.eye(block.size),
-        np.flatnonzero(rowcol),
+        np.ix_(block, block), np.ix_(rows, rows), np.ix_(cols, cols), np.eye(block.size),
+        rowcol, source,
     )
+
+
+def _plans(g: CovarianceGraph, blocks: Iterable[Iterable[int]]) -> list[_BlockPlan]:
+    """The plans of ``blocks``, each built on first use and kept on ``g``."""
+    kept = g._block_plans
+    out = []
+    for b in blocks:
+        key = tuple(sorted(b))
+        if key not in kept:
+            kept[key] = _plan(g, key)
+        out.append(kept[key])
+    return out
+
+
+_ZERO = np.zeros(1)
 
 
 class _Point(NamedTuple):
@@ -152,7 +175,8 @@ def _update(s: np.ndarray, m: np.ndarray, k: np.ndarray, plan: _BlockPlan) -> No
     """Refit the block's rows and columns of ``m`` in place, the rest fixed.
 
     ``k`` holds the inverse of ``m`` on entry and is refreshed in place
-    to the inverse of the refitted ``m``.
+    to the inverse of the refitted ``m``.  Both are C-contiguous, and
+    each gets its block rows and columns by one flat-index write.
     """
     block, spo, rows, cols = plan.block, plan.spo, plan.free_rows, plan.free_cols
     # Weight matrix: the inverse incoming conditional covariance is K_CC.
@@ -183,12 +207,10 @@ def _update(s: np.ndarray, m: np.ndarray, k: np.ndarray, plan: _BlockPlan) -> No
     if low_lam is None:
         raise ModelError("conditional covariance collapsed; sample covariance ill-conditioned")
 
-    m[block, :] = 0.0
-    m[:, block] = 0.0
-    m[plan.cs] = coef
-    m[plan.sc] = coef.T
     block_cov = lam_new + coef @ w[spo] @ coef.T
-    m[plan.cc] = (block_cov + block_cov.T) / 2.0
+    values = np.concatenate((coef.ravel(), ((block_cov + block_cov.T) / 2.0).ravel(), _ZERO))
+    assert m.flags.c_contiguous, "the flat view of m would be a copy"
+    m.reshape(-1)[plan.rowcol] = values[plan.source]
 
     # Block inverse of the refitted m: the rest inverse plus y^T y with
     # y = lam^-1/2 E and E = [I on the block, -coef times W^T].  K is
@@ -292,7 +314,7 @@ def _sweep_fit(
     """
     stats = _resolve_stats(stats, g)
     s = stats.s
-    plans = [_plan(g, b) for b in blocks]
+    plans = _plans(g, blocks)
     cur = _point(s, np.array(_resolve_start(g, cfg).sigma))
     trace: list[float] = []
     detail = None

@@ -194,15 +194,15 @@ def format_matrix(
     The default precision round-trips doubles exactly; ``digits``
     switches to fixed-point for human-readable tables.  Labels go on a
     ``#labels`` line so purely numeric label sets stay unambiguous.
+    The numbers are written by one ``%`` format of a repeated row
+    template, ``%.17g`` or ``%.<digits>f``, which formats each float
+    as ``format`` does.
     """
     m = np.asarray(m, dtype=float)
-    fmt = (lambda x: format(x, ".17g")) if digits is None else (lambda x: format(x, f".{digits}f"))
-    out = []
-    if labels is not None:
-        out.append("#labels\t" + "\t".join(labels))
-    for row in m:
-        out.append("\t".join(fmt(x) for x in row))
-    return "\n".join(out) + "\n"
+    fmt = "%.17g" if digits is None else f"%.{digits}f"
+    head = "" if labels is None else "#labels\t" + "\t".join(labels) + "\n"
+    row = "\t".join([fmt] * m.shape[1]) + "\n"
+    return head + (row * m.shape[0]) % tuple(m.ravel().tolist())
 
 
 def write_matrix(
@@ -220,13 +220,23 @@ def load_matrix(path: str | os.PathLike) -> tuple[tuple[str, ...] | None, np.nda
     """Read a square matrix written by :func:`write_matrix`; labels optional.
 
     Accepts either a ``#labels`` line or a bare non-numeric header row.
+    A ``#labels`` line after the first matrix row, or a second one, is
+    rejected with its line number.
     """
     text = _read_text(path)
-    labels = None
-    for raw in text.splitlines():
-        if raw.strip().startswith("#labels"):
-            labels = tuple(raw.split()[1:])
     rows = [(lineno, line.split()) for lineno, line in _content_lines(text)]
+    label_lines = [
+        (lineno, raw) for lineno, raw in enumerate(text.splitlines(), start=1)
+        if raw.strip().startswith("#labels")
+    ]
+    labels = None
+    if label_lines:
+        lineno, raw = label_lines[0]
+        if rows and rows[0][0] < lineno:
+            raise InputError(f"{path}:{lineno}: #labels line after the first matrix row (line {rows[0][0]})")
+        if len(label_lines) > 1:
+            raise InputError(f"{path}:{label_lines[1][0]}: second #labels line (the first is line {lineno})")
+        labels = tuple(raw.split()[1:])
     if not rows:
         raise InputError(f"{path}: no matrix content")
     if labels is None and not all(_is_number(t) for t in rows[0][1]):

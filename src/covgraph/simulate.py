@@ -6,12 +6,15 @@ each replication, and aggregates entrywise bias and root mean squared
 error against the true covariance, in one vectorized pass per method
 and sample size.  Replications use counter-based random substreams,
 so results are bit-reproducible and independent of execution order.
+What the fitters derive from the graph alone (its cliques, the dual
+fit's clique grids, the ICF block plans) is planned once per graph and
+kept on it, so replications after the first pay only for their fits.
+The report keeps each cell's bias and RMSE as columns and formats the
+table from them in one pass.
 """
 
 from __future__ import annotations
 
-import functools
-import io
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -104,9 +107,18 @@ class SimEntry:
 
 @dataclass
 class SimReport:
+    """The aggregated result of ``run_simulation``.
+
+    ``cells`` maps each (method, n) cell, in table order (sample sizes
+    outer, methods inner), to its bias and RMSE columns over the
+    upper-triangle entries in row-major order, and its failure count.
+    ``entries`` builds the same numbers as one ``SimEntry`` per method,
+    n and entry, on each read.
+    """
+
     spec: SimSpec
     labels: tuple[str, ...]
-    entries: list[SimEntry]
+    cells: dict[tuple[str, int], tuple[np.ndarray, np.ndarray, int]]
     # Raw per-replication error stacks keyed by (method, n); NaN rows mark
     # failed replications.  Not part of the serialized table.
     raw_errors: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
@@ -116,26 +128,46 @@ class SimReport:
     # None for a success.  Not serialized either.
     failure_reasons: dict[tuple[str, int], list[str | None]] = field(default_factory=dict)
 
+    def _pairs(self) -> list[tuple[str, str]]:
+        iu, ju = np.triu_indices(len(self.labels))
+        return [(self.labels[i], self.labels[j]) for i, j in zip(iu.tolist(), ju.tolist())]
+
+    @property
+    def entries(self) -> list[SimEntry]:
+        pairs = self._pairs()
+        return [
+            SimEntry(method=m, n=n, i=i, j=j, bias=b, rmse=r, failures=failures)
+            for (m, n), (bias, rmse, failures) in self.cells.items()
+            for (i, j), b, r in zip(pairs, bias.tolist(), rmse.tolist())
+        ]
+
     def to_table(self) -> str:
-        """Serialize as the delimited report table, byte-deterministic."""
-        buf = io.StringIO()
+        """Serialize as the delimited report table, byte-deterministic.
+
+        Floats are written with 17 significant digits.  Each block (the
+        truth matrix, each cell) is one ``%`` format of a repeated row
+        template, with the labels and constants spliced into it.
+        """
         spec = self.spec
-        buf.write("# covgraph simulation report\n")
-        buf.write(
+        truth = spec.truth
+        parts = [
+            "# covgraph simulation report\n",
             f"# seed {spec.seed} distribution {spec.distribution}"
             + (f" df {spec.df}" if spec.distribution == "t" else "")
-            + f" replications {spec.replications}\n"
-        )
-        buf.write("# truth matrix (errors are measured against these values)\n")
-        for row in spec.truth:
-            buf.write("# " + "\t".join(format(x, ".17g") for x in row) + "\n")
-        buf.write("method\tn\ti\tj\tbias\trmse\tfailures\n")
-        for e in self.entries:
-            buf.write(
-                f"{e.method}\t{e.n}\t{e.i}\t{e.j}\t"
-                f"{format(e.bias, '.17g')}\t{format(e.rmse, '.17g')}\t{e.failures}\n"
-            )
-        return buf.getvalue()
+            + f" replications {spec.replications}\n",
+            "# truth matrix (errors are measured against these values)\n",
+            ("# " + "\t".join(["%.17g"] * truth.shape[1]) + "\n") * truth.shape[0]
+            % tuple(truth.ravel().tolist()),
+            "method\tn\ti\tj\tbias\trmse\tfailures\n",
+        ]
+        # Labels may hold "%", so they are escaped; method names cannot.
+        pair_cells = [f"{i}\t{j}\t".replace("%", "%%") for i, j in self._pairs()]
+        for (m, n), (bias, rmse, failures) in self.cells.items():
+            lead = f"{m}\t{n}\t"
+            tail = f"%.17g\t%.17g\t{failures}\n"
+            template = lead + (tail + lead).join(pair_cells) + tail
+            parts.append(template % tuple(np.column_stack((bias, rmse)).ravel().tolist()))
+        return "".join(parts)
 
 
 def sample_gaussian(sigma: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -183,7 +215,6 @@ def default_fitters(graph: CovarianceGraph) -> dict[str, Callable[[np.ndarray], 
     defaults.
     """
     fit_cfg = FitConfig()
-    family = functools.cache(lambda: cliques(graph))  # found on the first blockwise fit only
 
     def need_converged(res):
         if not res.converged:
@@ -193,7 +224,7 @@ def default_fitters(graph: CovarianceGraph) -> dict[str, Callable[[np.ndarray], 
     return {
         "ml-icf": lambda data: need_converged(fit_icf(sample_stats(data), graph, fit_cfg)),
         "ml-icf-multi": lambda data: need_converged(
-            fit_icf_multi(sample_stats(data), graph, family(), fit_cfg)
+            fit_icf_multi(sample_stats(data), graph, cliques(graph), fit_cfg)
         ),
         "ml-anderson": lambda data: need_converged(fit_anderson(sample_stats(data), graph, fit_cfg)),
         "dual": lambda data: need_converged(fit_dual(sample_stats(data), graph, fit_cfg)),
@@ -251,7 +282,8 @@ def run_simulation(
     errors of its successful replications are laid out as one
     contiguous row per entry, and a row mean gives the bias and the
     root of the mean square the RMSE.  A cell in which every
-    replication failed reports NaN for both.
+    replication failed reports NaN for both.  The report keeps these
+    columns; it builds no per-entry records.
     """
     if graph is None:
         graph = graph_from_matrix(spec.sigma_true)
@@ -263,8 +295,7 @@ def run_simulation(
         raise ModelError(f"no fitter supplied for methods: {missing}")
     p = graph.p
     iu, ju = np.triu_indices(p)
-    pair_labels = [(graph.vertices[i], graph.vertices[j]) for i, j in zip(iu.tolist(), ju.tolist())]
-    entries: list[SimEntry] = []
+    cells: dict[tuple[str, int], tuple[np.ndarray, np.ndarray, int]] = {}
     raw: dict[tuple[str, int], np.ndarray] = {}
     reasons: dict[tuple[str, int], list[str | None]] = {}
     for size_idx, n in enumerate(spec.sample_sizes):
@@ -281,19 +312,15 @@ def run_simulation(
         for m in spec.methods:
             raw[(m, n)] = errors[m]
             ok = ~np.isnan(errors[m][:, 0, 0])
-            failures = int((~ok).sum())
             if ok.any():
                 # One contiguous row per entry: each row mean sums in the
                 # same order as a mean over that entry's own replications.
                 e = np.ascontiguousarray(errors[m][ok][:, iu, ju].T)
-                bias = e.mean(axis=1).tolist()
-                rmse = np.sqrt((e**2).mean(axis=1)).tolist()
+                bias = e.mean(axis=1)
+                rmse = np.sqrt((e**2).mean(axis=1))
             else:
-                bias = rmse = [float("nan")] * iu.size
-            entries.extend(
-                SimEntry(method=m, n=n, i=i, j=j, bias=b, rmse=r, failures=failures)
-                for (i, j), b, r in zip(pair_labels, bias, rmse)
-            )
+                bias = rmse = np.full(iu.size, np.nan)
+            cells[(m, n)] = (bias, rmse, int((~ok).sum()))
     return SimReport(
-        spec=spec, labels=graph.vertices, entries=entries, raw_errors=raw, failure_reasons=reasons
+        spec=spec, labels=graph.vertices, cells=cells, raw_errors=raw, failure_reasons=reasons
     )

@@ -655,3 +655,35 @@ def aggregate_entry_loop(method, n, errors, labels):
                 )
             )
     return entries
+
+
+def report_table_entry_loop(spec, entries):
+    """The simulation report table written entry by entry.
+
+    Every float is written by its own ``format(x, ".17g")`` call: the
+    truth matrix row by row, then one line per ``SimEntry``.
+    """
+    lines = [
+        "# covgraph simulation report\n",
+        f"# seed {spec.seed} distribution {spec.distribution}"
+        + (f" df {spec.df}" if spec.distribution == "t" else "")
+        + f" replications {spec.replications}\n",
+        "# truth matrix (errors are measured against these values)\n",
+    ]
+    for row in spec.truth:
+        lines.append("# " + "\t".join(format(x, ".17g") for x in row) + "\n")
+    lines.append("method\tn\ti\tj\tbias\trmse\tfailures\n")
+    for e in entries:
+        lines.append(
+            f"{e.method}\t{e.n}\t{e.i}\t{e.j}\t"
+            f"{format(e.bias, '.17g')}\t{format(e.rmse, '.17g')}\t{e.failures}\n"
+        )
+    return "".join(lines)
+
+
+def matrix_text_cell_loop(m, labels=None, digits=None):
+    """Matrix text written cell by cell with ``format``, one line per row."""
+    spec = ".17g" if digits is None else f".{digits}f"
+    lines = [] if labels is None else ["#labels\t" + "\t".join(labels)]
+    lines += ["\t".join(format(x, spec) for x in row) for row in np.asarray(m, dtype=float)]
+    return "\n".join(lines) + "\n"

@@ -2,19 +2,31 @@ import numpy as np
 import pytest
 
 import covgraph as cg
-from covgraph.dual import _clique_order, _cycle, _mcs_order, _plan, dual_residual, fit_dual, is_decomposable
+from covgraph.dual import (
+    _block_inv, _clique_grids, _clique_order, _cycle, _mcs_order, _plan, dual_residual, fit_dual,
+    is_decomposable,
+)
 from covgraph.graphs import CovarianceGraph, cliques
 from covgraph.icf import fit_icf
-from covgraph.model import ModelError, NotPositiveDefiniteError, stats_from_moments
+from covgraph.model import ModelError, NotPositiveDefiniteError, _inv_pd, sample_stats, stats_from_moments
 from covgraph.results import FitConfig
 
-from conftest import lattice_graph, random_graph, random_spd
+from conftest import lattice_graph, random_graph, random_patterned_cov, random_spd
 from oracles import mcs_order_scan, plain_dual_ipf, root_find_dual
 
 
 def complete_graph(p):
     labels = [str(i + 1) for i in range(p)]
     return CovarianceGraph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]])
+
+
+def step_out_of_place(plan, sigma, h):
+    """One clique step with H refreshed as h + w (K_CC - H_CC) w^T in a new array."""
+    h_cc = h[plan.cc]
+    b = _block_inv(h_cc, plan.eye, "clique block of the inverse iterate")
+    w = h[:, plan.idx] @ b
+    sigma[plan.cc] += plan.k_cc_inv - b
+    return h + w @ (plan.k_cc - h_cc) @ w.T
 
 
 def corr_matrix(m):
@@ -206,8 +218,28 @@ class TestKeptInverse:
         if case == "lattice5":
             assert cycles > 1
 
+    def test_in_place_refresh_matches_the_out_of_place_step_bit_for_bit(self):
+        # p = 100 lattice, two cycles: every step refreshes the caller's H in
+        # its own buffer to exactly the out-of-place sum
+        g = lattice_graph(10)
+        rng = np.random.default_rng(64)
+        sigma_true = random_patterned_cov(g, rng)
+        st = sample_stats(rng.standard_normal((300, g.p)) @ np.linalg.cholesky(sigma_true).T)
+        k = _inv_pd(st.s, "sample covariance")
+        plans = [_plan(k, grid) for grid in _clique_grids(g)]
+        sigma = np.diag(1.0 / np.diag(k))
+        h = _inv_pd(sigma, "dual iterate")
+        for _ in range(2):
+            for plan in plans:
+                sigma_ref = sigma.copy()
+                h_ref = step_out_of_place(plan, sigma_ref, h.copy())
+                _cycle([plan], sigma, h)
+                assert np.array_equal(sigma, sigma_ref)
+                assert np.array_equal(h, h_ref)
+            h = _inv_pd(sigma, "dual iterate")
+
     def test_iterate_leaving_the_cone_raises_typed_error(self, fig1):
-        plans = [_plan(np.eye(4), c) for c in _clique_order(fig1, cliques(fig1))]
+        plans = [_plan(np.eye(4), grid) for grid in _clique_grids(fig1)]
         # a clique block of the kept inverse that is not positive definite
         with pytest.raises(NotPositiveDefiniteError, match="clique block"):
             _cycle(plans, np.eye(4), -np.eye(4))

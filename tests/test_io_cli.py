@@ -13,6 +13,7 @@ from covgraph.io import (
 )
 
 from conftest import DATA, SIGMA_CHAIN
+from oracles import matrix_text_cell_loop
 
 
 class TestLoadData:
@@ -100,6 +101,16 @@ class TestMatrixRoundTrip:
         text = format_matrix(np.array([[1.23456]]), digits=2)
         assert text == "1.23\n"
 
+    @pytest.mark.parametrize("digits", [None, 0, 4])
+    @pytest.mark.parametrize("labels", [None, ("a", "b%", "c", "d", "e")])
+    def test_format_matches_the_cell_loop(self, digits, labels):
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.5, -0.5, 1e300, 1 / 3]
+        m = np.array(special + list(np.random.default_rng(4).standard_normal(5) * 10.0 ** np.arange(-6, 9, 3)))
+        for shape in [(3, 5), (5, 3)]:
+            cells = m.reshape(shape)
+            text = format_matrix(cells, labels=labels and labels[: shape[1]], digits=digits)
+            assert text == matrix_text_cell_loop(cells, labels and labels[: shape[1]], digits)
+
     def test_non_square_matrix_rejected(self, tmp_path):
         # labels name the columns only, so a spare row would go unread
         f = tmp_path / "m.tsv"
@@ -112,8 +123,12 @@ class TestMatrixRoundTrip:
         [
             ("1 0\n0 1 2\n", ":2: ragged matrix row, expected 2 values, found 3"),
             ("# comment\n1 0 # trailing\n\n0 x\n", ":4: non-numeric cell 'x' in column 2"),
+            # a stray label line would silently permute the matrix
+            ("#labels a b\n1 0\n0 1\n#labels b a\n", ":4: second #labels line (the first is line 1)"),
+            ("#labels a b\n# note\n#labels b a\n1 0\n0 1\n", ":3: second #labels line (the first is line 1)"),
+            ("1 0\n#labels a b\n0 1\n", ":2: #labels line after the first matrix row (line 1)"),
         ],
-        ids=["ragged", "non-numeric"],
+        ids=["ragged", "non-numeric", "labels-at-end", "second-labels", "labels-after-row"],
     )
     def test_bad_matrix_row_cites_its_line(self, tmp_path, text, message):
         f = tmp_path / "m.tsv"

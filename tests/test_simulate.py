@@ -1,5 +1,6 @@
 import dataclasses
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from covgraph.simulate import (
 )
 
 from conftest import SIGMA_CHAIN, lattice_graph, random_patterned_cov
-from oracles import aggregate_entry_loop
+from oracles import aggregate_entry_loop, report_table_entry_loop
 
 
 class TestSampling:
@@ -237,16 +238,44 @@ class TestRunSimulation:
         assert rep.failure_reasons[("el", 100)] == ["stalled"]
         assert all(e.failures == 1 for e in rep.entries)
 
-    @pytest.mark.parametrize("methods, calls", [(("ml-icf", "dual"), 0), (("ml-icf-multi", "dual"), 1)])
+    @pytest.mark.parametrize(
+        "methods, calls",
+        [(("ml-icf", "ml-anderson"), 0), (("ml-icf-multi", "dual"), 1), (("ml-icf", "dual"), 1)],
+    )
     def test_cliques_found_once_and_only_for_blockwise_fits(self, monkeypatch, methods, calls):
-        import covgraph.simulate as sim
+        # the search runs once per graph, however many clique-based fits read it
+        import covgraph.graphs as graphs
 
         found = []
-        monkeypatch.setattr(sim, "cliques", lambda g: found.append(g) or cg.cliques(g))
+        search = graphs._maximal_cliques
+        monkeypatch.setattr(graphs, "_maximal_cliques", lambda g: found.append(g) or search(g))
         spec = SimSpec(sigma_true=SIGMA_CHAIN, sample_sizes=(20, 30), replications=3, seed=7, methods=methods)
         rep = run_simulation(spec)
         assert len(found) == calls
         assert all(e.failures == 0 for e in rep.entries)
+
+    def test_graph_plans_built_once_per_graph(self, monkeypatch):
+        import covgraph.dual as dual
+        import covgraph.icf as icf
+        import covgraph.simulate as sim
+
+        plans, orders, family_reads = Counter(), [], []
+        plan, order = icf._plan, dual._clique_order
+        monkeypatch.setattr(icf, "_plan", lambda g, idx: plans.update([tuple(idx)]) or plan(g, idx))
+        monkeypatch.setattr(dual, "_clique_order", lambda g, fam: orders.append(g) or order(g, fam))
+        monkeypatch.setattr(sim, "cliques", lambda g: family_reads.append(g) or cg.cliques(g))
+        spec = SimSpec(
+            sigma_true=SIGMA_CHAIN, sample_sizes=(20, 30), replications=3, seed=7,
+            methods=("ml-icf", "ml-icf-multi", "dual"),
+        )
+        rep = run_simulation(spec)
+        assert all(e.failures == 0 for e in rep.entries)
+        # each vertex for ml-icf, each clique of the chain 1-3, 3-4, 2-4 for ml-icf-multi
+        blocks = [(0,), (1,), (2,), (3,), (0, 2), (1, 3), (2, 3)]
+        assert plans == Counter(blocks)
+        assert len(orders) == 1
+        # every blockwise fit still reads the family through the module's name
+        assert len(family_reads) == 6
 
     def test_given_graph_is_fitted_and_names_the_entries(self, fig1):
         # sigma is zero on the edge 2-4, which the given graph keeps free
@@ -272,14 +301,14 @@ class TestRunSimulation:
 
 
 def entry_loop_report(report):
-    """The report with its entries rebuilt by the per-entry loop oracle."""
+    """The report's entries rebuilt by the per-entry loop oracle, with its table written entry by entry."""
     entries = [
         e
         for n in report.spec.sample_sizes
         for m in report.spec.methods
         for e in aggregate_entry_loop(m, n, report.raw_errors[(m, n)], report.labels)
     ]
-    return dataclasses.replace(report, entries=entries)
+    return SimpleNamespace(entries=entries, to_table=lambda: report_table_entry_loop(report.spec, entries))
 
 
 def bits(entries):
@@ -324,6 +353,13 @@ class TestOnePassAggregation:
         assert len(cell) == 10
         assert all(np.isnan(e.bias) and np.isnan(e.rmse) and e.failures == 5 for e in cell)
         assert bits(rep.entries) == bits(entry_loop_report(rep).entries)
+
+    def test_labels_with_percent_signs_match_entry_loop(self):
+        g = cg.CovarianceGraph(["a%", "%s", "100%%", "d"], [("a%", "100%%"), ("100%%", "d"), ("%s", "d")])
+        spec = SimSpec(sigma_true=SIGMA_CHAIN, sample_sizes=(20,), replications=3, seed=4, methods=("dual",))
+        rep = run_simulation(spec, fitters={"dual": lambda data: sample_stats(data).s}, graph=g)
+        assert "\ta%\t100%%\t" in rep.to_table()
+        assert rep.to_table() == entry_loop_report(rep).to_table()
 
     def test_lattice_dual_report_matches_entry_loop(self):
         g = lattice_graph(10)
