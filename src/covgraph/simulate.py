@@ -156,7 +156,7 @@ class SimReport:
             + (f" df {spec.df}" if spec.distribution == "t" else "")
             + f" replications {spec.replications}\n",
             "# truth matrix (errors are measured against these values)\n",
-            ("# " + "\t".join(["%.17g"] * truth.shape[1]) + "\n") * truth.shape[0]
+            (("# " + "\t".join(["%.17g"] * truth.shape[1]) + "\n") * truth.shape[0])
             % tuple(truth.ravel().tolist()),
             "method\tn\ti\tj\tbias\trmse\tfailures\n",
         ]

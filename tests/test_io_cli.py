@@ -108,8 +108,8 @@ class TestMatrixRoundTrip:
         m = np.array(special + list(np.random.default_rng(4).standard_normal(5) * 10.0 ** np.arange(-6, 9, 3)))
         for shape in [(3, 5), (5, 3)]:
             cells = m.reshape(shape)
-            text = format_matrix(cells, labels=labels and labels[: shape[1]], digits=digits)
-            assert text == matrix_text_cell_loop(cells, labels and labels[: shape[1]], digits)
+            names = None if labels is None else labels[: shape[1]]
+            assert format_matrix(cells, names, digits) == matrix_text_cell_loop(cells, names, digits)
 
     def test_non_square_matrix_rejected(self, tmp_path):
         # labels name the columns only, so a spare row would go unread
