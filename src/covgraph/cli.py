@@ -36,7 +36,7 @@ from .model import (
     sample_stats,
 )
 from .results import FitConfig, FitResult
-from .simulate import METHOD_NAMES, SimSpec, run_simulation
+from .simulate import METHOD_NAMES, SimSpec, _check_distinct, run_simulation
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -278,6 +278,7 @@ def cmd_compare(args) -> int:
         methods = tuple(tok for tok in args.methods.split(",") if tok)
         if len(methods) < 2:
             raise cio.InputError("compare needs at least two methods")
+        _check_distinct("methods", methods)
         if args.family and "ml-icf-multi" not in methods:
             raise cio.InputError("--family needs ml-icf-multi among the compared methods")
         cfg = FitConfig(tol=args.tol, max_iter=args.max_iter, n_adjust=args.n_adjust)

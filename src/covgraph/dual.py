@@ -18,14 +18,13 @@ checks it is still in the cone, gives the exact H the next cycle
 starts from, so rounding does not build up across cycles, and gives
 the residual.  The rank-|C| term is added to H in place by one BLAS
 gemm, so a step allocates nothing p x p.  What a step needs from the
-graph alone (the clique order and index grids) is planned once per
-graph, and what it needs from K once per fit.
+graph alone (the clique order and index grids) is kept in the graph's
+store, and what it needs from K is taken once per fit.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +32,7 @@ from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotrs
 
 # free_index_set is unused here but stays: perfbench/spans.py wraps this name.
-from .graphs import CompleteSetFamily, CovarianceGraph, cliques, free_index_set  # noqa: F401
+from .graphs import CompleteSetFamily, CovarianceGraph, _kept, cliques, free_index_set  # noqa: F401
 from .model import (
     ConstrainedCovariance,
     ModelError,
@@ -102,40 +101,28 @@ def _clique_order(g: CovarianceGraph, fam: CompleteSetFamily) -> list[tuple[int,
     return sorted(idx_sets, key=lambda c: (max(rank[v] for v in c), c))
 
 
-class _CliqueGrid(NamedTuple):
-    """The graph-only part of a clique step."""
+class _CliqueStep(NamedTuple):
+    """The graph-only part of a clique step, kept in the graph's store."""
 
     idx: np.ndarray  # the clique's vertex positions
     cc: tuple  # np.ix_(idx, idx)
     eye: np.ndarray  # the |C| x |C| identity
 
 
-def _clique_grids(g: CovarianceGraph) -> tuple[_CliqueGrid, ...]:
-    """The grids of the cliques in ``_clique_order``, built on first use and kept on ``g``."""
-    if g._clique_grids is None:
-        grids = []
-        for c in _clique_order(g, cliques(g)):
-            idx = np.array(c, dtype=int)
-            grids.append(_CliqueGrid(idx, np.ix_(idx, idx), np.eye(idx.size)))
-        g._clique_grids = tuple(grids)
-    return g._clique_grids
+def _steps(g: CovarianceGraph) -> tuple[_CliqueStep, ...]:
+    """The steps of the cliques in ``_clique_order``, built on first use and kept on ``g``."""
+
+    def build() -> tuple[_CliqueStep, ...]:
+        idx = [np.array(c, dtype=int) for c in _clique_order(g, cliques(g))]
+        return tuple(_CliqueStep(i, np.ix_(i, i), np.eye(i.size)) for i in idx)
+
+    return _kept(g, "dual", build)
 
 
-@dataclass(frozen=True)
-class _CliquePlan:
-    """A clique step's grids with its target blocks, built once per fit."""
-
-    idx: np.ndarray  # the clique's vertex positions
-    cc: tuple  # np.ix_(idx, idx)
-    k_cc: np.ndarray  # K_CC, the target block of the inverse
-    k_cc_inv: np.ndarray  # its inverse
-    eye: np.ndarray  # the |C| x |C| identity
-
-
-def _plan(k: np.ndarray, grid: _CliqueGrid) -> _CliquePlan:
-    k_cc = k[grid.cc]
-    inv = _block_inv(k_cc, grid.eye, "inverse sample covariance block")
-    return _CliquePlan(grid.idx, grid.cc, k_cc, inv, grid.eye)
+def _targets(k: np.ndarray, steps: tuple[_CliqueStep, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each step's target block K_CC of the inverse and its inverse, taken once per fit."""
+    blocks = [k[st.cc] for st in steps]
+    return [(b, _block_inv(b, st.eye, "inverse sample covariance block")) for b, st in zip(blocks, steps)]
 
 
 def _block_inv(a: np.ndarray, eye: np.ndarray, what: str) -> np.ndarray:
@@ -147,24 +134,25 @@ def _block_inv(a: np.ndarray, eye: np.ndarray, what: str) -> np.ndarray:
     return (inv + inv.T) / 2.0
 
 
-def _cycle(plans: list[_CliquePlan], sigma: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _cycle(steps: tuple[_CliqueStep, ...], targets: list, sigma: np.ndarray, h: np.ndarray) -> np.ndarray:
     """One pass over the cliques; updates ``sigma`` in place and returns its inverse.
 
-    ``h`` holds the inverse of ``sigma`` on entry and is used up.  Each
-    step sets the clique block of the inverse to K_CC by adding
-    K_CC^-1 - H_CC^-1 to sigma's block, and keeps H current with one
-    rank-|C| term.  The returned inverse is recomputed from sigma, whose
-    factorisation also checks that sigma is still in the cone.
+    ``targets`` holds each step's K_CC and its inverse.  ``h`` holds the
+    inverse of ``sigma`` on entry and is used up.  Each step sets the
+    clique block of the inverse to K_CC by adding K_CC^-1 - H_CC^-1 to
+    sigma's block, and keeps H current with one rank-|C| term.  The
+    returned inverse is recomputed from sigma, whose factorisation also
+    checks that sigma is still in the cone.
     """
-    for plan in plans:
-        h_cc = h[plan.cc]
-        b = _block_inv(h_cc, plan.eye, "clique block of the inverse iterate")
-        w = h[:, plan.idx] @ b
-        sigma[plan.cc] += plan.k_cc_inv - b
+    for step, (k_cc, k_cc_inv) in zip(steps, targets):
+        h_cc = h[step.cc]
+        b = _block_inv(h_cc, step.eye, "clique block of the inverse iterate")
+        w = h[:, step.idx] @ b
+        sigma[step.cc] += k_cc_inv - b
         # H += u w^T with u = w (K_CC - H_CC), in place: the symmetric H goes
         # to BLAS as its F-ordered transpose, which receives w u^T, and the
         # result is kept, so a copy made by the wrapper would not be lost.
-        u = w @ (plan.k_cc - h_cc)
+        u = w @ (k_cc - h_cc)
         h = dgemm(1.0, w.T, u.T, 1.0, h.T, trans_a=1, overwrite_c=1).T
     return _inv_pd(sigma, "dual iterate")
 
@@ -194,14 +182,15 @@ def fit_dual(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None = Non
         raise ModelError("the dual fit takes no starting value")
     stats = _resolve_stats(stats, g)
     k = _inv_pd(stats.s, "sample covariance")
-    plans = [_plan(k, grid) for grid in _clique_grids(g)]
+    steps = _steps(g)
+    targets = _targets(k, steps)
 
     sigma = np.diag(1.0 / np.diag(k))  # patterned start: diagonal concentration
     h = _inv_pd(sigma, "dual iterate")
     residual = np.inf
     cycles = 0
     for cycles in range(1, cfg.max_iter + 1):
-        h = _cycle(plans, sigma, h)
+        h = _cycle(steps, targets, sigma, h)
         residual = unit_free_gap(h - k, sigma, g)
         if residual <= cfg.tol:
             break

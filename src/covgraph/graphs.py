@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,11 +49,11 @@ class CovarianceGraph:
 
     Edges are unordered pairs of distinct vertices.  Instances are
     immutable after construction and safe to share across threads.
-    What the fitters derive from the graph alone is built once per
-    graph: the ``FreeIndexSet`` on construction, and the cliques, the
-    dual fit's clique grids and the ICF block plans on first use, into
-    slots that ``cliques``, :mod:`covgraph.dual` and :mod:`covgraph.icf`
-    fill.  Filling is idempotent, so a race at most builds a value twice.
+    What is derived from the graph alone is built once per graph: the
+    ``FreeIndexSet`` on construction, and everything else on first use,
+    into one store that ``_kept`` fills by key.  Filling is idempotent,
+    so a race at most builds a value twice.  The store is not part of
+    the graph's value: equality, hashing and pickling ignore it.
 
     Parameters
     ----------
@@ -65,7 +65,7 @@ class CovarianceGraph:
         rejected; repeated pairs collapse to one edge.
     """
 
-    __slots__ = ("vertices", "_pos", "_adj", "_free", "_cliques", "_clique_grids", "_block_plans")
+    __slots__ = ("vertices", "_pos", "_adj", "_free", "_store")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         vs = tuple(str(v) for v in vertices)
@@ -84,9 +84,7 @@ class CovarianceGraph:
         adj.setflags(write=False)
         self._adj = adj
         self._free = FreeIndexSet(adj)
-        self._cliques: CompleteSetFamily | None = None
-        self._clique_grids = None
-        self._block_plans: dict = {}
+        self._store: dict = {}
 
     @property
     def p(self) -> int:
@@ -135,6 +133,13 @@ class CovarianceGraph:
 
     def __repr__(self) -> str:
         return f"CovarianceGraph(p={self.p}, edges={self.n_edges})"
+
+
+def _kept(g: CovarianceGraph, key: Hashable, build: Callable[[], Any]) -> Any:
+    """The value kept in the store of ``g`` under ``key``; ``build()`` makes it on first use."""
+    if key not in g._store:
+        g._store[key] = build()
+    return g._store[key]
 
 
 def _duplicates(labels: Sequence[str]) -> list[str]:
@@ -235,9 +240,7 @@ def cliques(g: CovarianceGraph) -> CompleteSetFamily:
 
     Found on the first call for a graph and kept on it.
     """
-    if g._cliques is None:
-        g._cliques = _maximal_cliques(g)
-    return g._cliques
+    return _kept(g, "cliques", lambda: _maximal_cliques(g))
 
 
 def _maximal_cliques(g: CovarianceGraph) -> CompleteSetFamily:

@@ -29,8 +29,8 @@ spouses S costs O(p^2 (|C| + |S|)) flops and O(p (|C| + |S|)) new
 memory, instead of the O(p^3) of inverting the rest.
 
 What an update needs from the graph alone, index grids included, is
-planned once per graph and block, and the small factorisations call
-LAPACK directly.  All regressions are expressed through the empirical
+kept in the graph's store, once per block, and the small factorisations
+call LAPACK directly.  All regressions are expressed through the empirical
 covariance matrix, so the sample size never enters the per-sweep cost.
 
 The sweeps are accelerated by SQUAREM (Varadhan and Roland 2008): every
@@ -49,7 +49,7 @@ import numpy as np
 from scipy.linalg.blas import dgemm, dtrsm
 from scipy.linalg.lapack import dpotrs
 
-from .graphs import CovarianceGraph
+from .graphs import CovarianceGraph, _kept
 from .model import (
     ConstrainedCovariance,
     ModelError,
@@ -79,10 +79,10 @@ class _BlockPlan:
     ``free_rows`` and ``free_cols`` hold their positions inside the
     block and spouse orderings, listed column-major so they follow
     matrix vectorization order.  ``_plan`` also builds the index grids
-    and the block identity; ``_plans`` keeps each plan on the graph, so
-    it is built once per graph and block.  Everything that depends on
-    the iterate is read from the maintained inverse when the update
-    runs.
+    and the block identity; ``_plans`` keeps each plan in the graph's
+    store under ``("icf", block)``, so it is built once per graph and
+    block.  Everything that depends on the iterate is read from the
+    maintained inverse when the update runs.
     """
 
     block: np.ndarray
@@ -124,14 +124,8 @@ def _plan(g: CovarianceGraph, idx: Iterable[int]) -> _BlockPlan:
 
 def _plans(g: CovarianceGraph, blocks: Iterable[Iterable[int]]) -> list[_BlockPlan]:
     """The plans of ``blocks``, each built on first use and kept on ``g``."""
-    kept = g._block_plans
-    out = []
-    for b in blocks:
-        key = tuple(sorted(b))
-        if key not in kept:
-            kept[key] = _plan(g, key)
-        out.append(kept[key])
-    return out
+    keys = [tuple(sorted(b)) for b in blocks]
+    return [_kept(g, ("icf", key), lambda: _plan(g, key)) for key in keys]
 
 
 _ZERO = np.zeros(1)
@@ -239,7 +233,7 @@ def block_update(
     if not g.is_complete(cidx):
         raise ModelError(f"block {tuple(g.vertices[i] for i in cidx)} is not complete")
     m = np.array(sigma.sigma)
-    _update(stats.s, m, _point(stats.s, m).inv, _plan(g, cidx))
+    _update(stats.s, m, _point(stats.s, m).inv, _plans(g, [cidx])[0])
     return ConstrainedCovariance(g, m)
 
 

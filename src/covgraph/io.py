@@ -112,7 +112,7 @@ def load_stats(path: str | os.PathLike) -> SampleStats:
         0.10 -0.20
 
     The ``corr`` block lists the strict lower triangle row by row (row
-    k has k entries).  The covariance is rebuilt as r_ij sd_i sd_j and
+    k has k entries).  A keyword given twice is an error.  The covariance is rebuilt as r_ij sd_i sd_j and
     must come out positive definite.
     """
     n = None
@@ -120,10 +120,14 @@ def load_stats(path: str | os.PathLike) -> SampleStats:
     sds: np.ndarray | None = None
     corr_rows: list[tuple[int, list[str]]] = []
     in_corr = False
+    first: dict[str, int] = {}  # the line of each keyword read so far
     for lineno, line in _content_lines(_read_text(path)):
         toks = line.split()
+        key = toks[0].lower()
+        if key in first:
+            raise InputError(f"{path}:{lineno}: second {key!r} line (the first is line {first[key]})")
         if not in_corr:
-            key = toks[0].lower()
+            first[key] = lineno
             if key == "n":
                 if len(toks) != 2 or not toks[1].isdigit():
                     raise InputError(f"{path}:{lineno}: expected 'n <count>'")

@@ -44,6 +44,13 @@ __all__ = [
 METHOD_NAMES = ("ml-icf", "ml-icf-multi", "ml-anderson", "dual", "el")
 
 
+def _check_distinct(what: str, values: tuple) -> None:
+    """Raise ``ModelError`` naming every value listed more than once."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ModelError(f"repeated {what}: {repeated}")
+
+
 @dataclass(frozen=True)
 class SimSpec:
     """One simulation design.
@@ -53,7 +60,7 @@ class SimSpec:
     given.  For the t distribution the dispersion matrix is
     ``sigma_true`` and the actual covariance is df / (df - 2) times it,
     which is what errors are measured against.  Methods and sample
-    sizes must each be distinct, and every sample size at least 2.
+    sizes must each be given, distinct, and every sample size at least 2.
     """
 
     sigma_true: np.ndarray
@@ -83,9 +90,9 @@ class SimSpec:
         if too_small:
             raise ModelError(f"sample sizes must be at least 2: {too_small}")
         for what, values in (("methods", self.methods), ("sample sizes", self.sample_sizes)):
-            repeated = sorted({v for v in values if values.count(v) > 1})
-            if repeated:
-                raise ModelError(f"repeated {what}: {repeated}")
+            if not values:
+                raise ModelError(f"no {what} given")
+            _check_distinct(what, values)
 
     @property
     def truth(self) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 
 import covgraph as cg
 from covgraph.dual import (
-    _block_inv, _clique_grids, _clique_order, _cycle, _mcs_order, _plan, dual_residual, fit_dual,
+    _block_inv, _clique_order, _cycle, _mcs_order, _steps, _targets, dual_residual, fit_dual,
     is_decomposable,
 )
 from covgraph.graphs import CovarianceGraph, cliques
@@ -20,13 +20,14 @@ def complete_graph(p):
     return CovarianceGraph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]])
 
 
-def step_out_of_place(plan, sigma, h):
+def step_out_of_place(step, target, sigma, h):
     """One clique step with H refreshed as h + w (K_CC - H_CC) w^T in a new array."""
-    h_cc = h[plan.cc]
-    b = _block_inv(h_cc, plan.eye, "clique block of the inverse iterate")
-    w = h[:, plan.idx] @ b
-    sigma[plan.cc] += plan.k_cc_inv - b
-    return h + w @ (plan.k_cc - h_cc) @ w.T
+    k_cc, k_cc_inv = target
+    h_cc = h[step.cc]
+    b = _block_inv(h_cc, step.eye, "clique block of the inverse iterate")
+    w = h[:, step.idx] @ b
+    sigma[step.cc] += k_cc_inv - b
+    return h + w @ (k_cc - h_cc) @ w.T
 
 
 def corr_matrix(m):
@@ -226,24 +227,26 @@ class TestKeptInverse:
         sigma_true = random_patterned_cov(g, rng)
         st = sample_stats(rng.standard_normal((300, g.p)) @ np.linalg.cholesky(sigma_true).T)
         k = _inv_pd(st.s, "sample covariance")
-        plans = [_plan(k, grid) for grid in _clique_grids(g)]
+        steps = _steps(g)
+        targets = _targets(k, steps)
         sigma = np.diag(1.0 / np.diag(k))
         h = _inv_pd(sigma, "dual iterate")
         for _ in range(2):
-            for plan in plans:
+            for step, target in zip(steps, targets):
                 sigma_ref = sigma.copy()
-                h_ref = step_out_of_place(plan, sigma_ref, h.copy())
-                _cycle([plan], sigma, h)
+                h_ref = step_out_of_place(step, target, sigma_ref, h.copy())
+                _cycle([step], [target], sigma, h)
                 assert np.array_equal(sigma, sigma_ref)
                 assert np.array_equal(h, h_ref)
             h = _inv_pd(sigma, "dual iterate")
 
     def test_iterate_leaving_the_cone_raises_typed_error(self, fig1):
-        plans = [_plan(np.eye(4), grid) for grid in _clique_grids(fig1)]
+        steps = _steps(fig1)
+        targets = _targets(np.eye(4), steps)
         # a clique block of the kept inverse that is not positive definite
         with pytest.raises(NotPositiveDefiniteError, match="clique block"):
-            _cycle(plans, np.eye(4), -np.eye(4))
+            _cycle(steps, targets, np.eye(4), -np.eye(4))
         # steps that pass, on an iterate that is not in the cone: the
         # refresh at the end of the cycle catches it
         with pytest.raises(NotPositiveDefiniteError, match="dual iterate"):
-            _cycle(plans, -np.eye(4), np.eye(4))
+            _cycle(steps, targets, -np.eye(4), np.eye(4))

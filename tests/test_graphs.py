@@ -66,6 +66,22 @@ class TestConstruction:
             with pytest.raises(ValueError):
                 a[0] = a[0]
 
+    @pytest.mark.parametrize("graph", ["gd", "gs"])
+    def test_pickle_round_trip_leaves_the_store_behind(self, graph, yeast_stats, yeast_gd, yeast_gs):
+        # the store holds only what the graph determines: a copy starts
+        # empty, rebuilds the same keys and refits to the same bits
+        base = yeast_gd if graph == "gd" else yeast_gs
+        g = CovarianceGraph(base.vertices, base.edges)
+        st = yeast_stats.aligned_to(g.vertices)
+        fits = [cg.fit_icf, cg.fit_icf_multi, cg.fit_dual]
+        sigmas = [fit(st, g).sigma for fit in fits]
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and hash(back) == hash(g) and back.edges == g.edges
+        assert back._store == {} and g._store
+        for fit, sigma in zip(fits, sigmas):
+            assert np.array_equal(fit(st, back).sigma, sigma)
+        assert back._store.keys() == g._store.keys()
+
 
 class TestLabelOrder:
     def test_permutation_reads_the_input_in_vertex_order(self):

@@ -85,6 +85,24 @@ class TestLoadStats:
         with pytest.raises(InputError, match="needs 2 rows"):
             load_stats(f)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a later line would silently replace the first
+            ("# yeast\nn 134\nn 10\nvars a b\nsd 1 2\ncorr\n0\n", ":3: second 'n' line (the first is line 2)"),
+            ("vars a b\nn 9\nVARS b a\nsd 1 2\ncorr\n0\n", ":3: second 'vars' line (the first is line 1)"),
+            ("n 9\nvars a b\nsd 1 2\nsd 2 1\ncorr\n0\n", ":4: second 'sd' line (the first is line 3)"),
+            ("n 9\nvars a b\nsd 1 2\ncorr\n0\ncorr\n0\n", ":6: second 'corr' line (the first is line 4)"),
+            ("n 9\nvars a b\nsd 1 2\ncorr\n0\nn 10\n", ":6: second 'n' line (the first is line 1)"),
+        ],
+    )
+    def test_repeated_keyword_line_cites_both_lines(self, tmp_path, text, message):
+        f = tmp_path / "s.stats"
+        f.write_text(text)
+        with pytest.raises(InputError) as err:
+            load_stats(f)
+        assert str(err.value) == f"{f}{message}"
+
 
 class TestMatrixRoundTrip:
     def test_full_precision_round_trip(self, tmp_path):
@@ -464,7 +482,13 @@ class TestCliSimulateLoglikCompare:
 
     @pytest.mark.parametrize(
         "flags, message",
-        [(["--methods", "dual,ml-icf,dual"], "repeated methods"), (["--n", "20,20"], "repeated sample sizes")],
+        [
+            (["--methods", "dual,ml-icf,dual"], "repeated methods"),
+            (["--n", "20,20"], "repeated sample sizes"),
+            # an empty design would print a header without rows
+            (["--methods", ","], "no methods given"),
+            (["--n", ","], "no sample sizes given"),
+        ],
     )
     def test_simulate_repeats_exit_one(self, tmp_path, capsys, flags, message):
         sig = tmp_path / "sigma.tsv"
@@ -616,6 +640,19 @@ class TestCliSimulateLoglikCompare:
         assert any(l.startswith("dloglik ml-icf dual ") for l in lines)
         diff = float([l for l in lines if l.startswith("dloglik")][0].split()[-1])
         assert diff >= -1e-9  # the likelihood maximizer wins
+
+    def test_compare_repeated_methods_exit_one_before_fitting(self, tmp_path, capsys, monkeypatch):
+        import covgraph.cli as cli
+
+        fits = []
+        monkeypatch.setattr(cli, "_run_method", lambda m, *args: fits.append(m))
+        rc = main([
+            "compare", "--graph", str(DATA / "fig1.graph"),
+            "--stats", str(_chain_stats(tmp_path)), "--methods", "ml-icf,dual,ml-icf",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and fits == []
+        assert captured.err == "error: repeated methods: ['ml-icf']\n"
 
 
 def _chain_stats(tmp_path):

@@ -99,6 +99,12 @@ class TestSimSpec:
         with pytest.raises(ModelError, match=r"repeated sample sizes: \[20\]"):
             SimSpec(sigma_true=SIGMA_CHAIN, sample_sizes=(20, 30, 20), replications=1)
 
+    @pytest.mark.parametrize("field, what", [("methods", "methods"), ("sample_sizes", "sample sizes")])
+    def test_rejects_an_empty_design(self, field, what):
+        # an empty design would run nothing and report a header without rows
+        with pytest.raises(ModelError, match=f"no {what} given"):
+            SimSpec(sigma_true=SIGMA_CHAIN, replications=1, **{field: ()})
+
     def test_rejects_sample_sizes_below_two(self):
         # below two observations no covariance can be estimated; every bad size is named
         with pytest.raises(ModelError, match=r"sample sizes must be at least 2: \[-5, 0, 1\]"):
