@@ -112,8 +112,8 @@ def load_stats(path: str | os.PathLike) -> SampleStats:
         0.10 -0.20
 
     The ``corr`` block lists the strict lower triangle row by row (row
-    k has k entries).  A keyword given twice is an error.  The covariance is rebuilt as r_ij sd_i sd_j and
-    must come out positive definite.
+    k has k entries), and each keyword comes once.  The covariance is
+    rebuilt as r_ij sd_i sd_j and must come out positive definite.
     """
     n = None
     labels: tuple[str, ...] | None = None

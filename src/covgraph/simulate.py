@@ -7,8 +7,8 @@ error against the true covariance, in one vectorized pass per method
 and sample size.  Replications use counter-based random substreams,
 so results are bit-reproducible and independent of execution order.
 What the fitters derive from the graph alone (its cliques, the dual
-fit's clique grids, the ICF block plans) is planned once per graph and
-kept on it, so replications after the first pay only for their fits.
+fit's clique steps, the ICF block plans) is planned once per graph and
+kept in its store, so replications after the first pay only for their fits.
 The report keeps each cell's bias and RMSE as columns and formats the
 table from them in one pass.
 """
