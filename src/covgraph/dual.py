@@ -1,25 +1,40 @@
-"""Dual covariance estimation by iterative proportional fitting.
+"""Dual covariance estimation by one fitting pass or damped Newton steps.
 
 The dual estimate is the unique patterned positive-definite matrix
-whose inverse agrees with the inverse sample covariance on all free
-entries.  Flipping the roles of covariance and concentration turns
-this into a standard concentration-graph fit with the inverse sample
-covariance K playing the part of the data: clique marginals of that
-surrogate are matched one at a time while the zero pattern is kept
-exact.  On decomposable graphs a single pass in perfect elimination
-order already terminates.
+whose inverse agrees with the inverse sample covariance K on all free
+entries.  It minimizes f(sigma) = tr(K sigma) - log det sigma over the
+patterned matrices (Kauermann 1996, Scand. J. Statist. 23).  The
+engine follows from the graph: whether it is decomposable is decided
+once and kept in the graph's store.
 
-A cycle keeps H, the inverse of the iterate, next to it (the
-covariance-form update of Speed and Kiiveri 1986, Ann. Statist. 14).
-A clique step factorises only the |C| x |C| block H_CC and refreshes
-H with one rank-|C| term, so it costs O(p^2 |C|) instead of a p x p
-factorisation.  Once per cycle the iterate is factorised afresh: that
-checks it is still in the cone, gives the exact H the next cycle
-starts from, so rounding does not build up across cycles, and gives
-the residual.  The rank-|C| term is added to H in place by one BLAS
-gemm, so a step allocates nothing p x p.  What a step needs from the
-graph alone (the clique order and index grids) is kept in the graph's
-store, and what it needs from K is taken once per fit.
+On a decomposable graph, flipping the roles of covariance and
+concentration turns the problem into a concentration-graph fit with K
+as the data, and one pass of iterative proportional fitting over the
+cliques in perfect elimination order solves it exactly.  The pass
+keeps H, the inverse of the iterate, next to it (the covariance-form
+update of Speed and Kiiveri 1986, Ann. Statist. 14).  A clique step
+factorises only the |C| x |C| block H_CC and adds one rank-|C| term
+to H in place by one BLAS gemm, so it costs O(p^2 |C|) and allocates
+nothing p x p.  After the pass the iterate is factorised afresh: that
+checks it is still in the cone and gives the exact H.  What a step
+needs from the graph alone (the clique order and index grids) is kept
+in the graph's store, and what it needs from K is taken once per fit.
+
+On any other graph, damped Newton steps minimize f from the diagonal
+concentration of S.  f is convex and self-concordant, so the steps
+converge from any start, and quadratically near the optimum (Boyd and
+Vandenberghe 2004, Convex Optimization, 9.5-9.6).  The Hessian over
+the free entries is the free-pair form of H (x) H, the system of
+Anderson's iteration (``kron_form``), so a step solves it against the
+adjoint of H - K by Cholesky.  The step is then halved until the
+candidate is in the cone and passes Armijo's test; one factorisation
+of a candidate gives the cone check, f and its inverse.  A step costs
+O(m^3) in the m = p + |E| free entries.  A graph's cliques are built
+only for the fitting pass.
+
+Both engines stop on the same unit-free residual of H - K: the pass
+feeds the Newton loop, which takes no step once the residual is at
+most ``tol``.
 """
 
 from __future__ import annotations
@@ -31,21 +46,28 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotrs
 
-# free_index_set is unused here but stays: perfbench/spans.py wraps this name.
-from .graphs import CompleteSetFamily, CovarianceGraph, _kept, cliques, free_index_set  # noqa: F401
+from .graphs import CompleteSetFamily, CovarianceGraph, _kept, cliques, free_index_set
 from .model import (
     ConstrainedCovariance,
     ModelError,
     NotPositiveDefiniteError,
     SampleStats,
+    _chol,
     _cholesky,
     _inv_pd,
+    kron_form,
     profile_loglik,
     unit_free_gap,
 )
 from .results import FitConfig, FitResult, _resolve_stats
 
 __all__ = ["fit_dual", "dual_residual", "is_decomposable"]
+
+# Armijo's sufficient-decrease fraction for a Newton step.
+_ARMIJO = 1e-4
+# A line search that halves the step this often without an accepted
+# candidate ends the fit as stalled.
+_HALVINGS = 50
 
 
 def _mcs_order(adj: np.ndarray) -> list[int]:
@@ -77,7 +99,7 @@ def _mcs_order(adj: np.ndarray) -> list[int]:
 
 
 def is_decomposable(g: CovarianceGraph) -> bool:
-    """Whether the graph admits a perfect elimination ordering."""
+    """Whether the graph admits a perfect elimination ordering; ``fit_dual`` picks its engine by it."""
     adj = g.adjacency
     order = _mcs_order(adj)
     rank = {v: k for k, v in enumerate(order)}
@@ -166,41 +188,97 @@ def dual_residual(stats: SampleStats, sigma: np.ndarray, g: CovarianceGraph) -> 
     return unit_free_gap(gap, sigma, g)
 
 
+def _at(k: np.ndarray, sigma: np.ndarray, eye: np.ndarray) -> tuple[float, np.ndarray]:
+    """The objective tr(K sigma) - log det sigma and the inverse of ``sigma``.
+
+    One factorisation serves both and the cone check, which raises
+    ``NotPositiveDefiniteError``; the inverse is the one ``_inv_pd`` gives.
+    """
+    low = _chol(sigma, "dual iterate")
+    inv, _ = dpotrs(low, eye, lower=1)
+    return float(np.vdot(k, sigma)) - 2.0 * np.log(np.diag(low)).sum(), (inv + inv.T) / 2.0
+
+
 def fit_dual(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None = None) -> FitResult:
     """Match the inverse sample covariance on the free entries.
 
-    The fit stops as ``converged`` once the defining residual is at most
-    ``tol`` (not on parameter change), else as ``max-iter``.  The
-    reported log-likelihood is the Gaussian profile value at the dual
-    estimate; the dual estimate is generally not a likelihood maximizer.
-    An iterate that leaves the cone raises ``NotPositiveDefiniteError``.
-    The fit starts from the diagonal concentration of S, so a
-    ``cfg.start`` raises ``ModelError`` instead of being ignored.
+    On a decomposable graph one fitting pass over the cliques gives the
+    estimate; on any other graph damped Newton steps minimize
+    tr(K sigma) - log det sigma from the diagonal concentration of S.
+    ``iterations`` counts the pass, if one ran, plus the Newton steps.
+    The fit stops as ``converged`` once the defining residual is at
+    most ``tol`` (not on parameter change), and otherwise as
+    ``max-iter`` after ``max_iter`` iterations, as ``stalled`` when a
+    line search finds no candidate in the cone that descends, or as
+    ``singular-system`` when a Newton system does not factorise; the
+    estimate is then the last iterate.  The reported log-likelihood is
+    the Gaussian profile value at the dual estimate; the dual estimate
+    is generally not a likelihood maximizer.  A pass whose iterate
+    leaves the cone raises ``NotPositiveDefiniteError``.  The fit has
+    its own start, so a ``cfg.start`` raises ``ModelError`` instead of
+    being ignored.
     """
     cfg = cfg or FitConfig()
     if cfg.start is not None:
         raise ModelError("the dual fit takes no starting value")
     stats = _resolve_stats(stats, g)
     k = _inv_pd(stats.s, "sample covariance")
-    steps = _steps(g)
-    targets = _targets(k, steps)
+    fis = free_index_set(g)
+    eye = np.eye(g.p)
 
     sigma = np.diag(1.0 / np.diag(k))  # patterned start: diagonal concentration
-    h = _inv_pd(sigma, "dual iterate")
-    residual = np.inf
-    cycles = 0
-    for cycles in range(1, cfg.max_iter + 1):
-        h = _cycle(steps, targets, sigma, h)
+    if _kept(g, "decomposable", lambda: is_decomposable(g)):
+        steps = _steps(g)
+        h = _cycle(steps, _targets(k, steps), sigma, _inv_pd(sigma, "dual iterate"))
+        value, iterations = None, 1  # the objective is read only if a step follows
+    else:
+        value, h = _at(k, sigma, eye)
+        iterations = 0
+    k_free = fis.adjoint_vec(k)
+    while True:
         residual = unit_free_gap(h - k, sigma, g)
         if residual <= cfg.tol:
+            detail = "converged"
             break
+        if iterations >= cfg.max_iter:
+            detail = "max-iter"
+            break
+        if value is None:
+            value, h = _at(k, sigma, eye)
+        low = _cholesky(kron_form(h, fis))
+        if low is None:
+            detail = "singular-system"
+            break
+        descent = fis.adjoint_vec(h) - k_free  # the negated gradient
+        free = dpotrs(low, descent, lower=1)[0]
+        decrease = float(descent @ free)  # the squared Newton decrement
+        # Below this floor Armijo's test would only see rounding; this
+        # close, the full step is safe once it is in the cone.
+        at_floor = decrease <= 1e-12 * max(1.0, abs(value))
+        step = fis.expand(free)
+        t = 1.0
+        for _ in range(_HALVINGS):
+            cand = sigma + t * step
+            try:
+                cand_value, cand_h = _at(k, cand, eye)
+            except NotPositiveDefiniteError:
+                pass  # outside the cone
+            else:
+                if at_floor or cand_value <= value - _ARMIJO * t * decrease:
+                    break
+            t *= 0.5
+        else:
+            detail = "stalled"
+            break
+        sigma, value, h = cand, cand_value, cand_h
+        iterations += 1
     estimate = ConstrainedCovariance(g, sigma)
     return FitResult(
         method="dual",
         estimate=estimate,
         loglik=profile_loglik(stats, estimate, n_adjust=cfg.n_adjust),
-        iterations=cycles,
-        detail="converged" if residual <= cfg.tol else "max-iter",
+        iterations=iterations,
+        detail=detail,
         final_sigma=estimate.sigma,
         residual=residual,
     )

@@ -129,7 +129,7 @@ def load_stats(path: str | os.PathLike) -> SampleStats:
         if not in_corr:
             first[key] = lineno
             if key == "n":
-                if len(toks) != 2 or not toks[1].isdigit():
+                if len(toks) != 2 or not (toks[1].isascii() and toks[1].isdigit()):
                     raise InputError(f"{path}:{lineno}: expected 'n <count>'")
                 n = int(toks[1])
             elif key == "vars":

@@ -8,10 +8,11 @@ from covgraph.dual import (
 )
 from covgraph.graphs import CovarianceGraph, cliques
 from covgraph.icf import fit_icf
+from covgraph.io import load_graph
 from covgraph.model import ModelError, NotPositiveDefiniteError, _inv_pd, sample_stats, stats_from_moments
 from covgraph.results import FitConfig
 
-from conftest import lattice_graph, random_graph, random_patterned_cov, random_spd
+from conftest import DATA, lattice_graph, random_graph, random_patterned_cov, random_spd
 from oracles import mcs_order_scan, plain_dual_ipf, root_find_dual
 
 
@@ -200,21 +201,122 @@ class TestFitDual:
         assert res.residual == dual_residual(st, res.sigma, g)
 
 
+def ill_conditioned_case(seed):
+    """A random graph and sample with a condition number in the millions."""
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(4, 12))
+    labels = [str(i) for i in range(p)]
+    edges = [(labels[i], labels[j]) for i in range(p) for j in range(i + 1, p) if rng.random() < 0.4]
+    n = p + int(rng.integers(2, 20))
+    x = rng.standard_normal((n, p)) @ rng.standard_normal((p, p))
+    return stats_from_moments(n, np.cov(x, rowvar=False, bias=True)), CovarianceGraph(labels, edges)
+
+
+class TestNewton:
+    """Damped Newton steps on graphs that are not decomposable."""
+
+    def test_ill_conditioned_graph_converges(self):
+        # the multi-cycle fitting pass ran out at 5000 cycles here with a
+        # residual of 9.9e-4
+        st, g = ill_conditioned_case(134)
+        assert (g.p, st.n) == (10, 29) and not is_decomposable(g)
+        res = fit_dual(st, g)
+        assert res.converged
+        assert res.iterations < 50
+        assert res.residual == dual_residual(st, res.sigma, g)
+        oracle, sol = root_find_dual(st, g)
+        if sol.success:
+            assert np.abs(res.sigma - oracle).max() <= 1e-6 * np.abs(oracle).max()
+
+    def test_one_step_is_not_converged(self):
+        g = lattice_graph(5)
+        st = stats_from_moments(60, random_spd(25, 60, np.random.default_rng(6)))
+        res = fit_dual(st, g, FitConfig(max_iter=1))
+        assert res.detail == "max-iter" and not res.converged
+        assert res.iterations == 1
+        assert res.residual == dual_residual(st, res.sigma, g)
+
+    @staticmethod
+    def reject_off_diagonal(monkeypatch):
+        # a cone check that refuses every iterate with an edge entry, so the
+        # diagonal start passes and no step can
+        import covgraph.dual as dual
+
+        chol = dual._chol
+
+        def refusing(a, what="matrix"):
+            if np.any(a != np.diag(np.diag(a))):
+                raise NotPositiveDefiniteError(f"{what} is not positive definite")
+            return chol(a, what)
+
+        monkeypatch.setattr(dual, "_chol", refusing)
+
+    def test_line_search_without_descent_stalls(self, monkeypatch, yeast_stats, yeast_gd):
+        self.reject_off_diagonal(monkeypatch)
+        st = yeast_stats.aligned_to(yeast_gd.vertices)
+        res = fit_dual(st, yeast_gd)
+        assert res.detail == "stalled" and not res.converged
+        assert res.iterations == 0
+        assert np.array_equal(res.sigma, np.diag(np.diag(res.sigma)))
+
+    def test_stalled_fit_counts_as_a_simulation_failure(self, monkeypatch):
+        self.reject_off_diagonal(monkeypatch)
+        cycle = CovarianceGraph(["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("3", "4"), ("1", "4")])
+        sigma = np.eye(4) + 0.2 * cycle.adjacency
+        spec = cg.SimSpec(sigma_true=sigma, sample_sizes=(30,), replications=2, seed=5, methods=("dual",))
+        rep = cg.run_simulation(spec, graph=cycle)
+        assert rep.failure_reasons[("dual", 30)] == ["stalled", "stalled"]
+        assert all(e.failures == 2 for e in rep.entries)
+
+    def test_system_that_does_not_factorise_is_typed(self, monkeypatch, yeast_stats, yeast_gd):
+        import covgraph.dual as dual
+
+        monkeypatch.setattr(dual, "_cholesky", lambda a: None)
+        res = fit_dual(yeast_stats.aligned_to(yeast_gd.vertices), yeast_gd)
+        assert res.detail == "singular-system" and not res.converged
+        assert res.iterations == 0
+
+    def test_fresh_graph_builds_no_cliques(self, monkeypatch, yeast_stats):
+        import covgraph.graphs as graphs
+
+        found = []
+        search = graphs._maximal_cliques
+        monkeypatch.setattr(graphs, "_maximal_cliques", lambda g: found.append(g) or search(g))
+        g = load_graph(DATA / "gd.graph")
+        assert fit_dual(yeast_stats.aligned_to(g.vertices), g).converged
+        assert found == []
+
+    def test_decomposable_pass_factorises_no_candidate(self, monkeypatch, yeast_stats, yeast_gs):
+        # the inverse the pass returns feeds the stop rule as it is
+        import covgraph.dual as dual
+
+        calls = []
+        at = dual._at
+        monkeypatch.setattr(dual, "_at", lambda *a: calls.append(a) or at(*a))
+        res = fit_dual(yeast_stats.aligned_to(yeast_gs.vertices), yeast_gs)
+        assert res.converged and res.iterations == 1
+        assert calls == []
+
+
 class TestKeptInverse:
     """The kept inverse against the plain IPF that refactorises per clique."""
 
     @pytest.mark.parametrize("case", ["lattice5", "gd", "gs"])
     def test_matches_plain_ipf(self, case, yeast_stats, yeast_gd, yeast_gs):
+        # gs is decomposable and runs the fitting pass; the other two take
+        # Newton steps, so only the estimate is compared there
         if case == "lattice5":
             g = lattice_graph(5)
             st = stats_from_moments(60, random_spd(25, 60, np.random.default_rng(6)))
         else:
             g = yeast_gd if case == "gd" else yeast_gs
             st = yeast_stats.aligned_to(g.vertices)
-        res = fit_dual(st, g)
-        sigma, cycles = plain_dual_ipf(st.s, g.adjacency, _clique_order(g, cliques(g)))
+        res = fit_dual(st, g, FitConfig(tol=1e-12))
+        sigma, cycles = plain_dual_ipf(st.s, g.adjacency, _clique_order(g, cliques(g)), tol=1e-12)
         assert res.converged
-        assert res.iterations == cycles
+        assert is_decomposable(g) == (case == "gs")
+        if case == "gs":
+            assert res.iterations == cycles
         assert np.abs(res.sigma - sigma).max() <= 1e-12 * np.abs(sigma).max()
         if case == "lattice5":
             assert cycles > 1

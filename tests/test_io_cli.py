@@ -103,6 +103,17 @@ class TestLoadStats:
             load_stats(f)
         assert str(err.value) == f"{f}{message}"
 
+    @pytest.mark.parametrize("count", ["\u00b2", "\u0663"])  # superscript two, Arabic-Indic three
+    def test_count_with_non_ascii_digit_exits_one(self, tmp_path, capsys, count):
+        g = tmp_path / "g.graph"
+        g.write_text("vertex a\nvertex b\n")
+        f = tmp_path / "s.stats"
+        f.write_text(f"n {count}\nvars a b\nsd 1 2\ncorr\n0\n", encoding="utf-8")
+        rc = main(["fit", "--graph", str(g), "--stats", str(f)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == f"error: {f}:1: expected 'n <count>'\n"
+
 
 class TestMatrixRoundTrip:
     def test_full_precision_round_trip(self, tmp_path):
