@@ -234,9 +234,9 @@ def fit_dual(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None = Non
     else:
         value, h = _at(k, sigma, eye)
         iterations = 0
-    k_free = fis.adjoint_vec(k)
     while True:
-        residual = unit_free_gap(h - k, sigma, g)
+        gap = h - k
+        residual = unit_free_gap(gap, sigma, g)
         if residual <= cfg.tol:
             detail = "converged"
             break
@@ -244,12 +244,12 @@ def fit_dual(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None = Non
             detail = "max-iter"
             break
         if value is None:
-            value, h = _at(k, sigma, eye)
+            value, _ = _at(k, sigma, eye)
         low = _cholesky(kron_form(h, fis))
         if low is None:
             detail = "singular-system"
             break
-        descent = fis.adjoint_vec(h) - k_free  # the negated gradient
+        descent = fis.adjoint_vec(gap)  # the negated gradient
         free = dpotrs(low, descent, lower=1)[0]
         decrease = float(descent @ free)  # the squared Newton decrement
         # Below this floor Armijo's test would only see rounding; this

@@ -202,7 +202,7 @@ class TestFitDual:
 
 
 def ill_conditioned_case(seed):
-    """A random graph and sample with a condition number in the millions."""
+    """A random graph and a sample of a few more rows than variables, with correlated columns."""
     rng = np.random.default_rng(seed)
     p = int(rng.integers(4, 12))
     labels = [str(i) for i in range(p)]
@@ -216,14 +216,19 @@ class TestNewton:
     """Damped Newton steps on graphs that are not decomposable."""
 
     def test_ill_conditioned_graph_converges(self):
-        # the multi-cycle fitting pass ran out at 5000 cycles here with a
-        # residual of 9.9e-4
+        # iterative proportional fitting (plain_dual_ipf) ends here after
+        # 5000 cycles with a residual of 9.9e-4
         st, g = ill_conditioned_case(134)
         assert (g.p, st.n) == (10, 29) and not is_decomposable(g)
         res = fit_dual(st, g)
         assert res.converged
         assert res.iterations < 50
         assert res.residual == dual_residual(st, res.sigma, g)
+        # the defining equations, read with LU inverses
+        free = g.adjacency | np.eye(g.p, dtype=bool)
+        d = np.sqrt(np.diag(res.sigma))
+        gap = (np.linalg.inv(res.sigma) - np.linalg.inv(st.s)) * np.outer(d, d)
+        assert np.abs(gap[free]).max() <= 1e-7
         oracle, sol = root_find_dual(st, g)
         if sol.success:
             assert np.abs(res.sigma - oracle).max() <= 1e-6 * np.abs(oracle).max()
