@@ -22,11 +22,13 @@ import warnings
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrs
 
 from .graphs import CovarianceGraph, free_index_set
 from .model import (
     ConstrainedCovariance,
     SampleStats,
+    _cholesky,
     is_pos_def,
     kron_form,
     profile_loglik,
@@ -64,19 +66,27 @@ def fit_anderson(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None =
         if not np.all(np.isfinite(k)):
             detail = "singular-system"
             break
-        # Scaling the rows of the edge pairs by 2 symmetrizes the system,
-        # so a symmetric-indefinite solve applies even off the PD cone.
+        # Scaling the rows of the edge pairs by 2 symmetrizes the system.
+        # It is positive definite while the iterate is, so Cholesky goes
+        # first; off the PD cone a symmetric-indefinite solve takes over.
         sym = kron_form(k, fis)
         rhs = fis.adjoint_vec(k @ stats.s @ k)
-        try:
-            # ill-conditioned systems are expected on divergent runs and
-            # already surface through pd_flags and the detail tag
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                free = scipy.linalg.solve(sym, rhs, assume_a="sym")
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
+        if not (np.all(np.isfinite(sym)) and np.all(np.isfinite(rhs))):
             detail = "singular-system"
             break
+        low = _cholesky(sym)
+        if low is not None:
+            free = dpotrs(low, rhs, lower=1)[0]
+        else:
+            try:
+                # ill-conditioned systems are expected on divergent runs and
+                # already surface through pd_flags and the detail tag
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                    free = scipy.linalg.solve(sym, rhs, assume_a="sym")
+            except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
+                detail = "singular-system"
+                break
         if not np.all(np.isfinite(free)):
             detail = "diverged"
             break

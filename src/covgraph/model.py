@@ -226,22 +226,42 @@ def _effective_n(n: int, n_adjust: bool) -> int:
 
 
 def kron_form(k: np.ndarray, fis: FreeIndexSet) -> np.ndarray:
-    """Free-pair quadratic form of k (x) k for a symmetric ``k``.
+    """Free-pair form (A o C + B o B^T) o (d d^T) / 2 of a square ``k``.
 
-    This is the duplication-map sandwich around k (x) k, read from three
-    gathers.  With the pair rows ii and columns jj, A = k[ii, ii],
-    B = k[ii, jj] and C = k[jj, jj], the symmetry of k folds the form
-    into (2 A o C + B o B^T + B^T o B) / (d d^T), d being 2 on the
-    diagonal pairs and 1 on the edges, which is (A o C + B o B^T) times
-    half the outer product of the edge doubling (o is the elementwise
-    product).
+    With the pair rows ii and columns jj, A = k[ii, ii], B = k[ii, jj]
+    and C = k[jj, jj], o is the elementwise product and d the edge
+    doubling (1 on the diagonal pairs, 2 on the edges).  For a symmetric
+    k this is the duplication-map sandwich around k (x) k, and the result
+    is then exactly symmetric; any other k gets the same formula.
+
+    The diagonal pairs come first, so the form is built by blocks of
+    one m x m result: (k o k + k o k^T) / 2 on the diagonal pairs,
+    products of k's edge-row and edge-column gathers on the two mixed
+    blocks, and twice (A o C + B o B^T) on the edge pairs.  Each entry
+    takes the same two products, sum and power of two as that formula
+    does over the whole form, so the bits are the same.  Spent gathers
+    hold the later products, so nothing else m x m is made.
     """
-    k_rows = k.take(fis.rows, axis=0)
-    b = k_rows.take(fis.cols, axis=1)
-    out = k_rows.take(fis.rows, axis=1)
-    out *= k.take(fis.cols, axis=0).take(fis.cols, axis=1)
-    out += b * b.T
-    out *= np.multiply.outer(fis.mult, 0.5 * fis.mult)
+    p, ii, jj = fis.p, fis.rows[fis.p:], fis.cols[fis.p:]
+    out = np.empty((len(fis), len(fis)))
+    dd, de, ed, ee = out[:p, :p], out[:p, p:], out[p:, :p], out[p:, p:]
+    np.multiply(k, k.T, out=dd)
+    dd += k * k
+    dd *= 0.5
+    k_i, k_j = k.take(ii, axis=0), k.take(jj, axis=0)
+    a, c = k_i.take(ii, axis=1), k_j.take(jj, axis=1)
+    np.multiply(a, c, out=ee)
+    np.take(k_i, jj, axis=1, out=a, mode="clip")  # B; "raise" would copy through a buffer
+    np.multiply(a, a.T, out=c)
+    ee += c
+    ee *= 2.0
+    col_i, col_j = k.take(ii, axis=1), k.take(jj, axis=1)
+    np.multiply(k_i, k_j, out=ed)
+    np.multiply(k_i, col_j.T, out=k_j)
+    ed += k_j
+    np.multiply(col_i, col_j, out=de)
+    np.multiply(col_j, k_i.T, out=col_i)
+    de += col_i
     return out
 
 

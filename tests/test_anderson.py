@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import covgraph as cg
+import covgraph.anderson
 from covgraph.anderson import fit_anderson
 from covgraph.graphs import CovarianceGraph, free_index_set
 from covgraph.icf import fit_icf
@@ -61,6 +63,85 @@ class TestPlannedSystem:
         assert res.iterations == ITERATIONS[case]
         sigma = plain_anderson(st, free_index_set(g), res.iterations)
         assert np.abs(res.sigma - sigma).max() <= 1e-10 * np.abs(sigma).max()
+
+
+def three_gather_form(k, fis):
+    """The whole-form formula that the block build of kron_form must match bit for bit."""
+    k_rows = k.take(fis.rows, axis=0)
+    b = k_rows.take(fis.cols, axis=1)
+    out = k_rows.take(fis.rows, axis=1)
+    out *= k.take(fis.cols, axis=0).take(fis.cols, axis=1)
+    out += b * b.T
+    out *= np.multiply.outer(fis.mult, 0.5 * fis.mult)
+    return out
+
+
+class TestBlockBuild:
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric", "lu-inverse"])
+    @pytest.mark.parametrize("case", ["fig1", "gd", "gs", "lattice5"])
+    def test_bits_match_the_three_gather_formula(self, case, kind, request):
+        g = lattice_graph(5) if case == "lattice5" else request.getfixturevalue(
+            {"fig1": "fig1", "gd": "yeast_gd", "gs": "yeast_gs"}[case]
+        )
+        fis = free_index_set(g)
+        rng = np.random.default_rng(len(fis))
+        if kind == "lu-inverse":
+            # what fit_anderson passes: an inverse that is symmetric only to rounding
+            k = np.linalg.inv(random_patterned_cov(g, rng))
+        else:
+            k = rng.standard_normal((g.p, g.p)) * np.exp(rng.uniform(-5.0, 5.0, (g.p, g.p)))
+            if kind == "symmetric":
+                k = k + k.T
+        got = kron_form(k, fis)
+        assert got.shape == (len(fis), len(fis))
+        assert got.tobytes() == three_gather_form(k, fis).tobytes()
+        assert np.array_equal(got, got.T) == np.array_equal(k, k.T)
+
+
+class TestSolvePaths:
+    @staticmethod
+    def record_cholesky(monkeypatch):
+        factored, original = [], covgraph.anderson._cholesky
+
+        def recorded(a):
+            low = original(a)
+            factored.append(low is not None)
+            return low
+
+        monkeypatch.setattr("covgraph.anderson._cholesky", recorded)
+        return factored
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_form_is_a_singular_system(self, bad, monkeypatch, fig1):
+        # the entry lies in the triangle a lower Cholesky factor never reads
+        def broken(k, fis):
+            out = kron_form(k, fis)
+            out[0, -1] = bad
+            return out
+
+        monkeypatch.setattr("covgraph.anderson.kron_form", broken)
+        factored = self.record_cholesky(monkeypatch)
+        st = stats_from_moments(50, random_spd(4, 50, np.random.default_rng(7)))
+        res = fit_anderson(st, fig1)
+        assert (res.detail, res.iterations, res.estimate) == ("singular-system", 1, None)
+        assert factored == []
+
+    def test_indefinite_form_is_solved_by_the_fallback(self, monkeypatch, fig1):
+        fis = free_index_set(fig1)
+        m = len(fis)
+        rng = np.random.default_rng(8)
+        q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        form = (q * (np.arange(m) - 1.5)) @ q.T  # eigenvalues -1.5, -0.5, 0.5, ...
+        form = (form + form.T) / 2.0
+        monkeypatch.setattr("covgraph.anderson.kron_form", lambda k, f: form.copy())
+        factored = self.record_cholesky(monkeypatch)
+        s = random_spd(4, 50, rng)
+        res = fit_anderson(stats_from_moments(50, s), fig1, FitConfig(max_iter=1))
+        # at the identity start K S K is S, so the system is form x = adjoint(S)
+        want = fis.expand(scipy.linalg.solve(form, fis.adjoint_vec(s), assume_a="sym"))
+        assert factored == [False]
+        assert (res.detail, res.iterations) == ("max-iter", 1)
+        assert np.abs(res.final_sigma - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestAndersonSystem:
