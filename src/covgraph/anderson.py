@@ -9,11 +9,13 @@ point solves the likelihood equations, so converged runs agree with
 the conditional-fitting estimate.
 
 The system of a step is the free-pair form of K (x) K, K the inverse
-of the iterate, and the right-hand side is the duplication adjoint of
-K S K.  Both are read through the graph's free-entry map, built once
-with the graph: its index vectors gather the three blocks K[ii, ii],
-K[ii, jj] and K[jj, jj] that the symmetric form needs (``kron_form``),
-so a step costs an inverse, those gathers and a symmetric solve.
+of the iterate (``kron_form``, built by blocks from gathers of K
+through the graph's free-entry map), and the right-hand side is the
+duplication adjoint of K S K.  The form is positive definite while
+the iterate is, so a step factors it by Cholesky; only a form that
+is not, off the cone, goes to a symmetric-indefinite solve, whose
+arithmetic the documented failure modes depend on.  A step costs an
+inverse, the form and one of the two solves.
 """
 
 from __future__ import annotations
@@ -76,6 +78,9 @@ def fit_anderson(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None =
             break
         low = _cholesky(sym)
         if low is not None:
+            # Only the factor outlives the step, as in fit_dual: the next
+            # form then reuses freed heap rather than faulting in pages.
+            del sym
             free = dpotrs(low, rhs, lower=1)[0]
         else:
             try:

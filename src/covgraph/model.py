@@ -256,12 +256,11 @@ def kron_form(k: np.ndarray, fis: FreeIndexSet) -> np.ndarray:
     ee += c
     ee *= 2.0
     col_i, col_j = k.take(ii, axis=1), k.take(jj, axis=1)
-    np.multiply(k_i, k_j, out=ed)
-    np.multiply(k_i, col_j.T, out=k_j)
-    ed += k_j
     np.multiply(col_i, col_j, out=de)
-    np.multiply(col_j, k_i.T, out=col_i)
-    de += col_i
+    np.multiply(k_i, k_j, out=ed)
+    np.multiply(k_i, col_j.T, out=k_j)  # the product both mixed blocks add
+    ed += k_j
+    de += k_j.T
     return out
 
 
