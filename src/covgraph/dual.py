@@ -1,4 +1,4 @@
-"""Dual covariance estimation by one fitting pass or damped Newton steps.
+"""Dual covariance estimation by its closed form or damped Newton steps.
 
 The dual estimate is the unique patterned positive-definite matrix
 whose inverse agrees with the inverse sample covariance K on all free
@@ -9,41 +9,40 @@ once and kept in the graph's store.
 
 On a decomposable graph, flipping the roles of covariance and
 concentration turns the problem into a concentration-graph fit with K
-as the data, and one pass of iterative proportional fitting over the
-cliques in perfect elimination order solves it exactly.  The pass
-keeps H, the inverse of the iterate, next to it (the covariance-form
-update of Speed and Kiiveri 1986, Ann. Statist. 14).  A clique step
-factorises only the |C| x |C| block H_CC and adds one rank-|C| term
-to H in place by one BLAS gemm, so it costs O(p^2 |C|) and allocates
-nothing p x p.  After the pass the iterate is factorised afresh: that
-checks it is still in the cone and gives the exact H.  What a step
-needs from the graph alone (the clique order and index grids) is kept
-in the graph's store, and what it needs from K is taken once per fit.
+as the data, whose estimate has a closed form (Lauritzen 1996,
+Graphical Models, Prop. 5.9):
+
+    sigma = sum_C [K_CC^-1]^0 - sum_S [K_SS^-1]^0,
+
+with C over the cliques in a running-intersection order, S over their
+separators (each clique's intersection with the cliques before it) and
+[.]^0 padding a block with zeros to p x p.  Each block is inverted
+on its own, and the sum is factorised once, which checks it is in the
+cone and gives its inverse.  The clique and separator index grids
+depend on the graph alone and are kept in the graph's store.
 
 On any other graph, damped Newton steps minimize f from the diagonal
 concentration of S.  f is convex and self-concordant, so the steps
 converge from any start, and quadratically near the optimum (Boyd and
 Vandenberghe 2004, Convex Optimization, 9.5-9.6).  The Hessian over
-the free entries is the free-pair form of H (x) H, the system of
-Anderson's iteration (``kron_form``), so a step solves it against the
-adjoint of H - K by Cholesky.  The step is then halved until the
-candidate is in the cone and passes Armijo's test; one factorisation
-of a candidate gives the cone check, f and its inverse.  A step costs
-O(m^3) in the m = p + |E| free entries.  A graph's cliques are built
-only for the fitting pass.
+the free entries is the free-pair form of H (x) H, with H the inverse
+of the iterate: the system of Anderson's iteration (``kron_form``).
+So a step solves it against the adjoint of H - K by Cholesky.  The
+step is then halved until the candidate is in the cone and passes
+Armijo's test; one factorisation of a candidate gives the cone check,
+f and its inverse.  A step costs O(m^3) in the m = p + |E| free
+entries.  A graph's cliques are built only for the closed form.
 
-Both engines stop on the same unit-free residual of H - K: the pass
-feeds the Newton loop, which takes no step once the residual is at
-most ``tol``.
+Both engines stop on the same unit-free residual of H - K: the closed
+form feeds the Newton loop, which takes no step once the residual is
+at most ``tol`` and otherwise polishes an ill-conditioned case.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotrs
 
 from .graphs import CompleteSetFamily, CovarianceGraph, _kept, cliques, free_index_set
@@ -116,35 +115,32 @@ def _clique_order(g: CovarianceGraph, fam: CompleteSetFamily) -> list[tuple[int,
     """Cliques as index tuples, ordered along the search ranks.
 
     On a decomposable graph this realizes the running-intersection
-    ordering, for which one fitting pass is exact.
+    ordering, along which the closed form adds cliques and subtracts
+    separators.
     """
     rank = {v: k for k, v in enumerate(_mcs_order(g.adjacency))}
     idx_sets = [tuple(sorted(g.index(v) for v in c)) for c in fam]
     return sorted(idx_sets, key=lambda c: (max(rank[v] for v in c), c))
 
 
-class _CliqueStep(NamedTuple):
-    """The graph-only part of a clique step, kept in the graph's store."""
+def _steps(g: CovarianceGraph) -> tuple[tuple[tuple, np.ndarray, float], ...]:
+    """The closed form's blocks, built on first use and kept on ``g``.
 
-    idx: np.ndarray  # the clique's vertex positions
-    cc: tuple  # np.ix_(idx, idx)
-    eye: np.ndarray  # the |C| x |C| identity
+    Each clique in ``_clique_order`` comes with sign +1, then its
+    separator, if not empty, with sign -1: its intersection with the
+    cliques before it.  A block is its np.ix_ grid, identity and sign.
+    """
 
-
-def _steps(g: CovarianceGraph) -> tuple[_CliqueStep, ...]:
-    """The steps of the cliques in ``_clique_order``, built on first use and kept on ``g``."""
-
-    def build() -> tuple[_CliqueStep, ...]:
-        idx = [np.array(c, dtype=int) for c in _clique_order(g, cliques(g))]
-        return tuple(_CliqueStep(i, np.ix_(i, i), np.eye(i.size)) for i in idx)
+    def build() -> tuple:
+        blocks, seen = [], set()
+        for c in _clique_order(g, cliques(g)):
+            for idx, sign in ((c, 1.0), (sorted(seen.intersection(c)), -1.0)):
+                if idx:
+                    blocks.append((np.ix_(idx, idx), np.eye(len(idx)), sign))
+            seen.update(c)
+        return tuple(blocks)
 
     return _kept(g, "dual", build)
-
-
-def _targets(k: np.ndarray, steps: tuple[_CliqueStep, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each step's target block K_CC of the inverse and its inverse, taken once per fit."""
-    blocks = [k[st.cc] for st in steps]
-    return [(b, _block_inv(b, st.eye, "inverse sample covariance block")) for b, st in zip(blocks, steps)]
 
 
 def _block_inv(a: np.ndarray, eye: np.ndarray, what: str) -> np.ndarray:
@@ -156,34 +152,12 @@ def _block_inv(a: np.ndarray, eye: np.ndarray, what: str) -> np.ndarray:
     return (inv + inv.T) / 2.0
 
 
-def _cycle(steps: tuple[_CliqueStep, ...], targets: list, sigma: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """One pass over the cliques; updates ``sigma`` in place and returns its inverse.
-
-    ``targets`` holds each step's K_CC and its inverse.  ``h`` holds the
-    inverse of ``sigma`` on entry and is used up.  Each step sets the
-    clique block of the inverse to K_CC by adding K_CC^-1 - H_CC^-1 to
-    sigma's block, and keeps H current with one rank-|C| term.  The
-    returned inverse is recomputed from sigma, whose factorisation also
-    checks that sigma is still in the cone.
-    """
-    for step, (k_cc, k_cc_inv) in zip(steps, targets):
-        h_cc = h[step.cc]
-        b = _block_inv(h_cc, step.eye, "clique block of the inverse iterate")
-        w = h[:, step.idx] @ b
-        sigma[step.cc] += k_cc_inv - b
-        # H += u w^T with u = w (K_CC - H_CC), in place: the symmetric H goes
-        # to BLAS as its F-ordered transpose, which receives w u^T, and the
-        # result is kept, so a copy made by the wrapper would not be lost.
-        u = w @ (k_cc - h_cc)
-        h = dgemm(1.0, w.T, u.T, 1.0, h.T, trans_a=1, overwrite_c=1).T
-    return _inv_pd(sigma, "dual iterate")
-
-
 def dual_residual(stats: SampleStats, sigma: np.ndarray, g: CovarianceGraph) -> float:
     """Max gap inv(sigma) - inv(S) on the free entries, scaled by ``unit_free_gap``.
 
     Both inverses come from Cholesky factorisations, as in ``fit_dual``.
     """
+    stats = stats.aligned_to(g.vertices)
     gap = _inv_pd(sigma, "dual iterate") - _inv_pd(stats.s, "sample covariance")
     return unit_free_gap(gap, sigma, g)
 
@@ -202,21 +176,21 @@ def _at(k: np.ndarray, sigma: np.ndarray, eye: np.ndarray) -> tuple[float, np.nd
 def fit_dual(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None = None) -> FitResult:
     """Match the inverse sample covariance on the free entries.
 
-    On a decomposable graph one fitting pass over the cliques gives the
-    estimate; on any other graph damped Newton steps minimize
-    tr(K sigma) - log det sigma from the diagonal concentration of S.
-    ``iterations`` counts the pass, if one ran, plus the Newton steps.
-    The fit stops as ``converged`` once the defining residual is at
-    most ``tol`` (not on parameter change), and otherwise as
-    ``max-iter`` after ``max_iter`` iterations, as ``stalled`` when a
-    line search finds no candidate in the cone that descends, or as
-    ``singular-system`` when a Newton system does not factorise; the
-    estimate is then the last iterate.  The reported log-likelihood is
-    the Gaussian profile value at the dual estimate; the dual estimate
-    is generally not a likelihood maximizer.  A pass whose iterate
-    leaves the cone raises ``NotPositiveDefiniteError``.  The fit has
-    its own start, so a ``cfg.start`` raises ``ModelError`` instead of
-    being ignored.
+    On a decomposable graph the closed form over the cliques and their
+    separators gives the estimate; on any other graph damped Newton
+    steps minimize tr(K sigma) - log det sigma from the diagonal
+    concentration of S.  ``iterations`` counts the closed form as one,
+    if it ran, plus the Newton steps.  The fit stops as ``converged``
+    once the defining residual is at most ``tol`` (not on parameter
+    change), and otherwise as ``max-iter`` after ``max_iter``
+    iterations, as ``stalled`` when a line search finds no candidate
+    in the cone that descends, or as ``singular-system`` when a Newton
+    system does not factorise; the estimate is then the last iterate.
+    The reported log-likelihood is the Gaussian profile value at the
+    dual estimate; the dual estimate is generally not a likelihood
+    maximizer.  A closed form that is not in the cone raises
+    ``NotPositiveDefiniteError``.  The fit has its own start, so a
+    ``cfg.start`` raises ``ModelError`` instead of being ignored.
     """
     cfg = cfg or FitConfig()
     if cfg.start is not None:
@@ -226,12 +200,14 @@ def fit_dual(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None = Non
     fis = free_index_set(g)
     eye = np.eye(g.p)
 
-    sigma = np.diag(1.0 / np.diag(k))  # patterned start: diagonal concentration
     if _kept(g, "decomposable", lambda: is_decomposable(g)):
-        steps = _steps(g)
-        h = _cycle(steps, _targets(k, steps), sigma, _inv_pd(sigma, "dual iterate"))
+        sigma = np.zeros((g.p, g.p))
+        for cc, block_eye, sign in _steps(g):
+            sigma[cc] += sign * _block_inv(k[cc], block_eye, "inverse sample covariance block")
+        h = _inv_pd(sigma, "dual iterate")
         value, iterations = None, 1  # the objective is read only if a step follows
     else:
+        sigma = np.diag(1.0 / np.diag(k))  # patterned start: diagonal concentration
         value, h = _at(k, sigma, eye)
         iterations = 0
     while True:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import CovarianceGraph, _upper_pairs
-from .model import ModelError
+from .model import ModelError, _check_finite
 from .results import FitResult
 
 __all__ = [
@@ -242,12 +242,14 @@ def inner_el(data: np.ndarray, mu: np.ndarray, g: CovarianceGraph) -> WeightedSa
 
     Returns None when the problem is infeasible: either the sample size
     does not exceed the constraint count, or zero is not interior to
-    the convex hull of the per-observation constraint values.
+    the convex hull of the per-observation constraint values.  A NaN
+    or infinite cell of ``data`` raises ``ModelError`` naming it.
     """
     data = np.asarray(data, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if data.ndim != 2 or data.shape[1] != g.p or mu.shape != (g.p,):
         raise ModelError("data, location, and graph dimensions disagree")
+    _check_finite(data)
     return _solve_at(data, mu, _missing_index(g))
 
 
@@ -303,7 +305,8 @@ def fit_el(data: np.ndarray, g: CovarianceGraph) -> FitResult:
     acceptance.  The search stops at a gradient of 1e-6, at 400
     accepted steps, or when a step no longer moves the location.
     Raises when the sample mean itself is infeasible, the small-sample
-    failure mode of the method.
+    failure mode of the method, and raises ``ModelError`` naming the
+    first NaN or infinite cell of ``data``.
 
     The record's ``sigma`` (its ``final_sigma``) is the weighted
     covariance, ``weighted`` the optimal weighting, ``iterations`` the
@@ -320,6 +323,7 @@ def fit_el(data: np.ndarray, g: CovarianceGraph) -> FitResult:
     n, p = data.shape
     if p != g.p:
         raise ModelError("data and graph dimensions disagree")
+    _check_finite(data)
     pairs = _missing_index(g)
     ybar = data.mean(axis=0)
     sd = data.std(axis=0)

@@ -374,14 +374,14 @@ def parse_family_text(text: str, g: CovarianceGraph, source: str = "<string>") -
 
 
 def graph_from_matrix(m: np.ndarray, labels: Sequence[str] | None = None) -> CovarianceGraph:
-    """Graph whose edges mark the nonzero off-diagonal entries of ``m``, in either triangle."""
+    """Graph whose edges mark the nonzero off-diagonal entries of ``m``; one label per row, X1... by default."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise GraphError("expected a square matrix")
     p = m.shape[0]
-    if labels is None:
-        labels = [f"X{k + 1}" for k in range(p)]
-    labels = tuple(labels)
+    labels = tuple(labels) if labels is not None else tuple(f"X{k + 1}" for k in range(p))
+    if len(labels) != p:
+        raise GraphError(f"{len(labels)} labels for a {p} x {p} matrix")
     nonzero = m != 0.0
     edges = [(labels[i], labels[j]) for i, j in _upper_pairs(nonzero | nonzero.T)]
     return CovarianceGraph(labels, edges)

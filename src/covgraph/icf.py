@@ -232,8 +232,9 @@ def block_update(
         raise ModelError("block must be nonempty")
     if not g.is_complete(cidx):
         raise ModelError(f"block {tuple(g.vertices[i] for i in cidx)} is not complete")
+    s = stats.aligned_to(g.vertices).s
     m = np.array(sigma.sigma)
-    _update(stats.s, m, _point(stats.s, m).inv, _plans(g, [cidx])[0])
+    _update(s, m, _point(s, m).inv, _plans(g, [cidx])[0])
     return ConstrainedCovariance(g, m)
 
 

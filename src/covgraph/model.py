@@ -97,6 +97,13 @@ def _check_sample_size(n: int) -> None:
         raise ModelError(f"need at least 2 observations, got {n}")
 
 
+def _check_finite(data: np.ndarray) -> None:
+    """Raise ``ModelError`` naming the first NaN or infinite cell of a data table."""
+    if not np.all(np.isfinite(data)):
+        bad = np.argwhere(~np.isfinite(data))[0]
+        raise ModelError(f"non-numeric cell at row {bad[0] + 1}, column {bad[1] + 1}")
+
+
 def _inv_pd(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     inv, _ = dpotrs(_chol(a, what), np.eye(a.shape[0]), lower=1)
     return (inv + inv.T) / 2.0
@@ -136,11 +143,11 @@ class SampleStats:
         return self.s.shape[0]
 
     def aligned_to(self, labels: Sequence[str]) -> "SampleStats":
-        """The variables in ``labels`` order, matched to them by ``label_order``."""
+        """The variables in ``labels`` order, matched by ``label_order``; ``self`` if already so."""
         labels = tuple(labels)
-        perm = label_order(labels, self.labels, self.p, "stats")
-        if self.labels in (None, labels):
+        if self.labels == labels or (self.labels is None and self.p == len(labels)):
             return self
+        perm = label_order(labels, self.labels, self.p, "stats")
         return SampleStats(n=self.n, mean=self.mean[perm], s=self.s[np.ix_(perm, perm)], labels=labels)
 
 
@@ -154,9 +161,7 @@ def sample_stats(data: np.ndarray, labels: Sequence[str] | None = None) -> Sampl
     if arr.ndim != 2:
         raise ModelError("data must be a two-dimensional table")
     _check_sample_size(arr.shape[0])  # before numpy averages an empty table
-    if not np.all(np.isfinite(arr)):
-        bad = np.argwhere(~np.isfinite(arr))[0]
-        raise ModelError(f"non-numeric cell at row {bad[0] + 1}, column {bad[1] + 1}")
+    _check_finite(arr)
     mean = arr.mean(axis=0)
     centered = arr - mean
     s = centered.T @ centered / arr.shape[0]
@@ -273,8 +278,12 @@ def profile_loglik(
 
     Equals -(n p / 2) log(2 pi) - (n / 2) log det(sigma)
     - (n / 2) trace(sigma^-1 S), with n replaced by n - 1 when
-    ``n_adjust`` is set.
+    ``n_adjust`` is set.  Labelled stats are read in the graph's vertex
+    order when ``sigma`` carries its graph, and in their own order
+    otherwise.
     """
+    if isinstance(sigma, ConstrainedCovariance):
+        stats = stats.aligned_to(sigma.graph.vertices)
     m = _as_matrix(sigma)
     n = _effective_n(stats.n, n_adjust)
     low = _chol(m, "covariance")
@@ -285,6 +294,7 @@ def profile_loglik(
 
 def score(stats: SampleStats, sigma: ConstrainedCovariance, n_adjust: bool = False) -> np.ndarray:
     """Gradient of the profile log-likelihood over the free entries."""
+    stats = stats.aligned_to(sigma.graph.vertices)
     k = _inv_pd(sigma.sigma, "covariance")
     m = k @ stats.s @ k - k
     n = _effective_n(stats.n, n_adjust)
@@ -306,6 +316,7 @@ def hessian(stats: SampleStats, sigma: ConstrainedCovariance, n_adjust: bool = F
     polarisation, F(K + T) - F(K) - F(T), so the whole is
     (n / 2) (2 F(K) + F(T) - F(K + T)).
     """
+    stats = stats.aligned_to(sigma.graph.vertices)
     k = _inv_pd(sigma.sigma, "covariance")
     t = k @ stats.s @ k
     fis = free_index_set(sigma.graph)
@@ -326,6 +337,7 @@ def stationarity_residual(stats: SampleStats, sigma: ConstrainedCovariance) -> f
     Scaled by ``unit_free_gap``.  Zero exactly when sigma is a stationary
     point of the profile log-likelihood within the pattern.
     """
+    stats = stats.aligned_to(sigma.graph.vertices)
     k = _inv_pd(sigma.sigma, "covariance")
     return unit_free_gap(k - k @ stats.s @ k, sigma.sigma, sigma.graph)
 
@@ -346,6 +358,7 @@ def deviance(
         if not isinstance(sigma, ConstrainedCovariance):
             raise ModelError("deviance needs a graph when sigma is a plain matrix")
         graph = sigma.graph
+    stats = stats.aligned_to(graph.vertices)
     m = _as_matrix(sigma)
     if not stats.s_pos_def:
         raise NotPositiveDefiniteError("sample covariance is not positive definite")

@@ -76,8 +76,8 @@ class FitResult:
     ``final_sigma`` always holds the raw final matrix.  ``loglik`` is
     None for ``el``.  ``detail`` is the stop reason (converged, stalled,
     max-iter, diverged, singular-system or not-pd), ``iterations`` the
-    sweeps or iterations; for ``dual`` the fitting pass, if one ran,
-    plus the Newton steps, and for ``el`` the accepted Newton steps;
+    sweeps or iterations; for ``dual`` one for the closed form, if it
+    ran, plus the Newton steps, and for ``el`` the accepted Newton steps;
     ``pd_flags`` the per-iterate positive-definiteness record where the
     method tracks it, ``residual`` the method's own unit-free defining
     residual at exit, and ``rejected_extrapolations`` the number of

@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 
 import covgraph as cg
-from covgraph.dual import (
-    _block_inv, _clique_order, _cycle, _mcs_order, _steps, _targets, dual_residual, fit_dual,
-    is_decomposable,
-)
-from covgraph.graphs import CovarianceGraph, cliques
+from covgraph.dual import _clique_order, _mcs_order, dual_residual, fit_dual, is_decomposable
+from covgraph.graphs import CovarianceGraph, cliques, graph_from_matrix
 from covgraph.icf import fit_icf
 from covgraph.io import load_graph
-from covgraph.model import ModelError, NotPositiveDefiniteError, _inv_pd, sample_stats, stats_from_moments
+from covgraph.model import ModelError, NotPositiveDefiniteError, sample_stats, stats_from_moments
 from covgraph.results import FitConfig
 
 from conftest import DATA, lattice_graph, random_graph, random_patterned_cov, random_spd
@@ -19,16 +16,6 @@ from oracles import mcs_order_scan, plain_dual_ipf, root_find_dual
 def complete_graph(p):
     labels = [str(i + 1) for i in range(p)]
     return CovarianceGraph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]])
-
-
-def step_out_of_place(step, target, sigma, h):
-    """One clique step with H refreshed as h + w (K_CC - H_CC) w^T in a new array."""
-    k_cc, k_cc_inv = target
-    h_cc = h[step.cc]
-    b = _block_inv(h_cc, step.eye, "clique block of the inverse iterate")
-    w = h[:, step.idx] @ b
-    sigma[step.cc] += k_cc_inv - b
-    return h + w @ (k_cc - h_cc) @ w.T
 
 
 def corr_matrix(m):
@@ -201,6 +188,72 @@ class TestFitDual:
         assert res.residual == dual_residual(st, res.sigma, g)
 
 
+def chordal_completion(g):
+    """The graph with the fill-in of eliminating its vertices in index order: decomposable."""
+    adj = g.adjacency.copy()
+    for v in range(g.p):
+        later = np.flatnonzero(adj[v, v + 1:]) + v + 1
+        adj[np.ix_(later, later)] = True
+    np.fill_diagonal(adj, False)
+    return graph_from_matrix(adj.astype(float), g.vertices)
+
+
+def separators(g):
+    """Each clique's intersection with the cliques before it in ``_clique_order``."""
+    seps, seen = [], set()
+    for c in _clique_order(g, cliques(g)):
+        seps.append(seen.intersection(c))
+        seen.update(c)
+    return seps[1:]
+
+
+def closed_form_case(case):
+    """A decomposable graph and a sample: yeast gs, three components, or a random chordal graph."""
+    if case == "gs":
+        from covgraph.io import load_stats
+
+        g = load_graph(DATA / "gs.graph")
+        return load_stats(DATA / "table1.stats").aligned_to(g.vertices), g
+    rng = np.random.default_rng(case if case != "components" else 99)
+    if case == "components":  # a path, an edge and an isolated vertex
+        g = CovarianceGraph(list("abcdef"), [("a", "b"), ("b", "c"), ("d", "e")])
+    else:
+        p = int(rng.integers(2, 20))
+        g = chordal_completion(random_graph(p, rng, edge_prob=float(rng.uniform(0.0, 0.5))))
+    n = g.p + int(rng.integers(5, 60))
+    return sample_stats(rng.standard_normal((n, g.p)) @ np.linalg.cholesky(random_patterned_cov(g, rng)).T), g
+
+
+class TestClosedForm:
+    """The closed form over cliques and separators against the independent oracles."""
+
+    CASES = ["gs", "components", *range(16)]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_plain_ipf_and_root_finder(self, case):
+        st, g = closed_form_case(case)
+        assert is_decomposable(g)
+        res = fit_dual(st, g)
+        assert res.converged and res.iterations == 1
+        assert res.residual == dual_residual(st, res.sigma, g)
+        sigma, _ = plain_dual_ipf(st.s, g.adjacency, _clique_order(g, cliques(g)), tol=1e-12)
+        assert np.abs(res.sigma - sigma).max() <= 1e-12 * np.abs(sigma).max()
+        oracle, sol = root_find_dual(st, g)
+        if sol.success:
+            assert np.abs(res.sigma - oracle).max() <= 1e-8 * np.abs(oracle).max()
+
+    def test_cases_cover_empty_and_wide_separators(self):
+        # empty separators join components; gs has a separator of two vertices
+        graphs = {case: closed_form_case(case)[1] for case in self.CASES}
+        sizes = {case: [len(sep) for sep in separators(g)] for case, g in graphs.items()}
+        assert max(sizes["gs"]) >= 2
+        assert 0 in sizes["components"]
+        random = [case for case in self.CASES if isinstance(case, int)]
+        assert any(0 in sizes[case] for case in random)
+        assert any(max(sizes[case], default=0) >= 2 for case in random)
+        assert any((~graphs[case].adjacency.any(axis=1)).any() for case in random)
+
+
 def ill_conditioned_case(seed):
     """A random graph and a sample of a few more rows than variables, with correlated columns."""
     rng = np.random.default_rng(seed)
@@ -304,11 +357,11 @@ class TestNewton:
 
 
 class TestKeptInverse:
-    """The kept inverse against the plain IPF that refactorises per clique."""
+    """The fit, and the inverse it keeps for its stop rule, against the plain IPF and the cone check."""
 
     @pytest.mark.parametrize("case", ["lattice5", "gd", "gs"])
     def test_matches_plain_ipf(self, case, yeast_stats, yeast_gd, yeast_gs):
-        # gs is decomposable and runs the fitting pass; the other two take
+        # gs is decomposable and takes the closed form; the other two take
         # Newton steps, so only the estimate is compared there
         if case == "lattice5":
             g = lattice_graph(5)
@@ -326,34 +379,18 @@ class TestKeptInverse:
         if case == "lattice5":
             assert cycles > 1
 
-    def test_in_place_refresh_matches_the_out_of_place_step_bit_for_bit(self):
-        # p = 100 lattice, two cycles: every step refreshes the caller's H in
-        # its own buffer to exactly the out-of-place sum
-        g = lattice_graph(10)
-        rng = np.random.default_rng(64)
-        sigma_true = random_patterned_cov(g, rng)
-        st = sample_stats(rng.standard_normal((300, g.p)) @ np.linalg.cholesky(sigma_true).T)
-        k = _inv_pd(st.s, "sample covariance")
-        steps = _steps(g)
-        targets = _targets(k, steps)
-        sigma = np.diag(1.0 / np.diag(k))
-        h = _inv_pd(sigma, "dual iterate")
-        for _ in range(2):
-            for step, target in zip(steps, targets):
-                sigma_ref = sigma.copy()
-                h_ref = step_out_of_place(step, target, sigma_ref, h.copy())
-                _cycle([step], [target], sigma, h)
-                assert np.array_equal(sigma, sigma_ref)
-                assert np.array_equal(h, h_ref)
-            h = _inv_pd(sigma, "dual iterate")
+    def test_iterate_leaving_the_cone_raises_typed_error(self, monkeypatch, fig1):
+        import covgraph.dual as dual
 
-    def test_iterate_leaving_the_cone_raises_typed_error(self, fig1):
-        steps = _steps(fig1)
-        targets = _targets(np.eye(4), steps)
-        # a clique block of the kept inverse that is not positive definite
-        with pytest.raises(NotPositiveDefiniteError, match="clique block"):
-            _cycle(steps, targets, np.eye(4), -np.eye(4))
-        # steps that pass, on an iterate that is not in the cone: the
-        # refresh at the end of the cycle catches it
+        st = stats_from_moments(50, random_spd(4, 50, np.random.default_rng(4)))
+        # a block of K that does not factorise
+        monkeypatch.setattr(dual, "_cholesky", lambda a: None)
+        with pytest.raises(NotPositiveDefiniteError, match="inverse sample covariance block"):
+            fit_dual(st, fig1)
+        monkeypatch.undo()
+        # blocks that factorise but sum to a matrix outside the cone: the one
+        # factorisation of the sum catches it
+        block_inv = dual._block_inv
+        monkeypatch.setattr(dual, "_block_inv", lambda a, eye, what: -block_inv(a, eye, what))
         with pytest.raises(NotPositiveDefiniteError, match="dual iterate"):
-            _cycle(steps, targets, -np.eye(4), np.eye(4))
+            fit_dual(st, fig1)

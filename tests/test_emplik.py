@@ -13,7 +13,7 @@ from covgraph.emplik import (
 )
 from covgraph.graphs import CovarianceGraph
 from covgraph.icf import fit_icf
-from covgraph.model import is_pos_def, sample_stats
+from covgraph.model import ModelError, is_pos_def, sample_stats
 from covgraph.simulate import _rep_rng, sample_t
 
 from conftest import SIGMA_CHAIN
@@ -186,6 +186,15 @@ class TestProfileHessian:
 
 
 class TestFitEl:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("solve", ["fit_el", "inner_el"])
+    def test_non_finite_cell_is_named(self, solve, bad, fig1):
+        data = draw_chain_data(40, 3)
+        data[6, 2] = bad
+        call = {"fit_el": lambda: fit_el(data, fig1), "inner_el": lambda: inner_el(data, np.zeros(4), fig1)}
+        with pytest.raises(ModelError, match="row 7, column 3"):
+            call[solve]()
+
     def test_complete_graph_reproduces_sample_moments(self):
         rng = np.random.default_rng(7)
         g = complete_graph(3)

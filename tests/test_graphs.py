@@ -321,6 +321,11 @@ class TestGraphFromMatrix:
         g = graph_from_matrix(m)
         assert g.edges == (("X1", "X2"), ("X1", "X3"), ("X2", "X4"))
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_label_count_must_match(self, count):
+        with pytest.raises(GraphError, match=f"{count} labels for a 3 x 3 matrix"):
+            graph_from_matrix(np.eye(3), labels=[f"v{k}" for k in range(count)])
+
     def test_default_labels(self):
         g = graph_from_matrix(np.eye(3))
         assert g.vertices == ("X1", "X2", "X3")

@@ -365,3 +365,39 @@ class TestDeviance:
         dev, df = deviance(st, fit.estimate)
         assert dev >= 0
         assert df == 3
+
+
+def _labelled_reads():
+    from covgraph.dual import dual_residual
+    from covgraph.icf import block_update, icf_update_vertex
+
+    return {
+        "stationarity_residual": lambda st, est: stationarity_residual(st, est),
+        "profile_loglik": lambda st, est: profile_loglik(st, est),
+        "deviance": lambda st, est: deviance(st, est),
+        "deviance-graph": lambda st, est: deviance(st, est.sigma, graph=est.graph),
+        "dual_residual": lambda st, est: dual_residual(st, est.sigma, est.graph),
+        "icf_update_vertex": lambda st, est: icf_update_vertex(st, est, est.graph.vertices[2]).sigma,
+        "block_update": lambda st, est: block_update(st, est, max(cg.cliques(est.graph), key=len)).sigma,
+        "score": lambda st, est: score(st, est),
+        "hessian": lambda st, est: hessian(st, est),
+    }
+
+
+class TestLabelledStats:
+    """Labelled stats are read in the graph's vertex order, whatever their own order."""
+
+    @pytest.mark.parametrize("name", list(_labelled_reads()))
+    def test_reversed_labels_read_as_graph_order(self, name, yeast_stats, yeast_gd):
+        read = _labelled_reads()[name]
+        st = yeast_stats.aligned_to(yeast_gd.vertices)
+        backwards = yeast_stats.aligned_to(yeast_gd.vertices[::-1])
+        assert backwards.labels != st.labels
+        est = cg.fit_icf(st, yeast_gd).estimate
+        assert np.array_equal(read(backwards, est), read(st, est))
+
+    def test_stats_in_graph_order_are_not_copied(self, yeast_stats, yeast_gd):
+        st = yeast_stats.aligned_to(yeast_gd.vertices)
+        assert st.aligned_to(yeast_gd.vertices) is st
+        unlabelled = stats_from_moments(st.n, st.s)
+        assert unlabelled.aligned_to(yeast_gd.vertices) is unlabelled
