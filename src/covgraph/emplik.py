@@ -243,13 +243,16 @@ def inner_el(data: np.ndarray, mu: np.ndarray, g: CovarianceGraph) -> WeightedSa
     Returns None when the problem is infeasible: either the sample size
     does not exceed the constraint count, or zero is not interior to
     the convex hull of the per-observation constraint values.  A NaN
-    or infinite cell of ``data`` raises ``ModelError`` naming it.
+    or infinite cell of ``data`` raises ``ModelError`` naming it, as
+    does a location that is not finite.
     """
     data = np.asarray(data, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if data.ndim != 2 or data.shape[1] != g.p or mu.shape != (g.p,):
         raise ModelError("data, location, and graph dimensions disagree")
     _check_finite(data)
+    if not np.all(np.isfinite(mu)):
+        raise ModelError("location must be finite")
     return _solve_at(data, mu, _missing_index(g))
 
 

@@ -195,6 +195,11 @@ class TestFitEl:
         with pytest.raises(ModelError, match="row 7, column 3"):
             call[solve]()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_location_is_refused(self, bad, fig1):
+        with pytest.raises(ModelError, match="location must be finite"):
+            inner_el(draw_chain_data(40, 3), np.array([0.0, bad, 0.0, 0.0]), fig1)
+
     def test_complete_graph_reproduces_sample_moments(self):
         rng = np.random.default_rng(7)
         g = complete_graph(3)
