@@ -18,9 +18,7 @@ from .emplik import (
     missing_pairs,
 )
 from .graphs import (
-    CompleteSetFamily,
     CovarianceGraph,
-    FamilyViolation,
     FreeIndexSet,
     GraphError,
     cliques,
@@ -28,8 +26,6 @@ from .graphs import (
     graph_from_matrix,
     parse_family_text,
     parse_graph_text,
-    singleton_family,
-    spouses,
     validate_family,
 )
 from .icf import fit_icf, icf_update_vertex

@@ -147,7 +147,7 @@ def _run_method(method, stats, data, g, args, cfg) -> FitResult:
         fam = cio.load_family(args.family, g) if args.family else cliques(g)
         bad = validate_family(g, fam)
         if bad is not None:
-            raise cio.InputError(f"invalid family: {bad.message}")
+            raise cio.InputError(f"invalid family: {bad}")
         return fit_icf_multi(stats, g, fam, cfg)
     if method == "ml-anderson":
         return fit_anderson(stats, g, cfg)

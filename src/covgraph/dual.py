@@ -45,7 +45,7 @@ import heapq
 import numpy as np
 from scipy.linalg.lapack import dpotrs
 
-from .graphs import CompleteSetFamily, CovarianceGraph, _kept, cliques, free_index_set
+from .graphs import CovarianceGraph, _kept, cliques, free_index_set
 from .model import (
     ConstrainedCovariance,
     ModelError,
@@ -111,7 +111,7 @@ def is_decomposable(g: CovarianceGraph) -> bool:
     return True
 
 
-def _clique_order(g: CovarianceGraph, fam: CompleteSetFamily) -> list[tuple[int, ...]]:
+def _clique_order(g: CovarianceGraph, fam: tuple[tuple[str, ...], ...]) -> list[tuple[int, ...]]:
     """Cliques as index tuples, ordered along the search ranks.
 
     On a decomposable graph this realizes the running-intersection

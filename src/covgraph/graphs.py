@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -20,12 +19,8 @@ __all__ = [
     "GraphError",
     "CovarianceGraph",
     "FreeIndexSet",
-    "CompleteSetFamily",
-    "FamilyViolation",
-    "spouses",
     "free_index_set",
     "cliques",
-    "singleton_family",
     "validate_family",
     "parse_graph_text",
     "parse_family_text",
@@ -111,14 +106,6 @@ class CovarianceGraph:
     def n_edges(self) -> int:
         return len(self._free) - self.p
 
-    def spouse_idx(self, i: int) -> np.ndarray:
-        """Positions of the vertices adjacent to position ``i``."""
-        return np.flatnonzero(self._adj[i])
-
-    def is_complete(self, idx: Sequence[int]) -> bool:
-        idx = list(idx)
-        return all(self._adj[a, b] for a, b in itertools.combinations(idx, 2))
-
     def __reduce__(self):
         # Rebuilt, not restored slot by slot, so the arrays stay read-only.
         return CovarianceGraph, (self.vertices, self.edges)
@@ -171,11 +158,6 @@ def label_order(
     return np.array([pos[v] for v in vertices])
 
 
-def spouses(g: CovarianceGraph, i: str) -> tuple[str, ...]:
-    """Vertices adjacent to ``i``, in vertex order."""
-    return tuple(g.vertices[j] for j in g.spouse_idx(g.index(i)))
-
-
 class FreeIndexSet:
     """Index map between a patterned symmetric matrix and its free entries.
 
@@ -222,28 +204,15 @@ def free_index_set(g: CovarianceGraph) -> FreeIndexSet:
     return g._free
 
 
-@dataclass(frozen=True)
-class CompleteSetFamily:
-    """Ordered family of vertex subsets, each intended to be complete."""
-
-    sets: tuple[tuple[str, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    def __iter__(self) -> Iterator[tuple[str, ...]]:
-        return iter(self.sets)
-
-
-def cliques(g: CovarianceGraph) -> CompleteSetFamily:
-    """All maximal complete sets, each once, in deterministic order.
+def cliques(g: CovarianceGraph) -> tuple[tuple[str, ...], ...]:
+    """All maximal complete sets as label tuples, each once, in deterministic order.
 
     Found on the first call for a graph and kept on it.
     """
     return _kept(g, "cliques", lambda: _maximal_cliques(g))
 
 
-def _maximal_cliques(g: CovarianceGraph) -> CompleteSetFamily:
+def _maximal_cliques(g: CovarianceGraph) -> tuple[tuple[str, ...], ...]:
     """Bron-Kerbosch with a deterministic pivot.
 
     The pivot has the largest candidate intersection, ties broken by
@@ -265,54 +234,31 @@ def _maximal_cliques(g: CovarianceGraph) -> CompleteSetFamily:
 
     expand([], list(range(g.p)), [])
     found.sort()
-    return CompleteSetFamily(tuple(tuple(g.vertices[i] for i in c) for c in found))
+    return tuple(tuple(g.vertices[i] for i in c) for c in found)
 
 
-def singleton_family(g: CovarianceGraph) -> CompleteSetFamily:
-    """One singleton set per vertex, in vertex order."""
-    return CompleteSetFamily(tuple((v,) for v in g.vertices))
+def validate_family(g: CovarianceGraph, fam: Iterable[Iterable[str]]) -> str | None:
+    """Check a complete-set family: a sequence of label sets.
 
-
-@dataclass(frozen=True)
-class FamilyViolation:
-    """First defect found when checking a complete-set family."""
-
-    kind: str  # "unknown-vertex" | "incomplete" | "coverage"
-    subset: tuple[str, ...] | None = None
-    pair: tuple[str, str] | None = None
-    missing: tuple[str, ...] | None = None
-
-    @property
-    def message(self) -> str:
-        if self.kind == "unknown-vertex":
-            return f"set {self.subset} names an unknown vertex"
-        if self.kind == "incomplete":
-            return f"set {self.subset} is not complete: {self.pair[0]} and {self.pair[1]} are not adjacent"
-        return f"family does not cover vertices {self.missing}"
-
-
-def validate_family(g: CovarianceGraph, fam: CompleteSetFamily | Iterable[Iterable[str]]) -> FamilyViolation | None:
-    """Check that every set is complete and the union covers all vertices.
-
-    Returns ``None`` when the family is valid, otherwise a report for
-    the first offending set or pair.
+    Every set must name known vertices, each once, and be complete, and
+    the union must cover all vertices.  Returns ``None`` when the family
+    is valid, otherwise a message on the first offending set or pair.
     """
-    sets = fam.sets if isinstance(fam, CompleteSetFamily) else tuple(tuple(s) for s in fam)
     covered: set[str] = set()
-    for sub in sets:
+    for sub in map(tuple, fam):
         try:
             idx = sorted(g.index(v) for v in sub)
         except GraphError:
-            return FamilyViolation("unknown-vertex", subset=tuple(sub))
+            return f"set {sub} names an unknown vertex"
+        if len(set(idx)) < len(idx):
+            return f"set {sub} names vertex {_duplicates(sub)[0]} more than once"
         for a, b in itertools.combinations(idx, 2):
             if not g.adjacency[a, b]:
-                return FamilyViolation(
-                    "incomplete", subset=tuple(sub), pair=(g.vertices[a], g.vertices[b])
-                )
+                return f"set {sub} is not complete: {g.vertices[a]} and {g.vertices[b]} are not adjacent"
         covered.update(sub)
     missing = tuple(v for v in g.vertices if v not in covered)
     if missing:
-        return FamilyViolation("coverage", missing=missing)
+        return f"family does not cover vertices {missing}"
     return None
 
 
@@ -360,8 +306,8 @@ def parse_graph_text(text: str, source: str = "<string>") -> CovarianceGraph:
     return CovarianceGraph(vertices, edges)
 
 
-def parse_family_text(text: str, g: CovarianceGraph, source: str = "<string>") -> CompleteSetFamily:
-    """Parse a complete-set family: one set per line, labels comma-separated."""
+def parse_family_text(text: str, g: CovarianceGraph, source: str = "<string>") -> tuple[tuple[str, ...], ...]:
+    """Parse a family of known labels, one set per line, comma-separated; ``validate_family`` checks it."""
     sets: list[tuple[str, ...]] = []
     for lineno, line in _content_lines(text):
         labels = tuple(part.strip() for part in line.split(","))
@@ -370,7 +316,7 @@ def parse_family_text(text: str, g: CovarianceGraph, source: str = "<string>") -
         for lab in labels:
             g.index(lab)
         sets.append(labels)
-    return CompleteSetFamily(tuple(sets))
+    return tuple(sets)
 
 
 def graph_from_matrix(m: np.ndarray, labels: Sequence[str] | None = None) -> CovarianceGraph:

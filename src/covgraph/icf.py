@@ -230,7 +230,7 @@ def block_update(
     cidx = sorted({g.index(v) for v in c})
     if not cidx:
         raise ModelError("block must be nonempty")
-    if not g.is_complete(cidx):
+    if g.adjacency[np.ix_(cidx, cidx)].sum() != len(cidx) * (len(cidx) - 1):
         raise ModelError(f"block {tuple(g.vertices[i] for i in cidx)} is not complete")
     s = stats.aligned_to(g.vertices).s
     m = np.array(sigma.sigma)

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import CompleteSetFamily, CovarianceGraph, _content_lines, parse_family_text, parse_graph_text
+from .graphs import CovarianceGraph, _content_lines, parse_family_text, parse_graph_text
 from .model import ModelError, SampleStats, is_pos_def, stats_from_moments
 
 __all__ = [
@@ -186,7 +186,7 @@ def load_graph(path: str | os.PathLike) -> CovarianceGraph:
     return parse_graph_text(_read_text(path), source=str(path))
 
 
-def load_family(path: str | os.PathLike, g: CovarianceGraph) -> CompleteSetFamily:
+def load_family(path: str | os.PathLike, g: CovarianceGraph) -> tuple[tuple[str, ...], ...]:
     return parse_family_text(_read_text(path), g, source=str(path))
 
 

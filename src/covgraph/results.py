@@ -20,11 +20,11 @@ __all__ = ["FitConfig", "FitResult"]
 class FitConfig:
     """Knobs shared by the iterative fitters.
 
-    ``tol`` is unit-free: see ``stop_reason``, and the dual fitter
-    stops once its residual is at most ``tol``.  ``start`` overrides
-    the identity starting value of ``ml-icf``, ``ml-icf-multi`` and
-    ``ml-anderson`` (see ``_resolve_start``); the dual fitter has its
-    own start and rejects one.  ``record_trace`` keeps the per-sweep
+    ``tol`` is finite, positive and unit-free: see ``stop_reason``,
+    and the dual fitter stops once its residual is at most ``tol``.
+    ``start`` overrides the identity starting value of ``ml-icf``,
+    ``ml-icf-multi`` and ``ml-anderson`` (see ``_resolve_start``); the
+    dual fitter has its own start and rejects one.  ``record_trace`` keeps the per-sweep
     log-likelihood, and ``n_adjust`` substitutes n - 1 for n in
     reported likelihood values.
     """
@@ -38,6 +38,8 @@ class FitConfig:
     def __post_init__(self):
         if not self.tol > 0:
             raise ModelError("tol must be positive")
+        if not np.isfinite(self.tol):
+            raise ModelError("tol must be finite")
         if self.max_iter < 1:
             raise ModelError("max_iter must be at least 1")
 

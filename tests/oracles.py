@@ -149,7 +149,7 @@ def brute_force_cliques(g):
         c
         for r in range(1, p + 1)
         for c in itertools.combinations(range(p), r)
-        if g.is_complete(c)
+        if all(g.adjacency[a, b] for a, b in itertools.combinations(c, 2))
     ]
     maximal = [
         c for c in complete

@@ -4,9 +4,13 @@ import pytest
 import covgraph as cg
 from covgraph.emplik import (
     _OUTER_MAX_ITER,
+    ELConvergenceError,
     ELInfeasibleError,
+    _interior_feasible,
     _log_star,
+    _missing_index,
     _profile_hessian,
+    _solve_at,
     fit_el,
     inner_el,
     missing_pairs,
@@ -150,6 +154,41 @@ class TestInnerEl:
         ws = inner_el(data, data.mean(axis=0), fig1)
         assert ws is not None
         assert ws.multipliers.shape == (4 + 3,)
+
+
+class TestPhaseOneLp:
+    """The linear program that tells a stalled inner solve from an infeasible problem."""
+
+    def test_zero_strictly_inside_the_hull_is_certified(self):
+        gmat = np.random.default_rng(8).standard_normal((30, 3))
+        gmat -= gmat.mean(axis=0)  # 0 is the uniform average of the rows
+        assert _interior_feasible(gmat)
+
+    @pytest.mark.parametrize(
+        "gmat",
+        [
+            np.abs(np.random.default_rng(8).standard_normal((30, 3))) + 0.1,  # 0 outside
+            np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),  # 0 on the boundary
+        ],
+        ids=["outside", "boundary"],
+    )
+    def test_zero_not_strictly_inside_is_refused(self, gmat):
+        assert not _interior_feasible(gmat)
+
+    @pytest.mark.parametrize("shift, feasible", [(0.05, True), (20.0, False)])
+    def test_stalled_dual_raises_only_on_a_feasible_problem(self, fig1, monkeypatch, shift, feasible):
+        data = draw_chain_data(30, 9)
+        mu = data.mean(axis=0) + shift * data.std(axis=0)
+        pairs = _missing_index(fig1)
+        assert (_solve_at(data, mu, pairs) is not None) == feasible
+        # a dual solver stuck at its start leaves the uniform weights,
+        # which miss the moment equations whenever mu is off the mean
+        monkeypatch.setattr("covgraph.emplik._solve_dual", lambda gmat: np.zeros(gmat.shape[1]))
+        if feasible:
+            with pytest.raises(ELConvergenceError, match="feasible problem"):
+                _solve_at(data, mu, pairs)
+        else:
+            assert _solve_at(data, mu, pairs) is None
 
 
 class TestLogStar:

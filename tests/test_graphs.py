@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 import covgraph as cg
 from covgraph.graphs import (
-    CompleteSetFamily,
     CovarianceGraph,
     GraphError,
     cliques,
@@ -14,12 +13,11 @@ from covgraph.graphs import (
     graph_from_matrix,
     label_order,
     parse_graph_text,
-    singleton_family,
-    spouses,
     validate_family,
 )
 from covgraph.emplik import missing_pairs
-from covgraph.icf import _plan
+from covgraph.icf import _plan, icf_update_vertex
+from covgraph.model import ConstrainedCovariance, stats_from_moments
 
 from conftest import random_graph
 from oracles import brute_force_cliques, free_index_arrays, non_spouses, spouses_of_set
@@ -112,26 +110,32 @@ class TestLabelOrder:
             CovarianceGraph(["a", "b", "a"])
 
 
+def plan_spouses(g, v):
+    """Labels of the spouses a refit of vertex ``v`` reads: its block plan's ``spo``."""
+    return tuple(g.vertices[j] for j in _plan(g, [g.index(v)]).spo)
+
+
 class TestSpouses:
     def test_fig1_vertex3(self, fig1):
-        assert set(spouses(fig1, "3")) == {"1", "4"}
+        assert plan_spouses(fig1, "3") == ("1", "4")
 
     def test_edgeless(self):
         g = CovarianceGraph(["a", "b", "c"])
-        assert spouses(g, "b") == ()
+        assert plan_spouses(g, "b") == ()
 
     def test_complete_graph(self):
         g = CovarianceGraph(["1", "2", "3"], [("1", "2"), ("1", "3"), ("2", "3")])
-        assert set(spouses(g, "2")) == {"1", "3"}
+        assert plan_spouses(g, "2") == ("1", "3")
 
     def test_unknown_vertex_names_label(self, fig1):
+        sigma = ConstrainedCovariance.identity(fig1)
         with pytest.raises(GraphError, match="'9'"):
-            spouses(fig1, "9")
+            icf_update_vertex(stats_from_moments(10, np.eye(4)), sigma, "9")
 
     @given(small_graphs())
     def test_partition(self, g):
         for v in g.vertices:
-            spo = set(spouses(g, v))
+            spo = set(plan_spouses(g, v))
             nsp = set(non_spouses(g, v))
             assert spo.isdisjoint(nsp)
             assert v not in spo and v not in nsp
@@ -216,17 +220,17 @@ class TestCliques:
 
     def test_edgeless_gives_singletons(self):
         g = CovarianceGraph(["a", "b", "c"])
-        assert cliques(g).sets == (("a",), ("b",), ("c",))
+        assert cliques(g) == (("a",), ("b",), ("c",))
 
     def test_complete_gives_whole_set(self):
         g = CovarianceGraph(["1", "2", "3"], [("1", "2"), ("1", "3"), ("2", "3")])
-        assert cliques(g).sets == (("1", "2", "3"),)
+        assert cliques(g) == (("1", "2", "3"),)
 
     def test_union_covers_vertices(self, fig1):
         assert validate_family(fig1, cliques(fig1)) is None
 
     def test_deterministic_order(self, fig1):
-        assert cliques(fig1).sets == cliques(fig1).sets
+        assert cliques(fig1) == cliques(fig1)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_brute_force(self, seed):
@@ -238,28 +242,30 @@ class TestCliques:
 
 class TestValidateFamily:
     def test_mixed_family_ok(self, fig1):
-        fam = CompleteSetFamily((("1",), ("2",), ("3", "4")))
-        assert validate_family(fig1, fam) is None
+        assert validate_family(fig1, (("1",), ("2",), ("3", "4"))) is None
 
     def test_incomplete_set_reports_pair(self, fig1):
         bad = validate_family(fig1, [("1", "2")])
-        assert bad is not None and bad.kind == "incomplete"
-        assert set(bad.pair) == {"1", "2"}
-        assert "not adjacent" in bad.message
+        assert bad == "set ('1', '2') is not complete: 1 and 2 are not adjacent"
 
     def test_missing_vertex_reports_coverage(self, fig1):
         bad = validate_family(fig1, [("1", "3"), ("2", "4")])
         assert bad is None  # covers everything
         bad = validate_family(fig1, [("1", "3"), ("2",)])
-        assert bad is not None and bad.kind == "coverage"
-        assert bad.missing == ("4",)
+        assert bad == "family does not cover vertices ('4',)"
 
     def test_unknown_vertex(self, fig1):
         bad = validate_family(fig1, [("1", "z")])
-        assert bad is not None and bad.kind == "unknown-vertex"
+        assert bad == "set ('1', 'z') names an unknown vertex"
 
     def test_singleton_family_valid(self, fig1):
-        assert validate_family(fig1, singleton_family(fig1)) is None
+        assert validate_family(fig1, [(v,) for v in fig1.vertices]) is None
+
+    @pytest.mark.parametrize("repeated", [("1", "1"), ("3", "1", "3")])
+    def test_repeated_vertex_named(self, fig1, repeated):
+        # a repeat is not a missing edge: name the vertex, not a non-adjacent pair
+        bad = validate_family(fig1, [repeated, ("1", "3"), ("3", "4"), ("2", "4")])
+        assert bad == f"set {repeated} names vertex {repeated[0]} more than once"
 
 
 class TestParsing:
@@ -291,7 +297,7 @@ class TestFamilyParsing:
         from covgraph.graphs import parse_family_text
 
         fam = parse_family_text("1,3\n# comment\n2 , 4\n", fig1)
-        assert fam.sets == (("1", "3"), ("2", "4"))
+        assert fam == (("1", "3"), ("2", "4"))
 
     def test_unknown_label_rejected(self, fig1):
         from covgraph.graphs import parse_family_text

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import covgraph as cg
 from covgraph.graphs import CovarianceGraph, cliques, free_index_set
 from covgraph.icf import (
     _plan,
@@ -80,7 +79,7 @@ class TestPseudoVariablesGram:
         sigma = random_patterned_cov(fig1, rng)
         iv = fig1.index("1")
         rest = [1, 2, 3]
-        spo = [fig1.index(v) for v in cg.spouses(fig1, "1")]
+        spo = np.flatnonzero(fig1.adjacency[iv]).tolist()
         sigma_rest = sigma[np.ix_(rest, rest)]
         cross, gram = pseudo_variables_gram(st, fig1, sigma_rest, "1")
         centered = data - data.mean(axis=0)
@@ -139,7 +138,7 @@ class TestPseudoVariablesGram:
         st = stats_from_moments(60, random_spd(g.p, 60, rng))
         sigma = random_patterned_cov(g, rng)
         for iv, i in enumerate(g.vertices):
-            spo = g.spouse_idx(iv)
+            spo = np.flatnonzero(g.adjacency[iv])
             if spo.size == 0:
                 continue
             rest = [j for j in range(g.p) if j != iv]
@@ -361,6 +360,14 @@ class TestStopReason:
         res = fit_icf_multi(st, complete_graph(3), cfg=FitConfig(tol=1e-30))
         assert res.detail == "stalled" and res.iterations == 2
         assert not res.converged and 0.0 < res.residual < 1e-12
+
+    @pytest.mark.parametrize(
+        "tol, message", [(0.0, "positive"), (float("nan"), "positive"), (float("inf"), "finite")]
+    )
+    def test_tol_must_be_finite_and_positive(self, tol, message):
+        # an infinite tol would pass every stop test after one sweep
+        with pytest.raises(ModelError, match=f"tol must be {message}"):
+            FitConfig(tol=tol)
 
 
 class TestSquarem:

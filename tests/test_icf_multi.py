@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import covgraph as cg
-from covgraph.graphs import CompleteSetFamily, CovarianceGraph, cliques, singleton_family
+from covgraph.graphs import CovarianceGraph, cliques
 from covgraph.icf import _plan, fit_icf, icf_update_vertex
 from covgraph.icf_multi import block_update, fit_icf_multi
 from covgraph.model import (
@@ -129,7 +129,7 @@ class TestFitIcfMulti:
         st = stats_from_moments(70, random_spd(4, 70, rng))
         cfg = FitConfig(record_trace=True)
         a = fit_icf(st, fig1, cfg)
-        b = fit_icf_multi(st, fig1, singleton_family(fig1), cfg)
+        b = fit_icf_multi(st, fig1, [(v,) for v in fig1.vertices], cfg)
         assert a.iterations == b.iterations
         assert np.allclose(np.array(a.trace), np.array(b.trace), atol=1e-9)
         assert np.abs(a.sigma - b.sigma).max() < 1e-9
@@ -138,7 +138,7 @@ class TestFitIcfMulti:
     def test_singleton_family_bitwise_on_yeast(self, graph, yeast_stats, request):
         g = request.getfixturevalue(graph)
         a = fit_icf(yeast_stats, g)
-        b = fit_icf_multi(yeast_stats, g, singleton_family(g))
+        b = fit_icf_multi(yeast_stats, g, [(v,) for v in g.vertices])
         assert a.iterations == b.iterations
         assert np.array_equal(a.sigma, b.sigma)
 
@@ -153,7 +153,7 @@ class TestFitIcfMulti:
     def test_mixed_family_same_loglik(self, fig1):
         rng = np.random.default_rng(6)
         st = stats_from_moments(70, random_spd(4, 70, rng))
-        fam = CompleteSetFamily((("1",), ("2",), ("3", "4")))
+        fam = (("1",), ("2",), ("3", "4"))
         a = fit_icf(st, fig1)
         b = fit_icf_multi(st, fig1, fam)
         assert b.converged
@@ -171,12 +171,12 @@ class TestFitIcfMulti:
     def test_invalid_family_rejected(self, fig1):
         st = stats_from_moments(30, SIGMA_CHAIN)
         with pytest.raises(ModelError, match="invalid complete-set family"):
-            fit_icf_multi(st, fig1, CompleteSetFamily((("1", "2"),)))
+            fit_icf_multi(st, fig1, [("1", "2")])
 
     def test_coverage_violation_rejected(self, fig1):
         st = stats_from_moments(30, SIGMA_CHAIN)
         with pytest.raises(ModelError, match="cover"):
-            fit_icf_multi(st, fig1, CompleteSetFamily((("1", "3"), ("2",))))
+            fit_icf_multi(st, fig1, [("1", "3"), ("2",)])
 
     def test_trace_non_decreasing(self, fig1):
         rng = np.random.default_rng(7)

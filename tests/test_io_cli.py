@@ -309,6 +309,18 @@ class TestCliFit:
         assert rc == 1
         assert "not adjacent" in err
 
+    def test_family_repeating_a_vertex_exits_one(self, tmp_path, capsys):
+        fam = tmp_path / "fam.txt"
+        fam.write_text("1,1\n1,3\n3,4\n2,4\n")
+        rc = main([
+            "fit", "--graph", str(DATA / "fig1.graph"),
+            "--stats", str(_chain_stats(tmp_path)), "--method", "ml-icf-multi",
+            "--family", str(fam),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == "error: invalid family: set ('1', '1') names vertex 1 more than once\n"
+
     def test_family_file_accepted(self, tmp_path, capsys):
         fam = tmp_path / "fam.txt"
         fam.write_text("1\n2\n3,4\n")
@@ -425,6 +437,8 @@ class TestCliFit:
             (["fit", "--max-iter", "0"], "max_iter must be at least 1"),
             (["fit", "--digits", "-1"], "--digits must be non-negative"),
             (["compare", "--tol", "0"], "tol must be positive"),
+            (["fit", "--tol", "inf"], "tol must be finite"),
+            (["compare", "--tol", "inf"], "tol must be finite"),
         ],
     )
     def test_bad_numeric_flag_exits_one_with_a_message(self, tmp_path, capsys, argv, message):
