@@ -159,6 +159,15 @@ class TestFitIcfMulti:
         assert b.converged
         assert a.loglik == pytest.approx(b.loglik, abs=1e-6)
 
+    def test_family_given_once_through_is_read_whole(self, fig1):
+        # the family is checked and then cycled: a generator must serve both
+        st = stats_from_moments(70, random_spd(4, 70, np.random.default_rng(6)))
+        fam = (("1",), ("2",), ("3", "4"))
+        a = fit_icf_multi(st, fig1, fam)
+        b = fit_icf_multi(st, fig1, (s for s in fam))
+        assert b.converged and b.iterations == a.iterations
+        assert np.array_equal(a.sigma, b.sigma)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_agreement_on_random_graphs(self, seed):
         rng = np.random.default_rng(50 + seed)
