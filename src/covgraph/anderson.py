@@ -114,7 +114,7 @@ def fit_anderson(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None =
         estimate=estimate,
         loglik=profile_loglik(stats, sigma, n_adjust=cfg.n_adjust) if pd_flags and pd_flags[-1] else None,
         iterations=iteration,
-        final_sigma=sigma,
+        sigma=sigma if estimate is None else estimate.sigma,
         trace=tuple(trace) if cfg.record_trace else None,
         detail=detail or "max-iter",
         pd_flags=tuple(pd_flags),

@@ -4,7 +4,8 @@ Subcommands: ``fit`` (estimate one covariance), ``simulate`` (Monte
 Carlo comparison), ``loglik`` (evaluate a stored estimate), and
 ``compare`` (pairwise log-likelihood differences between methods).
 Data lines go to stdout, diagnostics to stderr; exit code 0 means a
-converged fit, 2 a fit that did not converge, 1 an input error.
+converged fit, 2 a fit that did not converge, 1 an input error or an
+output file that cannot be written.
 Setting ``COVGRAPH_QUIET`` silences stderr progress.
 """
 
@@ -210,10 +211,8 @@ def cmd_fit(args) -> int:
         print(f"el-log-ratio {format(res.weighted.el_log_ratio, '.17g')}", file=out)
     _note(f"fit finished in {elapsed:.3f}s")
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write("sweep\tloglik\n")
-            for k, value in enumerate(res.trace or (), start=1):
-                fh.write(f"{k}\t{'' if value is None else format(value, '.17g')}\n")
+        rows = (f"{k}\t{'' if v is None else format(v, '.17g')}\n" for k, v in enumerate(res.trace or (), 1))
+        cio._write_text(args.trace, "sweep\tloglik\n" + "".join(rows))
     if sigma is None:
         print("estimate none", file=out)
         return EXIT_NO_CONVERGENCE
@@ -250,8 +249,7 @@ def cmd_simulate(args) -> int:
             _note(f"failures {method} n={n}: " + ", ".join(f"{r} {c}" for r, c in sorted(counts.items())))
     text = report.to_table()
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        cio._write_text(args.out, text)
         _note(f"report written to {args.out}")
     else:
         sys.stdout.write(text)
@@ -307,7 +305,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         "loglik": cmd_loglik,
         "compare": cmd_compare,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except cio.InputError as exc:  # an output file that cannot be written
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -255,6 +255,6 @@ def fit_dual(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None = Non
         loglik=profile_loglik(stats, estimate, n_adjust=cfg.n_adjust),
         iterations=iterations,
         detail=detail,
-        final_sigma=estimate.sigma,
+        sigma=estimate.sigma,
         residual=residual,
     )

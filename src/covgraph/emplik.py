@@ -311,7 +311,7 @@ def fit_el(data: np.ndarray, g: CovarianceGraph) -> FitResult:
     failure mode of the method, and raises ``ModelError`` naming the
     first NaN or infinite cell of ``data``.
 
-    The record's ``sigma`` (its ``final_sigma``) is the weighted
+    The record's ``sigma`` is the weighted
     covariance, ``weighted`` the optimal weighting, ``iterations`` the
     accepted Newton steps and ``inner_solves`` the inner dual problems
     solved, the sample mean and rejected steps included.  ``residual``
@@ -377,7 +377,7 @@ def fit_el(data: np.ndarray, g: CovarianceGraph) -> FitResult:
         loglik=None,
         iterations=steps,
         detail=detail,
-        final_sigma=(sigma + sigma.T) / 2.0,
+        sigma=(sigma + sigma.T) / 2.0,
         residual=stationarity,
         inner_solves=solves,
         weighted=best,

@@ -280,20 +280,24 @@ def parse_graph_text(text: str, source: str = "<string>") -> CovarianceGraph:
     vertices: list[str] = []
     edges: list[tuple[str, str]] = []
     seen_edges: set[frozenset[str]] = set()
-    edges_started = False
+    declared: set[str] | None = None  # the vertex labels, from the first edge on
     for lineno, line in _content_lines(text):
         parts = line.split()
         where = f"{source}:{lineno}"
         if parts[0] == "vertex":
             if len(parts) != 2:
                 raise GraphError(f"{where}: expected 'vertex <label>'")
-            if edges_started:
+            if declared is not None:
                 raise GraphError(f"{where}: vertex declared after edges")
             vertices.append(parts[1])
         elif parts[0] == "edge":
             if len(parts) != 3:
                 raise GraphError(f"{where}: expected 'edge <label> <label>'")
-            edges_started = True
+            if declared is None:
+                declared = set(vertices)
+            unknown = [lab for lab in parts[1:3] if lab not in declared]
+            if unknown:
+                raise GraphError(f"{where}: unknown vertex label {unknown[0]!r}")
             key = frozenset(parts[1:3])
             if len(key) == 1:
                 raise GraphError(f"{where}: self-loop at vertex {parts[1]!r}")
@@ -313,8 +317,9 @@ def parse_family_text(text: str, g: CovarianceGraph, source: str = "<string>") -
         labels = tuple(part.strip() for part in line.split(","))
         if any(not lab for lab in labels):
             raise GraphError(f"{source}:{lineno}: empty label in set")
-        for lab in labels:
-            g.index(lab)
+        unknown = [lab for lab in labels if lab not in g._pos]
+        if unknown:
+            raise GraphError(f"{source}:{lineno}: unknown vertex label {unknown[0]!r}")
         sets.append(labels)
     return tuple(sets)
 

@@ -338,7 +338,7 @@ def _sweep_fit(
         loglik=profile_loglik(stats, estimate, n_adjust=cfg.n_adjust),
         iterations=sweeps,
         detail=detail or "max-iter",
-        final_sigma=estimate.sigma,
+        sigma=estimate.sigma,
         trace=tuple(trace) if cfg.record_trace else None,
         residual=stationarity_residual(stats, estimate) if residual is None else residual,
         rejected_extrapolations=rejected,

@@ -34,6 +34,14 @@ def _read_text(path: str | os.PathLike) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
+def _write_text(path: str | os.PathLike, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
 def _is_number(tok: str) -> bool:
     try:
         float(tok)
@@ -82,6 +90,8 @@ def load_data(
     numeric), 'yes', or 'no'; the labels are None without one.  Ragged
     rows and non-numeric cells are reported with their line and column.
     """
+    if delimiter == "":
+        raise InputError("delimiter must not be empty")
     rows = [(lineno, _split_row(line, delimiter)) for lineno, line in _content_lines(_read_text(path))]
     if not rows:
         raise InputError(f"{path}: file holds no data rows")
@@ -216,8 +226,7 @@ def write_matrix(
     digits: int | None = None,
 ) -> None:
     """Write ``format_matrix``'s text to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_matrix(m, labels, digits))
+    _write_text(path, format_matrix(m, labels, digits))
 
 
 def load_matrix(path: str | os.PathLike) -> tuple[tuple[str, ...] | None, np.ndarray]:

@@ -292,13 +292,12 @@ def profile_loglik(
     return -0.5 * n * (stats.p * np.log(2.0 * np.pi) + logdet + tr)
 
 
-def score(stats: SampleStats, sigma: ConstrainedCovariance, n_adjust: bool = False) -> np.ndarray:
+def score(stats: SampleStats, sigma: ConstrainedCovariance) -> np.ndarray:
     """Gradient of the profile log-likelihood over the free entries."""
     stats = stats.aligned_to(sigma.graph.vertices)
     k = _inv_pd(sigma.sigma, "covariance")
     m = k @ stats.s @ k - k
-    n = _effective_n(stats.n, n_adjust)
-    return 0.5 * n * free_index_set(sigma.graph).adjoint_vec(m)
+    return 0.5 * stats.n * free_index_set(sigma.graph).adjoint_vec(m)
 
 
 def fisher_information(sigma: ConstrainedCovariance, n: int) -> np.ndarray:
@@ -307,7 +306,7 @@ def fisher_information(sigma: ConstrainedCovariance, n: int) -> np.ndarray:
     return 0.5 * n * kron_form(k, free_index_set(sigma.graph))
 
 
-def hessian(stats: SampleStats, sigma: ConstrainedCovariance, n_adjust: bool = False) -> np.ndarray:
+def hessian(stats: SampleStats, sigma: ConstrainedCovariance) -> np.ndarray:
     """Second derivative of the profile log-likelihood over the free entries.
 
     With F the free-pair form of the Kronecker square (``kron_form``) and
@@ -320,8 +319,7 @@ def hessian(stats: SampleStats, sigma: ConstrainedCovariance, n_adjust: bool = F
     k = _inv_pd(sigma.sigma, "covariance")
     t = k @ stats.s @ k
     fis = free_index_set(sigma.graph)
-    n = _effective_n(stats.n, n_adjust)
-    return 0.5 * n * (2.0 * kron_form(k, fis) + kron_form(t, fis) - kron_form(k + t, fis))
+    return 0.5 * stats.n * (2.0 * kron_form(k, fis) + kron_form(t, fis) - kron_form(k + t, fis))
 
 
 def unit_free_gap(gap: np.ndarray, sigma: np.ndarray, g: CovarianceGraph) -> float:

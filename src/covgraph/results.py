@@ -16,12 +16,20 @@ if TYPE_CHECKING:
 __all__ = ["FitConfig", "FitResult"]
 
 
+def _as_int(what: str, value) -> int:
+    """``value`` as an int; ``ModelError`` unless it is an int or numpy integer, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ModelError(f"{what} must be an integer, not {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs shared by the iterative fitters.
 
     ``tol`` is finite, positive and unit-free: see ``stop_reason``,
     and the dual fitter stops once its residual is at most ``tol``.
+    ``max_iter`` is a whole number of at least 1, not a bool, kept as an int.
     ``start`` overrides the identity starting value of ``ml-icf``,
     ``ml-icf-multi`` and ``ml-anderson`` (see ``_resolve_start``); the
     dual fitter has its own start and rejects one.  ``record_trace`` keeps the per-sweep
@@ -40,6 +48,7 @@ class FitConfig:
             raise ModelError("tol must be positive")
         if not np.isfinite(self.tol):
             raise ModelError("tol must be finite")
+        object.__setattr__(self, "max_iter", _as_int("max_iter", self.max_iter))
         if self.max_iter < 1:
             raise ModelError("max_iter must be at least 1")
 
@@ -74,11 +83,12 @@ class FitResult:
 
     ``estimate`` is None when the final iterate is not a valid
     patterned covariance (possible for the linear-equation method) and
-    for ``el``, whose weighted covariance need not be positive definite;
-    ``final_sigma`` always holds the raw final matrix.  ``loglik`` is
-    None for ``el``.  ``detail`` is the stop reason (converged, stalled,
-    max-iter, diverged, singular-system or not-pd), ``iterations`` the
-    sweeps or iterations; for ``dual`` one for the closed form, if it
+    for ``el``, whose weighted covariance need not be positive definite.
+    ``sigma`` is the estimate's read-only matrix when there is one, else
+    the raw final matrix.  ``loglik`` is None for ``el``.  ``detail`` is
+    the stop reason (converged, stalled, max-iter, diverged,
+    singular-system or not-pd), ``iterations`` the sweeps or
+    iterations; for ``dual`` one for the closed form, if it
     ran, plus the Newton steps, and for ``el`` the accepted Newton steps;
     ``pd_flags`` the per-iterate positive-definiteness record where the
     method tracks it, ``residual`` the method's own unit-free defining
@@ -93,7 +103,7 @@ class FitResult:
     loglik: float | None
     iterations: int
     detail: str
-    final_sigma: np.ndarray | None = None
+    sigma: np.ndarray | None = None
     trace: tuple[float | None, ...] | None = None
     pd_flags: tuple[bool, ...] | None = None
     residual: float | None = None
@@ -104,12 +114,6 @@ class FitResult:
     @property
     def converged(self) -> bool:
         return self.detail == "converged"
-
-    @property
-    def sigma(self) -> np.ndarray | None:
-        if self.estimate is not None:
-            return self.estimate.sigma
-        return self.final_sigma
 
 
 def stop_reason(

@@ -27,11 +27,10 @@ from .graphs import CovarianceGraph, cliques, graph_from_matrix
 from .icf import fit_icf
 from .icf_multi import fit_icf_multi
 from .model import ConstrainedCovariance, ModelError, is_pos_def, sample_stats
-from .results import FitConfig
+from .results import FitConfig, _as_int
 
 __all__ = [
     "SimSpec",
-    "SimEntry",
     "SimReport",
     "sample_gaussian",
     "sample_t",
@@ -60,7 +59,8 @@ class SimSpec:
     given.  For the t distribution the dispersion matrix is
     ``sigma_true`` and the actual covariance is df / (df - 2) times it,
     which is what errors are measured against.  Methods and sample
-    sizes must each be given, distinct, and every sample size at least 2.
+    sizes must each be given, distinct, and every sample size at least 2;
+    sizes, ``replications`` and ``seed`` are whole numbers, kept as ints.
     """
 
     sigma_true: np.ndarray
@@ -76,6 +76,9 @@ class SimSpec:
         if not is_pos_def(m):
             raise ModelError("true covariance must be positive definite")
         object.__setattr__(self, "sigma_true", m)
+        for name in ("replications", "seed"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        object.__setattr__(self, "sample_sizes", tuple(_as_int("sample sizes", n) for n in self.sample_sizes))
         if self.distribution not in ("gaussian", "t"):
             raise ModelError(f"unknown distribution {self.distribution!r}")
         if self.distribution == "t":
@@ -101,17 +104,6 @@ class SimSpec:
         return self.sigma_true
 
 
-@dataclass(frozen=True)
-class SimEntry:
-    method: str
-    n: int
-    i: str
-    j: str
-    bias: float
-    rmse: float
-    failures: int
-
-
 @dataclass
 class SimReport:
     """The aggregated result of ``run_simulation``.
@@ -119,8 +111,6 @@ class SimReport:
     ``cells`` maps each (method, n) cell, in table order (sample sizes
     outer, methods inner), to its bias and RMSE columns over the
     upper-triangle entries in row-major order, and its failure count.
-    ``entries`` builds the same numbers as one ``SimEntry`` per method,
-    n and entry, on each read.
     """
 
     spec: SimSpec
@@ -134,19 +124,6 @@ class SimReport:
     # name, ``not-pd`` for an estimate that is not positive definite,
     # None for a success.  Not serialized either.
     failure_reasons: dict[tuple[str, int], list[str | None]] = field(default_factory=dict)
-
-    def _pairs(self) -> list[tuple[str, str]]:
-        iu, ju = np.triu_indices(len(self.labels))
-        return [(self.labels[i], self.labels[j]) for i, j in zip(iu.tolist(), ju.tolist())]
-
-    @property
-    def entries(self) -> list[SimEntry]:
-        pairs = self._pairs()
-        return [
-            SimEntry(method=m, n=n, i=i, j=j, bias=b, rmse=r, failures=failures)
-            for (m, n), (bias, rmse, failures) in self.cells.items()
-            for (i, j), b, r in zip(pairs, bias.tolist(), rmse.tolist())
-        ]
 
     def to_table(self) -> str:
         """Serialize as the delimited report table, byte-deterministic.
@@ -168,7 +145,8 @@ class SimReport:
             "method\tn\ti\tj\tbias\trmse\tfailures\n",
         ]
         # Labels may hold "%", so they are escaped; method names cannot.
-        pair_cells = [f"{i}\t{j}\t".replace("%", "%%") for i, j in self._pairs()]
+        labels, (iu, ju) = self.labels, np.triu_indices(len(self.labels))
+        pair_cells = [f"{labels[i]}\t{labels[j]}\t".replace("%", "%%") for i, j in zip(iu.tolist(), ju.tolist())]
         for (m, n), (bias, rmse, failures) in self.cells.items():
             lead = f"{m}\t{n}\t"
             tail = f"%.17g\t%.17g\t{failures}\n"
@@ -290,7 +268,7 @@ def run_simulation(
     contiguous row per entry, and a row mean gives the bias and the
     root of the mean square the RMSE.  A cell in which every
     replication failed reports NaN for both.  The report keeps these
-    columns; it builds no per-entry records.
+    columns.
     """
     if graph is None:
         graph = graph_from_matrix(spec.sigma_true)

@@ -14,7 +14,6 @@ import scipy.optimize
 import covgraph as cg
 from covgraph.graphs import free_index_set
 from covgraph.model import is_pos_def, profile_loglik
-from covgraph.simulate import SimEntry
 
 
 def cov_double_loop(data):
@@ -628,6 +627,19 @@ def mcs_order_scan(adj):
     return order
 
 
+@dataclasses.dataclass(frozen=True)
+class EntryRecord:
+    """One line of a simulation report: a (method, n) cell at entry (i, j)."""
+
+    method: str
+    n: int
+    i: str
+    j: str
+    bias: float
+    rmse: float
+    failures: int
+
+
 def aggregate_entry_loop(method, n, errors, labels):
     """Simulation entries of one (method, n) cell by a loop over the entries.
 
@@ -650,7 +662,7 @@ def aggregate_entry_loop(method, n, errors, labels):
                 bias = float(e.mean())
                 rmse = float(np.sqrt((e**2).mean()))
             entries.append(
-                SimEntry(
+                EntryRecord(
                     method=method, n=n, i=labels[i], j=labels[j], bias=bias, rmse=rmse, failures=failures
                 )
             )
@@ -661,7 +673,7 @@ def report_table_entry_loop(spec, entries):
     """The simulation report table written entry by entry.
 
     Every float is written by its own ``format(x, ".17g")`` call: the
-    truth matrix row by row, then one line per ``SimEntry``.
+    truth matrix row by row, then one line per ``EntryRecord``.
     """
     lines = [
         "# covgraph simulation report\n",

@@ -142,7 +142,7 @@ class TestSolvePaths:
         want = fis.expand(scipy.linalg.solve(form, fis.adjoint_vec(s), assume_a="sym"))
         assert factored == [False]
         assert (res.detail, res.iterations) == ("max-iter", 1)
-        assert np.abs(res.final_sigma - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.abs(res.sigma - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestAndersonSystem:
@@ -197,7 +197,7 @@ class TestFitAnderson:
         st = stats_from_moments(60, s)
         res = fit_anderson(st, fig1, FitConfig(max_iter=1))
         for i, j in free_index_set(fig1).pairs:
-            assert res.final_sigma[i, j] == pytest.approx(s[i, j], abs=1e-12)
+            assert res.sigma[i, j] == pytest.approx(s[i, j], abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_agrees_with_icf_when_converged(self, fig1, seed):
@@ -213,7 +213,7 @@ class TestFitAnderson:
         st = stats_from_moments(50, random_spd(4, 50, rng))
         res = fit_anderson(st, fig1, FitConfig(max_iter=3))
         off = ~fig1.adjacency & ~np.eye(4, dtype=bool)
-        assert np.all(res.final_sigma[off] == 0.0)
+        assert np.all(res.sigma[off] == 0.0)
 
     def test_converged_state_has_small_residual(self, fig1):
         rng = np.random.default_rng(5)

@@ -291,6 +291,11 @@ class TestParsing:
         with pytest.raises(GraphError, match="'c'"):
             parse_graph_text("vertex a\nvertex b\nedge a c\n")
 
+    @pytest.mark.parametrize("edge", ["edge a ZZ", "edge ZZ a", "edge ZZ ZZ"])
+    def test_unknown_edge_label_cites_source_and_line(self, edge):
+        with pytest.raises(GraphError, match=r"^g\.graph:4: unknown vertex label 'ZZ'$"):
+            parse_graph_text(f"vertex a\nvertex b\n# edges\n{edge}\nedge a b\n", source="g.graph")
+
 
 class TestFamilyParsing:
     def test_round_trip(self, fig1):
@@ -304,6 +309,12 @@ class TestFamilyParsing:
 
         with pytest.raises(GraphError, match="'z'"):
             parse_family_text("1,z\n", fig1)
+
+    def test_unknown_label_cites_source_and_line(self, fig1):
+        from covgraph.graphs import parse_family_text
+
+        with pytest.raises(GraphError, match=r"^fam\.txt:3: unknown vertex label 'ZZ'$"):
+            parse_family_text("1,3\n# comment\n2, ZZ\n", fig1, source="fam.txt")
 
     def test_empty_label_rejected(self, fig1):
         from covgraph.graphs import parse_family_text

@@ -369,6 +369,17 @@ class TestStopReason:
         with pytest.raises(ModelError, match=f"tol must be {message}"):
             FitConfig(tol=tol)
 
+    @pytest.mark.parametrize("max_iter", [2.5, True, np.float64(3.0), "5", None])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        # 2.5 used to fail mid-fit with TypeError, and True ran one sweep
+        with pytest.raises(ModelError, match="max_iter must be an integer"):
+            FitConfig(max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_is_stored_as_an_int(self, yeast_stats, yeast_gd):
+        cfg = FitConfig(max_iter=np.int64(1))
+        assert type(cfg.max_iter) is int and cfg.max_iter == 1
+        assert fit_icf(yeast_stats, yeast_gd, cfg).iterations == 1
+
 
 class TestSquarem:
     @pytest.mark.parametrize("graph", ["gd", "gs"])

@@ -50,6 +50,12 @@ class TestLoadData:
         with pytest.raises(InputError, match="no data rows"):
             load_data(f)
 
+    def test_empty_delimiter_rejected(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("1,2\n3,4\n")
+        with pytest.raises(InputError, match="^delimiter must not be empty$"):
+            load_data(f, delimiter="")
+
 
 class TestLoadStats:
     def test_tiny_diag(self, tmp_path):
@@ -321,6 +327,46 @@ class TestCliFit:
         assert rc == 1 and captured.out == ""
         assert captured.err == "error: invalid family: set ('1', '1') names vertex 1 more than once\n"
 
+    def test_empty_delimiter_exits_one(self, tmp_path, capsys):
+        f = tmp_path / "obs.csv"
+        f.write_text("1,2,3,4\n2,1,4,3\n0,1,1,0\n")
+        rc = main(["fit", "--graph", str(DATA / "fig1.graph"), "--data", str(f), "--delimiter", ""])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == "error: delimiter must not be empty\n"
+
+    def test_unknown_label_in_graph_file_cites_its_line(self, tmp_path, capsys):
+        g = tmp_path / "g.graph"
+        g.write_text("vertex 1\nvertex 2\nvertex 3\nvertex 4\nedge 1 3\nedge 3 ZZ\n")
+        rc = main(["fit", "--graph", str(g), "--stats", str(_chain_stats(tmp_path))])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == f"error: {g}:6: unknown vertex label 'ZZ'\n"
+
+    def test_unknown_label_in_family_file_cites_its_line(self, tmp_path, capsys):
+        fam = tmp_path / "fam.txt"
+        fam.write_text("1,3\n3,4\nZZ,4\n")
+        rc = main([
+            "fit", "--graph", str(DATA / "fig1.graph"),
+            "--stats", str(_chain_stats(tmp_path)), "--method", "ml-icf-multi",
+            "--family", str(fam),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == f"error: {fam}:3: unknown vertex label 'ZZ'\n"
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_unwritable_output_exits_one_with_a_message(self, tmp_path, capsys, monkeypatch, flag):
+        monkeypatch.setenv("COVGRAPH_QUIET", "1")
+        target = tmp_path / "missing-dir" / "file.tsv"
+        rc = main([
+            "fit", "--graph", str(DATA / "fig1.graph"),
+            "--stats", str(_chain_stats(tmp_path)), "--method", "ml-icf", flag, str(target),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1 and not target.exists()
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
     def test_family_file_accepted(self, tmp_path, capsys):
         fam = tmp_path / "fam.txt"
         fam.write_text("1\n2\n3,4\n")
@@ -504,6 +550,18 @@ class TestCliSimulateLoglikCompare:
             outs.append(out.read_bytes())
         capsys.readouterr()
         assert outs[0] == outs[1]
+
+    def test_simulate_unwritable_out_exits_one_with_a_message(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COVGRAPH_QUIET", "1")
+        sig, target = tmp_path / "sigma.tsv", tmp_path / "missing-dir" / "report.tsv"
+        write_matrix(sig, SIGMA_CHAIN)
+        rc = main([
+            "simulate", "--sigma", str(sig), "--n", "25", "--reps", "2", "--methods", "dual",
+            "--out", str(target),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and not target.exists()
+        assert captured.err.startswith(f"error: cannot write {target}: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -19,7 +19,7 @@ from covgraph.simulate import (
 )
 
 from conftest import SIGMA_CHAIN, lattice_graph, random_patterned_cov
-from oracles import aggregate_entry_loop, report_table_entry_loop
+from oracles import EntryRecord, aggregate_entry_loop, report_table_entry_loop
 
 
 class TestSampling:
@@ -110,6 +110,31 @@ class TestSimSpec:
         with pytest.raises(ModelError, match=r"sample sizes must be at least 2: \[-5, 0, 1\]"):
             SimSpec(sigma_true=SIGMA_CHAIN, sample_sizes=(1, 20, -5, 0), replications=1)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("replications", 2.5, "replications must be an integer, not 2.5"),
+            ("replications", True, "replications must be an integer, not True"),
+            ("seed", 1.5, "seed must be an integer, not 1.5"),
+            ("sample_sizes", (10.5,), "sample sizes must be an integer, not 10.5"),
+            ("sample_sizes", (20, True), "sample sizes must be an integer, not True"),
+        ],
+    )
+    def test_rejects_non_integer_settings(self, field, value, message):
+        # these used to raise TypeError inside run_simulation, or run with True as 1
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            SimSpec(sigma_true=SIGMA_CHAIN, **{"replications": 1, field: value})
+
+    def test_numpy_integer_settings_run_as_ints(self):
+        # numpy integers used to overflow in the replication streams
+        spec = SimSpec(
+            sigma_true=SIGMA_CHAIN, sample_sizes=(np.int64(20),), replications=np.int64(2), seed=np.int64(3),
+            methods=("dual",),
+        )
+        assert [type(v) for v in (spec.replications, spec.seed, *spec.sample_sizes)] == [int, int, int]
+        want = SimSpec(sigma_true=SIGMA_CHAIN, sample_sizes=(20,), replications=2, seed=3, methods=("dual",))
+        assert run_simulation(spec).to_table() == run_simulation(want).to_table()
+
 
 class TestRunSimulation:
     def test_truth_fitter_plumbing_gives_zero_error(self):
@@ -119,10 +144,10 @@ class TestRunSimulation:
         )
         fitters = {"ml-icf": lambda data: SIGMA_CHAIN.copy()}
         rep = run_simulation(spec, fitters=fitters)
-        for e in rep.entries:
-            assert e.bias == 0.0
-            assert e.rmse == 0.0
-            assert e.failures == 0
+        bias, rmse, failures = rep.cells[("ml-icf", 25)]
+        assert np.all(bias == 0.0)
+        assert np.all(rmse == 0.0)
+        assert failures == 0
 
     def test_determinism_byte_identical(self):
         spec = SimSpec(
@@ -165,8 +190,9 @@ class TestRunSimulation:
             return SIGMA_CHAIN.copy()
 
         rep = run_simulation(spec, fitters={"ml-icf": flaky})
-        assert rep.entries[0].failures == 3
-        assert rep.entries[0].rmse == 0.0
+        bias, rmse, failures = rep.cells[("ml-icf", 20)]
+        assert failures == 3
+        assert rmse[0] == 0.0
 
     def test_failure_reasons_name_the_cause(self):
         spec = SimSpec(
@@ -228,7 +254,7 @@ class TestRunSimulation:
             methods=("el",),
         )
         rep = run_simulation(spec)
-        fails = rep.entries[0].failures
+        fails = rep.cells[("el", 10)][2]
         assert 0 < fails <= 10  # feasible starting values are hard at n=10
 
     def test_el_fit_that_did_not_converge_counts_as_failure(self, monkeypatch):
@@ -242,7 +268,7 @@ class TestRunSimulation:
         spec = SimSpec(sigma_true=SIGMA_CHAIN, sample_sizes=(100,), replications=1, seed=3, methods=("el",))
         rep = run_simulation(spec)
         assert rep.failure_reasons[("el", 100)] == ["stalled"]
-        assert all(e.failures == 1 for e in rep.entries)
+        assert rep.cells[("el", 100)][2] == 1
 
     @pytest.mark.parametrize(
         "methods, calls",
@@ -258,7 +284,7 @@ class TestRunSimulation:
         spec = SimSpec(sigma_true=SIGMA_CHAIN, sample_sizes=(20, 30), replications=3, seed=7, methods=methods)
         rep = run_simulation(spec)
         assert len(found) == calls
-        assert all(e.failures == 0 for e in rep.entries)
+        assert all(failures == 0 for _, _, failures in rep.cells.values())
 
     def test_graph_plans_built_once_per_graph(self, monkeypatch):
         import covgraph.dual as dual
@@ -275,7 +301,7 @@ class TestRunSimulation:
             methods=("ml-icf", "ml-icf-multi", "dual"),
         )
         rep = run_simulation(spec)
-        assert all(e.failures == 0 for e in rep.entries)
+        assert all(failures == 0 for _, _, failures in rep.cells.values())
         # each vertex for ml-icf, each clique of the chain 1-3, 3-4, 2-4 for ml-icf-multi
         blocks = [(0,), (1,), (2,), (3,), (0, 2), (1, 3), (2, 3)]
         assert plans == Counter(blocks)
@@ -304,6 +330,17 @@ class TestRunSimulation:
             run_simulation(spec, graph=sparse)
         with pytest.raises(ModelError, match="does not match graph with 3 vertices"):
             run_simulation(spec, graph=cg.CovarianceGraph(["a", "b", "c"]))
+
+
+def cell_entries(report):
+    """The report's cells read out as one oracle record per method, n and upper-triangle entry."""
+    labels = report.labels
+    iu, ju = np.triu_indices(len(labels))
+    return [
+        EntryRecord(method=m, n=n, i=labels[i], j=labels[j], bias=b, rmse=r, failures=failures)
+        for (m, n), (bias, rmse, failures) in report.cells.items()
+        for i, j, b, r in zip(iu.tolist(), ju.tolist(), bias.tolist(), rmse.tolist())
+    ]
 
 
 def entry_loop_report(report):
@@ -340,10 +377,10 @@ class TestOnePassAggregation:
             "dual": lambda data: sample_stats(data).s,
         }
         rep = run_simulation(spec, fitters=fitters)
-        failures = {(e.method, e.n): e.failures for e in rep.entries}
+        failures = {cell: f for cell, (_, _, f) in rep.cells.items()}
         if reps > 1:
             assert all(0 < failures[("ml-icf", n)] < reps for n in spec.sample_sizes)
-        assert bits(rep.entries) == bits(entry_loop_report(rep).entries)
+        assert bits(cell_entries(rep)) == bits(entry_loop_report(rep).entries)
 
     def test_cell_with_every_replication_failed_is_nan(self):
         spec = SimSpec(
@@ -355,10 +392,10 @@ class TestOnePassAggregation:
             raise ModelError("boom")
 
         rep = run_simulation(spec, fitters={"ml-icf": always_fails, "dual": lambda d: sample_stats(d).s})
-        cell = [e for e in rep.entries if e.method == "ml-icf"]
-        assert len(cell) == 10
-        assert all(np.isnan(e.bias) and np.isnan(e.rmse) and e.failures == 5 for e in cell)
-        assert bits(rep.entries) == bits(entry_loop_report(rep).entries)
+        bias, rmse, failures = rep.cells[("ml-icf", 20)]
+        assert len(bias) == len(rmse) == 10
+        assert np.all(np.isnan(bias)) and np.all(np.isnan(rmse)) and failures == 5
+        assert bits(cell_entries(rep)) == bits(entry_loop_report(rep).entries)
 
     def test_labels_with_percent_signs_match_entry_loop(self):
         g = cg.CovarianceGraph(["a%", "%s", "100%%", "d"], [("a%", "100%%"), ("100%%", "d"), ("%s", "d")])
@@ -372,5 +409,5 @@ class TestOnePassAggregation:
         sigma = random_patterned_cov(g, np.random.default_rng(3))
         spec = SimSpec(sigma_true=sigma, sample_sizes=(300,), replications=3, seed=1000, methods=("dual",))
         rep = run_simulation(spec, graph=g)
-        assert len(rep.entries) == 5050
+        assert len(cell_entries(rep)) == 5050
         assert rep.to_table() == entry_loop_report(rep).to_table()
