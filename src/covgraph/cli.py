@@ -191,6 +191,8 @@ def cmd_fit(args) -> int:
     print(f"iterations {res.iterations}", file=out)
     if res.rejected_extrapolations is not None:
         print(f"rejected-extrapolations {res.rejected_extrapolations}", file=out)
+    if res.newton_steps is not None:
+        print(f"newton-steps {res.newton_steps}", file=out)
     if res.inner_solves is not None:
         print(f"inner-solves {res.inner_solves}", file=out)
     if res.loglik is not None:
@@ -240,6 +242,8 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
             methods=methods,
         )
+        if args.out:
+            cio._check_writable(args.out)  # before the simulation, not after it has run
         report = run_simulation(spec, graph=g)
     except (cio.InputError, GraphError, ModelError, ValueError) as exc:
         return _fail(str(exc))

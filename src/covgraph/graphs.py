@@ -275,27 +275,26 @@ def parse_graph_text(text: str, source: str = "<string>") -> CovarianceGraph:
 
     One declaration per line: ``vertex <label>`` lines first, then
     ``edge <label> <label>`` lines.  ``#`` starts a comment.  Duplicate
-    edges are rejected.
+    vertices and edges are rejected, citing ``source`` and the line.
     """
-    vertices: list[str] = []
+    vertices: dict[str, None] = {}  # the declared labels, in order
     edges: list[tuple[str, str]] = []
     seen_edges: set[frozenset[str]] = set()
-    declared: set[str] | None = None  # the vertex labels, from the first edge on
     for lineno, line in _content_lines(text):
         parts = line.split()
         where = f"{source}:{lineno}"
         if parts[0] == "vertex":
             if len(parts) != 2:
                 raise GraphError(f"{where}: expected 'vertex <label>'")
-            if declared is not None:
+            if edges:
                 raise GraphError(f"{where}: vertex declared after edges")
-            vertices.append(parts[1])
+            if parts[1] in vertices:
+                raise GraphError(f"{where}: duplicate vertex {parts[1]!r}")
+            vertices[parts[1]] = None
         elif parts[0] == "edge":
             if len(parts) != 3:
                 raise GraphError(f"{where}: expected 'edge <label> <label>'")
-            if declared is None:
-                declared = set(vertices)
-            unknown = [lab for lab in parts[1:3] if lab not in declared]
+            unknown = [lab for lab in parts[1:3] if lab not in vertices]
             if unknown:
                 raise GraphError(f"{where}: unknown vertex label {unknown[0]!r}")
             key = frozenset(parts[1:3])

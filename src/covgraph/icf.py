@@ -36,8 +36,14 @@ covariance matrix, so the sample size never enters the per-sweep cost.
 The sweeps are accelerated by SQUAREM (Varadhan and Roland 2008): every
 two plain sweeps are followed by one try of a squared extrapolation of
 the sweep map, kept only if it stays in the cone and does not lower the
-log-likelihood.  The ascent stays monotone and positive definite, and
-the stop rule only ever measures a plain sweep.
+log-likelihood.  After the first such cycle the fit tries Newton steps
+on the free entries, from the exact score and Hessian of the profile
+log-likelihood (the hybrid of Jamshidian and Jennrich 1997), where they
+are cheap next to a sweep: a step is kept only if the negated Hessian
+factorises by Cholesky and the step, halved a few times at most, stays
+in the cone without lowering the log-likelihood; else a sweep cycle
+runs.  The ascent stays monotone and positive definite, and the stop
+rule only ever measures a plain sweep.
 """
 
 from __future__ import annotations
@@ -47,9 +53,9 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy.linalg.blas import dgemm, dtrsm
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .graphs import CovarianceGraph, _kept
+from .graphs import CovarianceGraph, FreeIndexSet, _kept, free_index_set
 from .model import (
     ConstrainedCovariance,
     ModelError,
@@ -57,10 +63,11 @@ from .model import (
     SampleStats,
     _chol,
     _cholesky,
+    _curvature,
     profile_loglik,
     stationarity_residual,
 )
-from .results import FitConfig, FitResult, _resolve_start, _resolve_stats, stop_reason
+from .results import FitConfig, FitResult, _resolve_start, _resolve_stats, stop_reason, unit_free_change
 
 __all__ = [
     "block_update",
@@ -285,6 +292,40 @@ def _squarem(s: np.ndarray, x0: _Point, x1: _Point, x2: _Point) -> tuple[_Point,
     return x2, True
 
 
+# Newton steps are tried when m^3, for m free entries, is at most this
+# many times the p^2 (|C| + |S|) summed over the blocks of one sweep.
+_NEWTON_GATE = 15.0
+# A Newton step is halved at most this many times before it is refused.
+_HALVINGS = 4
+
+
+def _newton(s: np.ndarray, fis: FreeIndexSet, x: _Point) -> _Point | None:
+    """Newton's step on the free entries from ``x``, or None if it is refused.
+
+    The step solves -H d = g, g the score and H the Hessian of the
+    profile log-likelihood at ``x``, by Cholesky, in place in the one
+    m x m array that ``_curvature`` builds.  It is refused when -H does
+    not factorise.  Otherwise it is halved until the candidate is in
+    the cone and its kernel is not below that of ``x``, and refused when
+    ``_HALVINGS`` halvings do not get there.  ``x.inv`` is left as it was.
+    """
+    k = x.inv
+    t = k @ s @ k
+    low, info = dpotrf(_curvature(k, t, fis).T, lower=1, overwrite_a=1)
+    if info:
+        return None
+    step = fis.expand(dpotrs(low, fis.adjoint_vec(t - k), lower=1)[0])
+    for _ in range(_HALVINGS + 1):
+        try:
+            trial = _point(s, x.sigma + step)
+        except NotPositiveDefiniteError:
+            trial = None
+        if trial is not None and trial.kernel >= x.kernel:
+            return trial
+        step *= 0.5
+    return None
+
+
 def _sweep_fit(
     stats: SampleStats,
     g: CovarianceGraph,
@@ -294,28 +335,56 @@ def _sweep_fit(
 ) -> FitResult:
     """Cycle block updates over ``blocks`` (vertex positions) to convergence.
 
-    The ascent is accelerated by SQUAREM, the squared extrapolation of
-    the sweep map F (Varadhan and Roland 2008, Scand. J. Statist. 35):
-    each cycle runs two plain sweeps and one try of ``_squarem``, and
-    the next cycle starts from the point it keeps.  That point is never
-    below the second sweep in log-likelihood, so the plain sweeps never
-    lose log-likelihood, and its off-pattern entries are exactly zero.
+    The first cycle runs two plain sweeps and one try of ``_squarem``,
+    the squared extrapolation of the sweep map F (Varadhan and Roland
+    2008, Scand. J. Statist. 35).  After it, each iterate tries a
+    Newton step on the free entries (``_newton``), as in the
+    EM-then-Newton hybrid of Jamshidian and Jennrich (1997, JRSS B 59):
+    Newton steps go on while their unit-free change is at least ``tol``,
+    and a shorter one is followed by a plain sweep, from whose result
+    Newton is tried again.  A refused step falls back to a cycle of two
+    plain sweeps and one SQUAREM try, after which Newton is tried again.
+    Every kept point is in the cone and never below the one before in
+    log-likelihood, so the ascent is monotone, and its off-pattern
+    entries are exactly zero.
+
+    Newton steps cost O(m^3) in the m = p + |E| free entries, and a
+    sweep O(p^2 (|C| + |S|)) summed over its blocks.  They are tried
+    only when m^3 is at most ``_NEWTON_GATE`` times that sum; otherwise
+    the fit is the plain SQUAREM-accelerated ascent.
 
     ``stop_reason`` only ever measures a plain sweep, F(x) against x,
-    never the extrapolation jump.  ``iterations``, ``max_iter`` and the
-    trace count plain sweeps; ``detail`` is ``max-iter`` after
-    ``max_iter`` sweeps.  Each sweep's result is factorised once, for
-    the cone check, the next sweep's inverse and the log-likelihood.
+    never an extrapolation jump or a Newton step, so a fit it stops
+    ends on a sweep, which keeps the sample block of a block without
+    spouses exactly.  ``iterations``, ``max_iter`` and the trace
+    count plain sweeps and Newton steps, and ``newton_steps`` the
+    latter; ``detail`` is ``max-iter`` after ``max_iter`` iterations.
+    Each kept point is factorised once, for the cone check, the next
+    step's inverse and the log-likelihood.
     """
     stats = _resolve_stats(stats, g)
     s = stats.s
     plans = _plans(g, blocks)
+    fis = free_index_set(g)
+    sweep_cost = sum(plan.block.size + plan.spo.size for plan in plans) * g.p**2
+    use_newton = len(fis) ** 3 <= _NEWTON_GATE * sweep_cost
     cur = _point(s, np.array(_resolve_start(g, cfg).sigma))
     trace: list[float] = []
-    detail = None
-    sweeps = rejected = 0
+    detail = residual = None
+    it = rejected = newton = 0
     cycle_start = None
-    for sweeps in range(1, cfg.max_iter + 1):
+    judge = False  # the last step was a short Newton step, for a plain sweep to judge
+    for it in range(1, cfg.max_iter + 1):
+        if use_newton and it > 2 and cycle_start is None and not judge:
+            step = _newton(s, fis, cur)
+            if step is not None:
+                judge = unit_free_change(step.sigma, cur.sigma) < cfg.tol
+                cur, residual = step, None
+                newton += 1
+                if cfg.record_trace:
+                    trace.append(profile_loglik(stats, cur.sigma, n_adjust=cfg.n_adjust))
+                continue
+        judged, judge = judge, False
         prev, cur = cur, _sweep(s, plans, cur)
         if cfg.record_trace:
             trace.append(profile_loglik(stats, cur.sigma, n_adjust=cfg.n_adjust))
@@ -325,9 +394,11 @@ def _sweep_fit(
         )
         if detail:
             break
+        if judged:
+            continue
         if cycle_start is None:
             cycle_start = prev
-        elif sweeps < cfg.max_iter:
+        elif it < cfg.max_iter:
             cur, missed = _squarem(s, cycle_start, prev, cur)
             rejected += missed
             cycle_start = None
@@ -336,12 +407,13 @@ def _sweep_fit(
         method=method,
         estimate=estimate,
         loglik=profile_loglik(stats, estimate, n_adjust=cfg.n_adjust),
-        iterations=sweeps,
+        iterations=it,
         detail=detail or "max-iter",
         sigma=estimate.sigma,
         trace=tuple(trace) if cfg.record_trace else None,
         residual=stationarity_residual(stats, estimate) if residual is None else residual,
         rejected_extrapolations=rejected,
+        newton_steps=newton,
     )
 
 

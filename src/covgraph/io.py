@@ -42,6 +42,22 @@ def _write_text(path: str | os.PathLike, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
+def _check_writable(path: str | os.PathLike) -> None:
+    """Raise ``_write_text``'s ``InputError`` now if ``path`` cannot be opened for writing.
+
+    The file is opened for appending, so one that exists keeps its
+    contents, and one that the check made is removed again.
+    """
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+    if not existed:
+        os.remove(path)
+
+
 def _is_number(tok: str) -> bool:
     try:
         float(tok)

@@ -4,8 +4,9 @@ Everything here is a pure function of sample moments and a patterned
 covariance matrix: profile log-likelihood, score, Hessian, Fisher
 information, stationarity residual of the likelihood equations, and
 deviance against the saturated model.  Whatever is indexed by the free
-entries reads them through the graph's one ``FreeIndexSet``, and the
-free-pair form of a Kronecker square is ``kron_form``.
+entries reads them through the graph's one ``FreeIndexSet``, the
+free-pair form of a Kronecker square is ``kron_form``, and the negated
+Hessian, which ICF's Newton steps solve with, is ``_curvature``.
 """
 
 from __future__ import annotations
@@ -309,17 +310,49 @@ def fisher_information(sigma: ConstrainedCovariance, n: int) -> np.ndarray:
 def hessian(stats: SampleStats, sigma: ConstrainedCovariance) -> np.ndarray:
     """Second derivative of the profile log-likelihood over the free entries.
 
-    With F the free-pair form of the Kronecker square (``kron_form``) and
-    T = K S K, the second derivative is (n / 2) times the form of
-    K (x) K - K (x) T - T (x) K.  The mixed terms are read by
-    polarisation, F(K + T) - F(K) - F(T), so the whole is
-    (n / 2) (2 F(K) + F(T) - F(K + T)).
+    The negation of (n / 2) ``_curvature(K, K S K)``, K = sigma^-1.
     """
     stats = stats.aligned_to(sigma.graph.vertices)
     k = _inv_pd(sigma.sigma, "covariance")
-    t = k @ stats.s @ k
-    fis = free_index_set(sigma.graph)
-    return 0.5 * stats.n * (2.0 * kron_form(k, fis) + kron_form(t, fis) - kron_form(k + t, fis))
+    return -0.5 * stats.n * _curvature(k, k @ stats.s @ k, free_index_set(sigma.graph))
+
+
+def _curvature(k: np.ndarray, t: np.ndarray, fis: FreeIndexSet) -> np.ndarray:
+    """The negated Hessian over the free entries in units of n / 2, at K = sigma^-1 and T = K S K.
+
+    The Hessian is (n / 2) times the free-pair form of K (x) K - K (x) T
+    - T (x) K.  With B(X, Y) the free-pair form of (X (x) Y + Y (x) X) / 2,
+    so that B(K, K) is ``kron_form(K)``, that is (n / 2) (B(K, K) -
+    2 B(K, T)), and the negation is (n / 2) B(K, 2T - K).  For symmetric
+    X and Y the entry of the pairs (i, j) and (k, l) is d_ij d_kl / 4
+    times X_ik Y_jl + Y_ik X_jl + X_il Y_jk + Y_il X_jk, d the edge
+    doubling.  It is built by blocks into one m x m array, as
+    ``kron_form`` is: X o Y on the diagonal pairs, X_ik Y_il + Y_ik X_il
+    on the mixed blocks and the whole sum on the edge pairs.
+    """
+    x, y = k, 2.0 * t - k
+    p, ii, jj = fis.p, fis.rows[fis.p:], fis.cols[fis.p:]
+    out = np.empty((len(fis), len(fis)))
+    dd, de, ed, ee = out[:p, :p], out[:p, p:], out[p:, :p], out[p:, p:]
+    np.multiply(x, y, out=dd)
+    x_i, y_j = x.take(ii, axis=1), y.take(jj, axis=1)
+    a, b = x_i.take(ii, axis=0), y_j.take(jj, axis=0)  # X_ik and Y_jl over the edge pairs
+    np.multiply(a, b, out=ee)
+    np.multiply(x_i, y_j, out=de)
+    y_i, x_j = y.take(ii, axis=1), x.take(jj, axis=1)
+    np.take(y_i, ii, axis=0, out=a, mode="clip")  # "raise" would copy through a buffer
+    np.take(x_j, jj, axis=0, out=b, mode="clip")
+    a *= b
+    ee += a
+    np.multiply(y_i, x_j, out=y_i)
+    de += y_i
+    ed[...] = de.T
+    np.take(x_j, ii, axis=0, out=a, mode="clip")  # X_il
+    np.take(y_j, ii, axis=0, out=b, mode="clip")  # Y_kj, transposed
+    a *= b.T
+    np.add(a, a.T, out=b)
+    ee += b
+    return out
 
 
 def unit_free_gap(gap: np.ndarray, sigma: np.ndarray, g: CovarianceGraph) -> float:

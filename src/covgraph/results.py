@@ -32,8 +32,8 @@ class FitConfig:
     ``max_iter`` is a whole number of at least 1, not a bool, kept as an int.
     ``start`` overrides the identity starting value of ``ml-icf``,
     ``ml-icf-multi`` and ``ml-anderson`` (see ``_resolve_start``); the
-    dual fitter has its own start and rejects one.  ``record_trace`` keeps the per-sweep
-    log-likelihood, and ``n_adjust`` substitutes n - 1 for n in
+    dual fitter has its own start and rejects one.  ``record_trace`` keeps the
+    log-likelihood of each iteration, and ``n_adjust`` substitutes n - 1 for n in
     reported likelihood values.
     """
 
@@ -87,13 +87,15 @@ class FitResult:
     ``sigma`` is the estimate's read-only matrix when there is one, else
     the raw final matrix.  ``loglik`` is None for ``el``.  ``detail`` is
     the stop reason (converged, stalled, max-iter, diverged,
-    singular-system or not-pd), ``iterations`` the sweeps or
-    iterations; for ``dual`` one for the closed form, if it
-    ran, plus the Newton steps, and for ``el`` the accepted Newton steps;
+    singular-system or not-pd), ``iterations`` the iterations: for the
+    ICF fitters the plain sweeps plus the Newton steps, for ``dual`` one
+    for the closed form, if it ran, plus the Newton steps, and for
+    ``el`` the accepted Newton steps;
     ``pd_flags`` the per-iterate positive-definiteness record where the
     method tracks it, ``residual`` the method's own unit-free defining
-    residual at exit, and ``rejected_extrapolations`` the number of
-    extrapolation steps the ICF fitters tried and threw away.  Only
+    residual at exit, ``rejected_extrapolations`` the number of
+    extrapolation steps the ICF fitters tried and threw away, and
+    ``newton_steps`` the number of Newton steps they kept.  Only
     ``el`` sets ``inner_solves``, the inner dual problems it solved, and
     ``weighted``, its optimal weighting.
     """
@@ -108,12 +110,21 @@ class FitResult:
     pd_flags: tuple[bool, ...] | None = None
     residual: float | None = None
     rejected_extrapolations: int | None = None
+    newton_steps: int | None = None
     inner_solves: int | None = None
     weighted: WeightedSample | None = None
 
     @property
     def converged(self) -> bool:
         return self.detail == "converged"
+
+
+def unit_free_change(new: np.ndarray, old: np.ndarray) -> float:
+    """max |new_ij - old_ij| / sqrt(new_ii new_jj); infinite unless diag(new) is positive."""
+    d = np.diag(new)
+    if not np.all(d > 0.0):
+        return np.inf
+    return float((np.abs(new - old) / np.sqrt(np.outer(d, d))).max())
 
 
 def stop_reason(
@@ -127,10 +138,7 @@ def stop_reason(
     and ``stalled`` once the step is below 1e-3 ``tol``.  The reason is
     None to go on; the residual is None where it was not computed.
     """
-    d = np.diag(new)
-    if not np.all(d > 0.0):
-        return None, None
-    change = float((np.abs(new - old) / np.sqrt(np.outer(d, d))).max())
+    change = unit_free_change(new, old)
     if not change < tol:
         return None, None
     try:

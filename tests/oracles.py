@@ -38,6 +38,49 @@ def loglik_direct(n, s, sigma):
     return -0.5 * n * (p * np.log(2.0 * np.pi) + logdet + tr)
 
 
+def forest_ancestors(parent):
+    """Ancestor lists of a rooted forest; ``parent[v]`` is v's parent, or -1 at a root."""
+    ancestors = []
+    for v in range(len(parent)):
+        chain, a = [], parent[v]
+        while a >= 0:
+            chain.append(a)
+            a = parent[a]
+        ancestors.append(chain)
+    return ancestors
+
+
+def forest_graph_ml(s, parent):
+    """Exact ML estimate on the covariance graph of a rooted forest, by regressions.
+
+    The graph joins each vertex to all of its forest ancestors.
+    Orienting every edge toward the ancestor gives a DAG that is Markov
+    equivalent to it (Pearl and Wermuth 1994; Drton and Richardson 2008,
+    JMLR 9), so the ML estimate is the DAG's: each vertex v regresses on
+    its forest descendants D by least squares on ``s``, b_v = S_DD^-1 S_Dv
+    with residual variance omega_v = S_vv - S_vD b_v, and sigma =
+    A diag(omega) A^T with A = (I - B)^-1.  B is nilpotent, so A is
+    summed as the finite series I + B + B^2 + ..., which leaves the
+    entries of unrelated pairs exactly zero.
+    """
+    s = np.asarray(s, dtype=float)
+    p = len(parent)
+    descendants = [[] for _ in range(p)]
+    for v, chain in enumerate(forest_ancestors(parent)):
+        for a in chain:
+            descendants[a].append(v)
+    b, omega = np.zeros((p, p)), np.zeros(p)
+    for v, d in enumerate(descendants):
+        coef = np.linalg.solve(s[np.ix_(d, d)], s[d, v]) if d else np.zeros(0)
+        b[v, d] = coef
+        omega[v] = s[v, v] - s[v, d] @ coef
+    a, term = np.eye(p), np.eye(p)
+    for _ in range(p):
+        term = term @ b
+        a += term
+    return a @ np.diag(omega) @ a.T
+
+
 def free_index_arrays(g):
     """Rows and columns of the free pairs, from a double loop over the adjacency.
 

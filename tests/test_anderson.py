@@ -45,7 +45,7 @@ class TestPlannedSystem:
 
     @pytest.mark.parametrize("case", ITERATIONS)
     def test_hessian_mixed_term_matches_pair_quadratic(self, case, yeast_stats, yeast_gd, yeast_gs):
-        # hessian reads K (x) T + T (x) K by polarisation of kron_form
+        # hessian reads K (x) K - K (x) T - T (x) K as the form of K and K - 2T (model._curvature)
         st, g = case_inputs(case, yeast_stats, yeast_gd, yeast_gs)
         est = fit_icf(st, g).estimate
         k = np.linalg.inv(est.sigma)

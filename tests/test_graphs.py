@@ -297,6 +297,11 @@ class TestParsing:
             parse_graph_text(f"vertex a\nvertex b\n# edges\n{edge}\nedge a b\n", source="g.graph")
 
 
+    def test_duplicate_vertex_cites_source_and_line(self):
+        with pytest.raises(GraphError, match=r"^g\.graph:2: duplicate vertex 'a'$"):
+            parse_graph_text("vertex a\nvertex a\n", source="g.graph")
+
+
 class TestFamilyParsing:
     def test_round_trip(self, fig1):
         from covgraph.graphs import parse_family_text

@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from covgraph.graphs import CovarianceGraph, cliques, free_index_set
+import covgraph.icf as icf
+from covgraph.anderson import fit_anderson
 from covgraph.icf import (
+    _newton,
     _plan,
+    _plans,
     _point,
     _squarem,
+    _sweep,
     _update,
     fit_icf,
     icf_update_vertex,
@@ -18,6 +23,8 @@ from covgraph.model import (
     ConstrainedCovariance,
     ModelError,
     PatternViolationError,
+    _cholesky,
+    _curvature,
     profile_loglik,
     sample_stats,
     stats_from_moments,
@@ -29,6 +36,8 @@ from conftest import SIGMA_CHAIN, lattice_graph, random_graph, random_patterned_
 from oracles import (
     brute_force_ml,
     fit_best_start,
+    forest_ancestors,
+    forest_graph_ml,
     icf_sweep,
     pseudo_variables_gram,
     random_starts,
@@ -527,3 +536,138 @@ def test_one_sweep_matches_direct_inverse_oracle(problem):
         res = fit_icf_multi(st_, g, cliques(g), cfg)
     expected = icf_sweep(st_.s, start, g.adjacency, blocks)
     assert np.abs(res.sigma - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+def unit_free(a, b):
+    d = np.sqrt(np.diag(b))
+    return np.abs((a - b) / np.outer(d, d)).max()
+
+
+def forest_problem(parent, rng):
+    """The covariance graph of a rooted forest, in a shuffled vertex order, with n = 4p rows.
+
+    Returns the graph, the stats and the forest ML estimate in the graph's order.
+    """
+    p = len(parent)
+    labels = [f"x{k}" for k in rng.permutation(p)]  # vertex v of the forest is labels[v]
+    edges = [(labels[v], labels[a]) for v, chain in enumerate(forest_ancestors(parent)) for a in chain]
+    g = CovarianceGraph(sorted(labels, key=lambda lab: int(lab[1:])), edges)
+    data = rng.standard_normal((4 * p, p)) @ np.linalg.cholesky(random_spd(p, 3 * p, rng)).T
+    st_ = sample_stats(data, labels=labels)
+    perm = [labels.index(v) for v in g.vertices]
+    return g, st_, forest_graph_ml(st_.s, parent)[np.ix_(perm, perm)]
+
+
+# Two p = 30 forests: a shallow one (three roots, nine children, eighteen
+# grandchildren), whose fits take Newton steps, and a deep one (a chain of
+# ten that forks into two chains of ten), whose free entries are too many
+# for them in both the vertexwise and the clique fitter.
+SHALLOW_30 = [-1, -1, -1] + [v % 3 for v in range(3, 12)] + [3 + v % 9 for v in range(12, 30)]
+DEEP_30 = [-1] + list(range(9)) + [9] + list(range(10, 19)) + [9] + list(range(20, 29))
+
+
+class TestForestOracle:
+    """ML fits on covariance graphs of rooted forests, against the exact regression estimate."""
+
+    TOL = 1e-10
+
+    def check_fits(self, g, st_, ref):
+        cfg = FitConfig(tol=self.TOL)
+        fits = {
+            "ml-icf": fit_icf(st_, g, cfg),
+            "ml-icf-multi": fit_icf_multi(st_, g, cfg=cfg),
+            "singletons": fit_icf_multi(st_, g, [(v,) for v in g.vertices], cfg),
+        }
+        anderson = fit_anderson(st_, g, cfg)
+        if anderson.converged:
+            fits["ml-anderson"] = anderson
+        for name, res in fits.items():
+            assert res.detail == "converged", name
+            assert unit_free(res.sigma, ref) <= 100.0 * self.TOL, name
+        return fits
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_forests(self, seed):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(3, 13))
+        parent = [-1] + [int(rng.integers(-1, v)) for v in range(1, p)]
+        g, st_, ref = forest_problem(parent, rng)
+        off = ~g.adjacency & ~np.eye(p, dtype=bool)
+        assert np.all(ref[off] == 0.0)
+        self.check_fits(g, st_, ref)
+
+    @pytest.mark.parametrize("parent, newton", [(SHALLOW_30, True), (DEEP_30, False)], ids=["shallow", "deep"])
+    def test_p30_on_each_side_of_the_gate(self, parent, newton):
+        fits = self.check_fits(*forest_problem(parent, np.random.default_rng(30)))
+        for name in ("ml-icf", "ml-icf-multi"):
+            assert (fits[name].newton_steps > 0) == newton, name
+
+
+class TestNewtonSteps:
+    def test_trace_is_monotone_through_newton_steps_and_sweeps(self, yeast_stats, yeast_gd):
+        g = lattice_graph(6)
+        rng = np.random.default_rng(64)
+        st_ = sample_stats(rng.standard_normal((100, g.p)) @ np.linalg.cholesky(random_patterned_cov(g, rng)).T)
+        for stats, graph in ((yeast_stats, yeast_gd), (st_, g)):
+            for fitter in (fit_icf, fit_icf_multi):
+                res = fitter(stats, graph, cfg=FitConfig(record_trace=True))
+                assert res.converged and 0 < res.newton_steps < res.iterations
+                assert len(res.trace) == res.iterations
+                assert np.all(np.diff(np.array(res.trace)) >= -1e-10)
+
+    def test_step_is_refused_where_the_negated_hessian_does_not_factorise(self, fig1):
+        # at sigma = I with S = I / 100, -H is (n / 2) B(I, -0.98 I): negative definite
+        s = 0.01 * np.eye(4)
+        x = _point(s, np.eye(4))
+        k = x.inv.copy()
+        assert _newton(s, free_index_set(fig1), x) is None
+        assert np.array_equal(x.inv, k)
+
+    def test_refused_step_falls_back_to_a_sweep(self):
+        # after the first cycle of this small-sample problem -H has a
+        # negative eigenvalue, so the third iteration is a sweep
+        rng = np.random.default_rng(2)
+        p = int(rng.integers(4, 11))
+        n = p + int(rng.integers(2, 6))
+        g = random_graph(p, rng, edge_prob=0.5)
+        st_ = sample_stats(rng.standard_normal((n, p)) @ np.linalg.cholesky(random_spd(p, 3 * p, rng)).T)
+        plans = _plans(g, [[v] for v in range(p)])
+        x0 = _point(st_.s, np.eye(p))
+        x1 = _sweep(st_.s, plans, x0)
+        x, _ = _squarem(st_.s, x0, x1, _sweep(st_.s, plans, x1))
+        k = x.inv
+        assert _cholesky(_curvature(k, k @ st_.s @ k, free_index_set(g))) is None
+        res = fit_icf(st_, g, FitConfig(max_iter=3))
+        assert res.iterations == 3 and res.newton_steps == 0
+        assert fit_icf(st_, g).converged
+
+    def test_always_refused_steps_give_the_plain_accelerated_ascent(self, yeast_stats, yeast_gd, monkeypatch):
+        plain = {}
+        with monkeypatch.context() as patch:
+            patch.setattr(icf, "_NEWTON_GATE", 0.0)
+            for fitter in (fit_icf, fit_icf_multi):
+                plain[fitter] = fitter(yeast_stats, yeast_gd, cfg=FitConfig(record_trace=True))
+                assert plain[fitter].newton_steps == 0
+        monkeypatch.setattr(icf, "_curvature", lambda k, t, fis: -np.eye(len(fis)))
+        for fitter in (fit_icf, fit_icf_multi):
+            res = fitter(yeast_stats, yeast_gd, cfg=FitConfig(record_trace=True))
+            assert res.newton_steps == 0 and res.converged
+            assert res.iterations == plain[fitter].iterations and res.trace == plain[fitter].trace
+            assert np.array_equal(res.sigma, plain[fitter].sigma)
+
+    def test_dense_graph_above_the_gate_forms_no_free_pair_array(self):
+        rng = np.random.default_rng(65)
+        g = random_graph(40, rng, edge_prob=0.7)
+        st_ = sample_stats(rng.standard_normal((120, g.p)) @ np.linalg.cholesky(random_patterned_cov(g, rng, 0.2)).T)
+        m = len(free_index_set(g))
+        singletons = [(v,) for v in g.vertices]
+        for fit in (lambda: fit_icf(st_, g), lambda: fit_icf_multi(st_, g, singletons)):
+            fit()  # the block plans are kept on the graph after the first fit
+            tracemalloc.start()
+            try:
+                res = fit()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert res.converged and res.newton_steps == 0
+            assert peak < 8 * m * m, peak

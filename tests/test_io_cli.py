@@ -458,8 +458,10 @@ class TestCliFit:
     @pytest.mark.parametrize(
         "method, keys",
         [
-            ("ml-icf", ["rejected-extrapolations", "loglik", "deviance", "df", "detail", "residual"]),
-            ("ml-icf-multi", ["rejected-extrapolations", "loglik", "deviance", "df", "detail", "residual"]),
+            ("ml-icf", ["rejected-extrapolations", "newton-steps", "loglik", "deviance", "df", "detail",
+                        "residual"]),
+            ("ml-icf-multi", ["rejected-extrapolations", "newton-steps", "loglik", "deviance", "df", "detail",
+                              "residual"]),
             ("ml-anderson", ["loglik", "deviance", "df", "detail", "residual"]),
             ("dual", ["loglik", "deviance-functional", "df", "detail", "residual"]),
             ("el", ["inner-solves", "loglik", "deviance-functional", "df", "detail", "residual",
@@ -562,6 +564,39 @@ class TestCliSimulateLoglikCompare:
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == "" and not target.exists()
         assert captured.err.startswith(f"error: cannot write {target}: ") and captured.err.count("\n") == 1
+
+    def test_simulate_unwritable_out_is_refused_before_the_simulation(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COVGRAPH_QUIET", "1")
+        calls = []
+        monkeypatch.setattr("covgraph.cli.run_simulation", lambda *a, **k: calls.append(a))
+        sig, target = tmp_path / "sigma.tsv", tmp_path / "missing-dir" / "report.tsv"
+        write_matrix(sig, SIGMA_CHAIN)
+        rc = main([
+            "simulate", "--sigma", str(sig), "--n", "100", "--reps", "1000", "--methods", "ml-icf,dual,el",
+            "--dist", "t", "--out", str(target),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1 and calls == [] and captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("existing", [None, "old report\n"])
+    def test_simulate_out_check_leaves_the_path_as_it_was(self, tmp_path, capsys, monkeypatch, existing):
+        # the writability check runs before the simulation; a simulation
+        # that then fails leaves no file behind, and an old one intact
+        monkeypatch.setenv("COVGRAPH_QUIET", "1")
+
+        def fail(*args, **kwargs):
+            raise cg.ModelError("simulation failed")
+
+        monkeypatch.setattr("covgraph.cli.run_simulation", fail)
+        sig, target = tmp_path / "sigma.tsv", tmp_path / "report.tsv"
+        write_matrix(sig, SIGMA_CHAIN)
+        if existing is not None:
+            target.write_text(existing)
+        rc = main(["simulate", "--sigma", str(sig), "--n", "25", "--reps", "2", "--methods", "dual",
+                   "--out", str(target)])
+        assert rc == 1 and capsys.readouterr().err == "error: simulation failed\n"
+        assert (target.read_text() if target.exists() else None) == existing
 
     @pytest.mark.parametrize(
         "flags, message",
