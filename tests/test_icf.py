@@ -603,17 +603,48 @@ class TestForestOracle:
             assert (fits[name].newton_steps > 0) == newton, name
 
 
+def small_sample_problem(seed):
+    """A random graph on 4 to 10 vertices with only 2 to 5 more rows than vertices."""
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(4, 11))
+    n = p + int(rng.integers(2, 6))
+    g = random_graph(p, rng, edge_prob=0.5)
+    return g, sample_stats(rng.standard_normal((n, p)) @ np.linalg.cholesky(random_spd(p, 3 * p, rng)).T)
+
+
 class TestNewtonSteps:
     def test_trace_is_monotone_through_newton_steps_and_sweeps(self, yeast_stats, yeast_gd):
+        # in the small-sample problems some full Newton steps stay in the
+        # cone but lower the log-likelihood, and are halved or refused
         g = lattice_graph(6)
         rng = np.random.default_rng(64)
         st_ = sample_stats(rng.standard_normal((100, g.p)) @ np.linalg.cholesky(random_patterned_cov(g, rng)).T)
-        for stats, graph in ((yeast_stats, yeast_gd), (st_, g)):
+        problems = [(yeast_stats, yeast_gd), (st_, g)]
+        problems += [small_sample_problem(seed)[::-1] for seed in (15, 65, 70)]
+        for stats, graph in problems:
             for fitter in (fit_icf, fit_icf_multi):
                 res = fitter(stats, graph, cfg=FitConfig(record_trace=True))
                 assert res.converged and 0 < res.newton_steps < res.iterations
                 assert len(res.trace) == res.iterations
                 assert np.all(np.diff(np.array(res.trace)) >= -1e-10)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 4])
+    def test_fit_ends_on_a_sweep_that_keeps_a_component_block_exact(self, seed):
+        # a complete component is a block without spouses, which a sweep
+        # sets to its sample block exactly; a Newton step would leave it
+        # off by rounding, so the fit must end on a sweep
+        rng = np.random.default_rng(seed)
+        k, q = int(rng.integers(2, 5)), int(rng.integers(3, 7))
+        labels = [f"v{i}" for i in range(k + q)]
+        edges = [(labels[i], labels[j]) for i in range(k) for j in range(i + 1, k)]
+        edges += [(a, b) for i, a in enumerate(labels[k:], k) for b in labels[i + 1:] if rng.uniform() < 0.5]
+        g = CovarianceGraph(labels, edges)
+        p = k + q
+        st_ = sample_stats(rng.standard_normal((3 * p, p)) @ np.linalg.cholesky(random_spd(p, 3 * p, rng)).T)
+        for tol in (1e-8, 1e-12):
+            res = fit_icf_multi(st_, g, cfg=FitConfig(tol=tol))
+            assert res.converged and res.newton_steps > 0
+            assert np.array_equal(res.sigma[:k, :k], st_.s[:k, :k])
 
     def test_step_is_refused_where_the_negated_hessian_does_not_factorise(self, fig1):
         # at sigma = I with S = I / 100, -H is (n / 2) B(I, -0.98 I): negative definite
@@ -626,13 +657,9 @@ class TestNewtonSteps:
     def test_refused_step_falls_back_to_a_sweep(self):
         # after the first cycle of this small-sample problem -H has a
         # negative eigenvalue, so the third iteration is a sweep
-        rng = np.random.default_rng(2)
-        p = int(rng.integers(4, 11))
-        n = p + int(rng.integers(2, 6))
-        g = random_graph(p, rng, edge_prob=0.5)
-        st_ = sample_stats(rng.standard_normal((n, p)) @ np.linalg.cholesky(random_spd(p, 3 * p, rng)).T)
-        plans = _plans(g, [[v] for v in range(p)])
-        x0 = _point(st_.s, np.eye(p))
+        g, st_ = small_sample_problem(2)
+        plans = _plans(g, [[v] for v in range(g.p)])
+        x0 = _point(st_.s, np.eye(g.p))
         x1 = _sweep(st_.s, plans, x0)
         x, _ = _squarem(st_.s, x0, x1, _sweep(st_.s, plans, x1))
         k = x.inv
