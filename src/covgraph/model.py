@@ -348,7 +348,7 @@ def _curvature(k: np.ndarray, t: np.ndarray, fis: FreeIndexSet) -> np.ndarray:
     de += y_i
     ed[...] = de.T
     np.take(x_j, ii, axis=0, out=a, mode="clip")  # X_il
-    np.take(y_j, ii, axis=0, out=b, mode="clip")  # Y_kj, transposed
+    np.take(y_j, ii, axis=0, out=b, mode="clip")  # Y_il, whose transpose is Y_kj
     a *= b.T
     np.add(a, a.T, out=b)
     ee += b
