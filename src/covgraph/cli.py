@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--method", default="ml-icf", choices=METHOD_NAMES)
     fit.add_argument("--family", help="complete-set family file (ml-icf-multi)")
     fit.add_argument("--start", help="starting matrix file")
-    fit.add_argument("--trace", help="write per-sweep log-likelihood here")
+    fit.add_argument("--trace", help="write per-iteration log-likelihood here")
     fit.add_argument("--digits", type=int, help="fixed-point output digits")
     fit.add_argument("--out", help="write the estimate matrix to this file")
 
@@ -214,7 +214,7 @@ def cmd_fit(args) -> int:
     _note(f"fit finished in {elapsed:.3f}s")
     if args.trace:
         rows = (f"{k}\t{'' if v is None else format(v, '.17g')}\n" for k, v in enumerate(res.trace or (), 1))
-        cio._write_text(args.trace, "sweep\tloglik\n" + "".join(rows))
+        cio._write_text(args.trace, "iteration\tloglik\n" + "".join(rows))
     if sigma is None:
         print("estimate none", file=out)
         return EXIT_NO_CONVERGENCE

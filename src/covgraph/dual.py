@@ -29,8 +29,9 @@ the free entries is the free-pair form of H (x) H, with H the inverse
 of the iterate: the system of Anderson's iteration (``kron_form``).
 So a step solves it against the adjoint of H - K by Cholesky.  The
 step is then halved until the candidate is in the cone and passes
-Armijo's test; one factorisation of a candidate gives the cone check,
-f and its inverse.  A step costs O(m^3) in the m = p + |E| free
+Armijo's test; one factorisation of a candidate (``model._point``, as
+for every block, sum and iterate here) gives the cone check, its
+inverse and log-determinant, and so f.  A step costs O(m^3) in the m = p + |E| free
 entries.  A graph's cliques are built only for the closed form.
 
 Both engines stop on the same unit-free residual of H - K: the closed
@@ -51,9 +52,8 @@ from .model import (
     ModelError,
     NotPositiveDefiniteError,
     SampleStats,
-    _chol,
     _cholesky,
-    _inv_pd,
+    _point,
     kron_form,
     profile_loglik,
     unit_free_gap,
@@ -123,12 +123,12 @@ def _clique_order(g: CovarianceGraph, fam: tuple[tuple[str, ...], ...]) -> list[
     return sorted(idx_sets, key=lambda c: (max(rank[v] for v in c), c))
 
 
-def _steps(g: CovarianceGraph) -> tuple[tuple[tuple, np.ndarray, float], ...]:
+def _steps(g: CovarianceGraph) -> tuple[tuple[tuple, float], ...]:
     """The closed form's blocks, built on first use and kept on ``g``.
 
     Each clique in ``_clique_order`` comes with sign +1, then its
     separator, if not empty, with sign -1: its intersection with the
-    cliques before it.  A block is its np.ix_ grid, identity and sign.
+    cliques before it.  A block is its np.ix_ grid and sign.
     """
 
     def build() -> tuple:
@@ -136,20 +136,11 @@ def _steps(g: CovarianceGraph) -> tuple[tuple[tuple, np.ndarray, float], ...]:
         for c in _clique_order(g, cliques(g)):
             for idx, sign in ((c, 1.0), (sorted(seen.intersection(c)), -1.0)):
                 if idx:
-                    blocks.append((np.ix_(idx, idx), np.eye(len(idx)), sign))
+                    blocks.append((np.ix_(idx, idx), sign))
             seen.update(c)
         return tuple(blocks)
 
     return _kept(g, "dual", build)
-
-
-def _block_inv(a: np.ndarray, eye: np.ndarray, what: str) -> np.ndarray:
-    """Inverse of a small positive-definite block by direct LAPACK calls."""
-    low = _cholesky(a)
-    if low is None:
-        raise NotPositiveDefiniteError(f"{what} is not positive definite")
-    inv, _ = dpotrs(low, eye, lower=1)
-    return (inv + inv.T) / 2.0
 
 
 def dual_residual(stats: SampleStats, sigma: np.ndarray, g: CovarianceGraph) -> float:
@@ -158,19 +149,8 @@ def dual_residual(stats: SampleStats, sigma: np.ndarray, g: CovarianceGraph) -> 
     Both inverses come from Cholesky factorisations, as in ``fit_dual``.
     """
     stats = stats.aligned_to(g.vertices)
-    gap = _inv_pd(sigma, "dual iterate") - _inv_pd(stats.s, "sample covariance")
+    gap = _point(sigma, "dual iterate").inv - _point(stats.s, "sample covariance").inv
     return unit_free_gap(gap, sigma, g)
-
-
-def _at(k: np.ndarray, sigma: np.ndarray, eye: np.ndarray) -> tuple[float, np.ndarray]:
-    """The objective tr(K sigma) - log det sigma and the inverse of ``sigma``.
-
-    One factorisation serves both and the cone check, which raises
-    ``NotPositiveDefiniteError``; the inverse is the one ``_inv_pd`` gives.
-    """
-    low = _chol(sigma, "dual iterate")
-    inv, _ = dpotrs(low, eye, lower=1)
-    return float(np.vdot(k, sigma)) - 2.0 * np.log(np.diag(low)).sum(), (inv + inv.T) / 2.0
 
 
 def fit_dual(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None = None) -> FitResult:
@@ -196,32 +176,29 @@ def fit_dual(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None = Non
     if cfg.start is not None:
         raise ModelError("the dual fit takes no starting value")
     stats = _resolve_stats(stats, g)
-    k = _inv_pd(stats.s, "sample covariance")
+    k = _point(stats.s, "sample covariance").inv
     fis = free_index_set(g)
-    eye = np.eye(g.p)
 
     if _kept(g, "decomposable", lambda: is_decomposable(g)):
         sigma = np.zeros((g.p, g.p))
-        for cc, block_eye, sign in _steps(g):
-            sigma[cc] += sign * _block_inv(k[cc], block_eye, "inverse sample covariance block")
-        h = _inv_pd(sigma, "dual iterate")
-        value, iterations = None, 1  # the objective is read only if a step follows
+        for cc, sign in _steps(g):
+            sigma[cc] += sign * _point(k[cc], "inverse sample covariance block").inv
+        iterations = 1
     else:
         sigma = np.diag(1.0 / np.diag(k))  # patterned start: diagonal concentration
-        value, h = _at(k, sigma, eye)
         iterations = 0
+    cur = _point(sigma, "dual iterate")
     while True:
-        gap = h - k
-        residual = unit_free_gap(gap, sigma, g)
+        gap = cur.inv - k
+        residual = unit_free_gap(gap, cur.sigma, g)
         if residual <= cfg.tol:
             detail = "converged"
             break
         if iterations >= cfg.max_iter:
             detail = "max-iter"
             break
-        if value is None:
-            value, _ = _at(k, sigma, eye)
-        low = _cholesky(kron_form(h, fis))
+        value = float(np.vdot(k, cur.sigma)) - cur.logdet
+        low = _cholesky(kron_form(cur.inv, fis))
         if low is None:
             detail = "singular-system"
             break
@@ -234,21 +211,20 @@ def fit_dual(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None = Non
         step = fis.expand(free)
         t = 1.0
         for _ in range(_HALVINGS):
-            cand = sigma + t * step
             try:
-                cand_value, cand_h = _at(k, cand, eye)
+                cand = _point(cur.sigma + t * step, "dual iterate")
             except NotPositiveDefiniteError:
                 pass  # outside the cone
             else:
-                if at_floor or cand_value <= value - _ARMIJO * t * decrease:
+                if at_floor or float(np.vdot(k, cand.sigma)) - cand.logdet <= value - _ARMIJO * t * decrease:
                     break
             t *= 0.5
         else:
             detail = "stalled"
             break
-        sigma, value, h = cand, cand_value, cand_h
+        cur = cand
         iterations += 1
-    estimate = ConstrainedCovariance(g, sigma)
+    estimate = ConstrainedCovariance(g, cur.sigma)
     return FitResult(
         method="dual",
         estimate=estimate,

@@ -15,18 +15,18 @@ Every sweep keeps the iterate inside the constraint cone and never
 decreases the log-likelihood.
 
 A sweep keeps K, the inverse of the iterate, next to it.  K is
-recomputed from the iterate once at the start of each sweep, from the
-factorisation that also checks the iterate is in the cone, and
-refreshed after every update, so an update factorises nothing larger
-than its block: the inverse incoming conditional covariance is K's
-block, the inverse of the fixed rest is the Schur complement of that
-block in K, and two rank-|C| terms turn K into the inverse of the
-refitted iterate.  An update forms only the spouse columns of the
-rest inverse, and refreshes K in place by two BLAS gemm passes, one
-per rank-|C| term, with the block's rows and columns zeroed between
-them, so it allocates nothing p x p.  An update of a block C with
-spouses S costs O(p^2 (|C| + |S|)) flops and O(p (|C| + |S|)) new
-memory, instead of the O(p^3) of inverting the rest.
+recomputed at the start of each sweep by ``model._point``, whose one
+factorisation also checks the iterate is in the cone and gives its
+log-determinant, and refreshed after every update, so an update
+factorises nothing larger than its block: the inverse incoming
+conditional covariance is K's block, the inverse of the fixed rest is
+the Schur complement of that block in K, and two rank-|C| terms turn K
+into the inverse of the refitted iterate.  An update forms only the
+spouse columns of the rest inverse, and refreshes K in place by two
+BLAS gemm passes, one per rank-|C| term, with the block's rows and
+columns zeroed between them, so it allocates nothing p x p.  An update
+of a block C with spouses S costs O(p^2 (|C| + |S|)) flops and
+O(p (|C| + |S|)) new memory, instead of the O(p^3) of inverting the rest.
 
 What an update needs from the graph alone, index grids included, is
 kept in the graph's store, once per block, and the small factorisations
@@ -49,7 +49,7 @@ rule only ever measures a plain sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 from scipy.linalg.blas import dgemm, dtrsm
@@ -61,9 +61,10 @@ from .model import (
     ModelError,
     NotPositiveDefiniteError,
     SampleStats,
-    _chol,
     _cholesky,
     _curvature,
+    _Point,
+    _point,
     profile_loglik,
     stationarity_residual,
 )
@@ -138,24 +139,9 @@ def _plans(g: CovarianceGraph, blocks: Iterable[Iterable[int]]) -> list[_BlockPl
 _ZERO = np.zeros(1)
 
 
-class _Point(NamedTuple):
-    """An iterate with its inverse and its log-likelihood kernel."""
-
-    sigma: np.ndarray
-    inv: np.ndarray
-    kernel: float  # -log det sigma - trace(sigma^-1 S)
-
-
-def _point(s: np.ndarray, m: np.ndarray) -> _Point:
-    """Factorise ``m`` once for its inverse and its kernel.
-
-    Raises ``NotPositiveDefiniteError`` unless ``m`` lies in
-    ``is_pos_def``'s cone.
-    """
-    low = _chol(m, "iterate")
-    k, _ = dpotrs(low, np.eye(len(m)), lower=1)
-    k = (k + k.T) / 2.0
-    return _Point(m, k, -2.0 * float(np.log(np.diag(low)).sum()) - float(np.vdot(k, s)))
+def _kernel(s: np.ndarray, x: _Point) -> float:
+    """The log-likelihood kernel -log det sigma - trace(sigma^-1 S) of ``x``; reads ``x.inv``."""
+    return -x.logdet - float(np.vdot(x.inv, s))
 
 
 def _pseudo_moments(
@@ -241,7 +227,7 @@ def block_update(
         raise ModelError(f"block {tuple(g.vertices[i] for i in cidx)} is not complete")
     s = stats.aligned_to(g.vertices).s
     m = np.array(sigma.sigma)
-    _update(s, m, _point(s, m).inv, _plans(g, [cidx])[0])
+    _update(s, m, _point(m, "iterate").inv, _plans(g, [cidx])[0])
     return ConstrainedCovariance(g, m)
 
 
@@ -261,7 +247,7 @@ def _sweep(s: np.ndarray, plans: list[_BlockPlan], x: _Point) -> _Point:
     m = x.sigma.copy()
     for plan in plans:
         _update(s, m, x.inv, plan)
-    return _point(s, m)
+    return _point(m, "iterate")
 
 
 def _squarem(s: np.ndarray, x0: _Point, x1: _Point, x2: _Point) -> tuple[_Point, bool]:
@@ -284,10 +270,10 @@ def _squarem(s: np.ndarray, x0: _Point, x1: _Point, x2: _Point) -> tuple[_Point,
     if not -np.inf < alpha < -1.0:
         return x2, False
     try:
-        trial = _point(s, x0.sigma - 2.0 * alpha * r + alpha * alpha * v)
+        trial = _point(x0.sigma - 2.0 * alpha * r + alpha * alpha * v, "iterate")
     except NotPositiveDefiniteError:
         return x2, True
-    if trial.kernel >= x2.kernel:
+    if _kernel(s, trial) >= _kernel(s, x2):
         return trial, False
     return x2, True
 
@@ -315,12 +301,13 @@ def _newton(s: np.ndarray, fis: FreeIndexSet, x: _Point) -> _Point | None:
     if info:
         return None
     step = fis.expand(dpotrs(low, fis.adjoint_vec(t - k), lower=1)[0])
+    kernel = _kernel(s, x)
     for _ in range(_HALVINGS + 1):
         try:
-            trial = _point(s, x.sigma + step)
+            trial = _point(x.sigma + step, "iterate")
         except NotPositiveDefiniteError:
             trial = None
-        if trial is not None and trial.kernel >= x.kernel:
+        if trial is not None and _kernel(s, trial) >= kernel:
             return trial
         step *= 0.5
     return None
@@ -368,7 +355,7 @@ def _sweep_fit(
     fis = free_index_set(g)
     sweep_cost = sum(plan.block.size + plan.spo.size for plan in plans) * g.p**2
     use_newton = len(fis) ** 3 <= _NEWTON_GATE * sweep_cost
-    cur = _point(s, np.array(_resolve_start(g, cfg).sigma))
+    cur = _point(np.array(_resolve_start(g, cfg).sigma), "iterate")
     trace: list[float] = []
     detail = residual = None
     it = rejected = newton = 0

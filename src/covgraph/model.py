@@ -4,15 +4,16 @@ Everything here is a pure function of sample moments and a patterned
 covariance matrix: profile log-likelihood, score, Hessian, Fisher
 information, stationarity residual of the likelihood equations, and
 deviance against the saturated model.  Whatever is indexed by the free
-entries reads them through the graph's one ``FreeIndexSet``, the
-free-pair form of a Kronecker square is ``kron_form``, and the negated
-Hessian, which ICF's Newton steps solve with, is ``_curvature``.
+entries reads them through the graph's one ``FreeIndexSet``.  Every
+fitter factorises a matrix by ``_point``, once for its cone check,
+inverse and log-determinant, and builds a free-pair form by
+``_pair_form``, as ``kron_form`` or as the negated Hessian ``_curvature``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -105,9 +106,19 @@ def _check_finite(data: np.ndarray) -> None:
         raise ModelError(f"non-numeric cell at row {bad[0] + 1}, column {bad[1] + 1}")
 
 
-def _inv_pd(a: np.ndarray, what: str = "matrix") -> np.ndarray:
-    inv, _ = dpotrs(_chol(a, what), np.eye(a.shape[0]), lower=1)
-    return (inv + inv.T) / 2.0
+class _Point(NamedTuple):
+    """A positive-definite matrix with its symmetrised inverse and log-determinant."""
+
+    sigma: np.ndarray
+    inv: np.ndarray
+    logdet: float
+
+
+def _point(a: np.ndarray, what: str) -> _Point:
+    """Factorise ``a`` once; ``NotPositiveDefiniteError`` naming ``what`` unless it passes ``is_pos_def``."""
+    low = _chol(a, what)
+    inv, _ = dpotrs(low, np.eye(len(a)), lower=1)
+    return _Point(a, (inv + inv.T) / 2.0, 2.0 * float(np.log(np.diag(low)).sum()))
 
 
 @dataclass(frozen=True)
@@ -232,42 +243,12 @@ def _effective_n(n: int, n_adjust: bool) -> int:
 
 
 def kron_form(k: np.ndarray, fis: FreeIndexSet) -> np.ndarray:
-    """Free-pair form (A o C + B o B^T) o (d d^T) / 2 of a square ``k``.
+    """Free-pair form (A o C + B o B^T) o (d d^T) / 2 of any square ``k``, as ``_pair_form(k, k)``.
 
-    With the pair rows ii and columns jj, A = k[ii, ii], B = k[ii, jj]
-    and C = k[jj, jj], o is the elementwise product and d the edge
-    doubling (1 on the diagonal pairs, 2 on the edges).  For a symmetric
-    k this is the duplication-map sandwich around k (x) k, and the result
-    is then exactly symmetric; any other k gets the same formula.
-
-    The diagonal pairs come first, so the form is built by blocks of
-    one m x m result: (k o k + k o k^T) / 2 on the diagonal pairs,
-    products of k's edge-row and edge-column gathers on the two mixed
-    blocks, and twice (A o C + B o B^T) on the edge pairs.  Each entry
-    takes the same two products, sum and power of two as that formula
-    does over the whole form, so the bits are the same.  Spent gathers
-    hold the later products, so nothing else m x m is made.
+    A, B and C are k[ii, ii], k[ii, jj] and k[jj, jj] over the pair rows ii and columns
+    jj; for a symmetric k it is the duplication-map sandwich around k (x) k.
     """
-    p, ii, jj = fis.p, fis.rows[fis.p:], fis.cols[fis.p:]
-    out = np.empty((len(fis), len(fis)))
-    dd, de, ed, ee = out[:p, :p], out[:p, p:], out[p:, :p], out[p:, p:]
-    np.multiply(k, k.T, out=dd)
-    dd += k * k
-    dd *= 0.5
-    k_i, k_j = k.take(ii, axis=0), k.take(jj, axis=0)
-    a, c = k_i.take(ii, axis=1), k_j.take(jj, axis=1)
-    np.multiply(a, c, out=ee)
-    np.take(k_i, jj, axis=1, out=a, mode="clip")  # B; "raise" would copy through a buffer
-    np.multiply(a, a.T, out=c)
-    ee += c
-    ee *= 2.0
-    col_i, col_j = k.take(ii, axis=1), k.take(jj, axis=1)
-    np.multiply(col_i, col_j, out=de)
-    np.multiply(k_i, k_j, out=ed)
-    np.multiply(k_i, col_j.T, out=k_j)  # the product both mixed blocks add
-    ed += k_j
-    de += k_j.T
-    return out
+    return _pair_form(k, k, fis)
 
 
 def profile_loglik(
@@ -296,14 +277,14 @@ def profile_loglik(
 def score(stats: SampleStats, sigma: ConstrainedCovariance) -> np.ndarray:
     """Gradient of the profile log-likelihood over the free entries."""
     stats = stats.aligned_to(sigma.graph.vertices)
-    k = _inv_pd(sigma.sigma, "covariance")
+    k = _point(sigma.sigma, "covariance").inv
     m = k @ stats.s @ k - k
     return 0.5 * stats.n * free_index_set(sigma.graph).adjoint_vec(m)
 
 
 def fisher_information(sigma: ConstrainedCovariance, n: int) -> np.ndarray:
     """Expected negated Hessian over the free entries; symmetric PD."""
-    k = _inv_pd(sigma.sigma, "covariance")
+    k = _point(sigma.sigma, "covariance").inv
     return 0.5 * n * kron_form(k, free_index_set(sigma.graph))
 
 
@@ -313,40 +294,48 @@ def hessian(stats: SampleStats, sigma: ConstrainedCovariance) -> np.ndarray:
     The negation of (n / 2) ``_curvature(K, K S K)``, K = sigma^-1.
     """
     stats = stats.aligned_to(sigma.graph.vertices)
-    k = _inv_pd(sigma.sigma, "covariance")
+    k = _point(sigma.sigma, "covariance").inv
     return -0.5 * stats.n * _curvature(k, k @ stats.s @ k, free_index_set(sigma.graph))
 
 
 def _curvature(k: np.ndarray, t: np.ndarray, fis: FreeIndexSet) -> np.ndarray:
     """The negated Hessian over the free entries in units of n / 2, at K = sigma^-1 and T = K S K.
 
-    The Hessian is (n / 2) times the free-pair form of K (x) K - K (x) T
-    - T (x) K.  With B(X, Y) the free-pair form of (X (x) Y + Y (x) X) / 2,
-    so that B(K, K) is ``kron_form(K)``, that is (n / 2) (B(K, K) -
-    2 B(K, T)), and the negation is (n / 2) B(K, 2T - K).  For symmetric
-    X and Y the entry of the pairs (i, j) and (k, l) is d_ij d_kl / 4
-    times X_ik Y_jl + Y_ik X_jl + X_il Y_jk + Y_il X_jk, d the edge
-    doubling.  It is built by blocks into one m x m array, as
-    ``kron_form`` is: X o Y on the diagonal pairs, X_ik Y_il + Y_ik X_il
-    on the mixed blocks and the whole sum on the edge pairs.
+    The Hessian is (n / 2) (B(K, K) - 2 B(K, T)), B the form of
+    ``_pair_form``, so the negation is (n / 2) B(K, 2T - K).
     """
-    x, y = k, 2.0 * t - k
+    return _pair_form(k, 2.0 * t - k, fis)
+
+
+def _pair_form(x: np.ndarray, y: np.ndarray, fis: FreeIndexSet) -> np.ndarray:
+    """B(X, Y), the free-pair form of (X (x) Y + Y (x) X) / 2, built by blocks into one m x m array.
+
+    For symmetric X and Y the entry of the pairs (i, j) and (k, l) is
+    d_ij d_kl / 4 times (X_ik Y_jl + Y_ik X_jl) + (X_il Y_kj + X_kj Y_il),
+    d the edge doubling, as the edge pairs take it; the diagonal pairs
+    take (Y o X^T + Y o X) / 2 and the mixed blocks Y_ri X_rj + X_ir Y_rj
+    and X_ir Y_jr + Y_ir X_rj, so X = Y gives ``kron_form``'s bits for
+    any square X.  Spent gathers hold the later products.
+    """
     p, ii, jj = fis.p, fis.rows[fis.p:], fis.cols[fis.p:]
     out = np.empty((len(fis), len(fis)))
     dd, de, ed, ee = out[:p, :p], out[:p, p:], out[p:, :p], out[p:, p:]
-    np.multiply(x, y, out=dd)
-    x_i, y_j = x.take(ii, axis=1), y.take(jj, axis=1)
+    np.add(y * x.T, y * x, out=dd)
+    dd *= 0.5
+    x_i, y_j = x.take(ii, axis=1), y.take(jj, axis=1)  # X_ri and Y_rj
+    y_i, x_j = y.take(ii, axis=1), x.take(jj, axis=1)
+    # Row gathers are freed once used: six p x |E| gathers freed with the edge-pair
+    # products would let the allocator trim the heap and fault it in again per build.
+    np.multiply(y_i, x_j, out=de)
+    de += (x.take(ii, axis=0) * y_j.T).T
+    np.multiply(x.take(ii, axis=0), y.take(jj, axis=0), out=ed)
+    ed += y.take(ii, axis=0) * x_j.T
     a, b = x_i.take(ii, axis=0), y_j.take(jj, axis=0)  # X_ik and Y_jl over the edge pairs
     np.multiply(a, b, out=ee)
-    np.multiply(x_i, y_j, out=de)
-    y_i, x_j = y.take(ii, axis=1), x.take(jj, axis=1)
     np.take(y_i, ii, axis=0, out=a, mode="clip")  # "raise" would copy through a buffer
     np.take(x_j, jj, axis=0, out=b, mode="clip")
     a *= b
     ee += a
-    np.multiply(y_i, x_j, out=y_i)
-    de += y_i
-    ed[...] = de.T
     np.take(x_j, ii, axis=0, out=a, mode="clip")  # X_il
     np.take(y_j, ii, axis=0, out=b, mode="clip")  # Y_il, whose transpose is Y_kj
     a *= b.T
@@ -369,7 +358,7 @@ def stationarity_residual(stats: SampleStats, sigma: ConstrainedCovariance) -> f
     point of the profile log-likelihood within the pattern.
     """
     stats = stats.aligned_to(sigma.graph.vertices)
-    k = _inv_pd(sigma.sigma, "covariance")
+    k = _point(sigma.sigma, "covariance").inv
     return unit_free_gap(k - k @ stats.s @ k, sigma.sigma, sigma.graph)
 
 

@@ -23,12 +23,19 @@ def _as_int(what: str, value) -> int:
     return int(value)
 
 
+def _as_float(what: str, value) -> float:
+    """``value`` as a float; ``ModelError`` unless it is a real Python or numpy scalar, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ModelError(f"{what} must be a real number, not {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs shared by the iterative fitters.
 
-    ``tol`` is finite, positive and unit-free: see ``stop_reason``,
-    and the dual fitter stops once its residual is at most ``tol``.
+    ``tol`` is a finite, positive, unit-free real number, not a bool, kept as a float: see
+    ``stop_reason``; the dual fitter stops once its residual is at most ``tol``.
     ``max_iter`` is a whole number of at least 1, not a bool, kept as an int.
     ``start`` overrides the identity starting value of ``ml-icf``,
     ``ml-icf-multi`` and ``ml-anderson`` (see ``_resolve_start``); the
@@ -44,6 +51,7 @@ class FitConfig:
     n_adjust: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "tol", _as_float("tol", self.tol))
         if not self.tol > 0:
             raise ModelError("tol must be positive")
         if not np.isfinite(self.tol):

@@ -300,14 +300,14 @@ class TestNewton:
         # diagonal start passes and no step can
         import covgraph.dual as dual
 
-        chol = dual._chol
+        point = dual._point
 
-        def refusing(a, what="matrix"):
-            if np.any(a != np.diag(np.diag(a))):
+        def refusing(a, what):
+            if what == "dual iterate" and np.any(a != np.diag(np.diag(a))):
                 raise NotPositiveDefiniteError(f"{what} is not positive definite")
-            return chol(a, what)
+            return point(a, what)
 
-        monkeypatch.setattr(dual, "_chol", refusing)
+        monkeypatch.setattr(dual, "_point", refusing)
 
     def test_line_search_without_descent_stalls(self, monkeypatch, yeast_stats, yeast_gd):
         self.reject_off_diagonal(monkeypatch)
@@ -349,11 +349,11 @@ class TestNewton:
         import covgraph.dual as dual
 
         calls = []
-        at = dual._at
-        monkeypatch.setattr(dual, "_at", lambda *a: calls.append(a) or at(*a))
+        point = dual._point
+        monkeypatch.setattr(dual, "_point", lambda a, what: calls.append(what) or point(a, what))
         res = fit_dual(yeast_stats.aligned_to(yeast_gs.vertices), yeast_gs)
         assert res.converged and res.iterations == 1
-        assert calls == []
+        assert calls.count("dual iterate") == 1  # the closed form's sum, and no candidate
 
 
 class TestKeptInverse:
@@ -383,14 +383,19 @@ class TestKeptInverse:
         import covgraph.dual as dual
 
         st = stats_from_moments(50, random_spd(4, 50, np.random.default_rng(4)))
+        point = dual._point
+        block = "inverse sample covariance block"
         # a block of K that does not factorise
-        monkeypatch.setattr(dual, "_cholesky", lambda a: None)
-        with pytest.raises(NotPositiveDefiniteError, match="inverse sample covariance block"):
+        monkeypatch.setattr(dual, "_point", lambda a, what: point(-a if what == block else a, what))
+        with pytest.raises(NotPositiveDefiniteError, match=block):
             fit_dual(st, fig1)
         monkeypatch.undo()
         # blocks that factorise but sum to a matrix outside the cone: the one
         # factorisation of the sum catches it
-        block_inv = dual._block_inv
-        monkeypatch.setattr(dual, "_block_inv", lambda a, eye, what: -block_inv(a, eye, what))
+        def negated(a, what):
+            x = point(a, what)
+            return x._replace(inv=-x.inv) if what == block else x
+
+        monkeypatch.setattr(dual, "_point", negated)
         with pytest.raises(NotPositiveDefiniteError, match="dual iterate"):
             fit_dual(st, fig1)

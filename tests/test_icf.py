@@ -8,10 +8,10 @@ from covgraph.graphs import CovarianceGraph, cliques, free_index_set
 import covgraph.icf as icf
 from covgraph.anderson import fit_anderson
 from covgraph.icf import (
+    _kernel,
     _newton,
     _plan,
     _plans,
-    _point,
     _squarem,
     _sweep,
     _update,
@@ -25,6 +25,8 @@ from covgraph.model import (
     PatternViolationError,
     _cholesky,
     _curvature,
+    _point,
+    kron_form,
     profile_loglik,
     sample_stats,
     stats_from_moments,
@@ -35,6 +37,7 @@ from covgraph.results import FitConfig
 from conftest import SIGMA_CHAIN, lattice_graph, random_graph, random_patterned_cov, random_spd
 from oracles import (
     brute_force_ml,
+    pair_quadratic,
     fit_best_start,
     forest_ancestors,
     forest_graph_ml,
@@ -61,7 +64,7 @@ def assert_inverse_kept(stats, g, blocks, sweeps):
     plans = [_plan(g, b) for b in blocks]
     m = np.eye(g.p)
     for _ in range(sweeps):
-        k = _point(stats.s, m).inv
+        k = _point(m, "iterate").inv
         for plan in plans:
             _update(stats.s, m, k, plan)
             exact = np.linalg.inv(m)
@@ -378,6 +381,16 @@ class TestStopReason:
         with pytest.raises(ModelError, match=f"tol must be {message}"):
             FitConfig(tol=tol)
 
+    @pytest.mark.parametrize("tol", [True, np.True_, "1e-8", 1e-8 + 0j, np.array([1e-8, 1e-8]), None])
+    def test_tol_must_be_a_real_number(self, tol):
+        # True was kept as True, and the others raised TypeError or ValueError
+        with pytest.raises(ModelError, match="tol must be a real number"):
+            FitConfig(tol=tol)
+
+    @pytest.mark.parametrize("tol", [1, np.float32(1e-4), np.int64(1)])
+    def test_real_tol_is_stored_as_a_float(self, tol):
+        assert type(FitConfig(tol=tol).tol) is float
+
     @pytest.mark.parametrize("max_iter", [2.5, True, np.float64(3.0), "5", None])
     def test_max_iter_must_be_an_integer(self, max_iter):
         # 2.5 used to fail mid-fit with TypeError, and True ran one sweep
@@ -422,7 +435,7 @@ class TestSquarem:
             (np.eye(2), 2.0 * np.eye(2), 3.0 * np.eye(2) + 5e-324 * off),
             (np.eye(2), 1e200 * np.eye(2), 2e200 * np.eye(2) + 0.5 * off),
         ]:
-            pts = [_point(s, x) for x in (x0, x1, x2)]
+            pts = [_point(x, "iterate") for x in (x0, x1, x2)]
             kept, rejected = _squarem(s, *pts)
             assert kept is pts[2] and not rejected
 
@@ -431,12 +444,12 @@ class TestSquarem:
         # the candidate overshoots the optimum at I: to a point with a
         # lower log-likelihood (1.4) or out of the cone (1.1)
         s = np.eye(2)
-        pts = [_point(s, d * np.eye(2)) for d in (3.0, 2.0, last)]
+        pts = [_point(d * np.eye(2), "iterate") for d in (3.0, 2.0, last)]
         kept, rejected = _squarem(s, *pts)
         assert kept is pts[2] and rejected
-        good = [_point(s, d * np.eye(2)) for d in (3.0, 2.0, 1.5)]
+        good = [_point(d * np.eye(2), "iterate") for d in (3.0, 2.0, 1.5)]
         kept, rejected = _squarem(s, *good)
-        assert kept.kernel > good[2].kernel and not rejected
+        assert _kernel(s, kept) > _kernel(s, good[2]) and not rejected
 
 
 class TestUpdateErrors:
@@ -484,7 +497,7 @@ class TestMaintainedInverse:
             assert_inverse_kept(st_, g, family_blocks(g, family), sweeps=2)
             plans = [_plan(g, b) for b in family_blocks(g, family)]
             m = np.eye(g.p)
-            k = _point(st_.s, m).inv
+            k = _point(m, "iterate").inv
             for plan in plans:
                 tracemalloc.start()
                 try:
@@ -649,7 +662,7 @@ class TestNewtonSteps:
     def test_step_is_refused_where_the_negated_hessian_does_not_factorise(self, fig1):
         # at sigma = I with S = I / 100, -H is (n / 2) B(I, -0.98 I): negative definite
         s = 0.01 * np.eye(4)
-        x = _point(s, np.eye(4))
+        x = _point(np.eye(4), "iterate")
         k = x.inv.copy()
         assert _newton(s, free_index_set(fig1), x) is None
         assert np.array_equal(x.inv, k)
@@ -659,7 +672,7 @@ class TestNewtonSteps:
         # negative eigenvalue, so the third iteration is a sweep
         g, st_ = small_sample_problem(2)
         plans = _plans(g, [[v] for v in range(g.p)])
-        x0 = _point(st_.s, np.eye(g.p))
+        x0 = _point(np.eye(g.p), "iterate")
         x1 = _sweep(st_.s, plans, x0)
         x, _ = _squarem(st_.s, x0, x1, _sweep(st_.s, plans, x1))
         k = x.inv
@@ -698,3 +711,56 @@ class TestNewtonSteps:
                 tracemalloc.stop()
             assert res.converged and res.newton_steps == 0
             assert peak < 8 * m * m, peak
+
+
+def four_term_form(x, y, fis):
+    """The whole-form reference that the upper triangle of ``_curvature`` must match bit for bit.
+
+    d_e d_f / 4 times (X_ik Y_jl + Y_ik X_jl) + (X_il Y_kj + X_kj Y_il)
+    at the pairs e = (i, j) and f = (k, l), over all free pairs, d the
+    edge doubling.  On a row of a diagonal pair (i = j) the two halves
+    are the same sum in exact arithmetic when X and Y are symmetric, and
+    the first half is read twice.
+    """
+    r, c = fis.rows, fis.cols
+    first = x[np.ix_(r, r)] * y[np.ix_(c, c)] + y[np.ix_(r, r)] * x[np.ix_(c, c)]
+    last = x[np.ix_(r, c)] * y[np.ix_(r, c)].T
+    last += last.T
+    out = np.where((r != c)[:, None], last, first)
+    out += first
+    out *= np.multiply.outer(fis.mult, 0.25 * fis.mult)
+    return out
+
+
+class TestCurvatureBuild:
+    @pytest.mark.parametrize("case", ["fig1", "gd", "gs", "lattice5"])
+    def test_upper_triangle_bits_match_the_four_term_sum(self, case, request):
+        # K symmetric and K S K unsymmetrised, as _newton passes them
+        g = lattice_graph(5) if case == "lattice5" else request.getfixturevalue(
+            {"fig1": "fig1", "gd": "yeast_gd", "gs": "yeast_gs"}[case]
+        )
+        fis = free_index_set(g)
+        rng = np.random.default_rng(len(fis))
+        k = _point(random_patterned_cov(g, rng), "iterate").inv
+        s = random_spd(g.p, 3 * g.p, rng)
+        t = k @ s @ k
+        got = _curvature(k, t, fis)
+        ref = four_term_form(k, 2.0 * t - k, fis)
+        upper = np.triu_indices(len(fis))
+        assert got[upper].tobytes() == ref[upper].tobytes()
+        y = 2.0 * t - k
+        exact = (pair_quadratic(k, y, fis.pairs) + pair_quadratic(y, k, fis.pairs)) / 2.0
+        assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
+        if case == "lattice5":
+            assert not np.array_equal(t, t.T)  # the rounding asymmetry the upper triangle ignores
+
+    @pytest.mark.parametrize("case", ["fig1", "gd", "gs", "lattice5"])
+    def test_equal_matrices_give_the_kron_form(self, case, request):
+        g = lattice_graph(5) if case == "lattice5" else request.getfixturevalue(
+            {"fig1": "fig1", "gd": "yeast_gd", "gs": "yeast_gs"}[case]
+        )
+        fis = free_index_set(g)
+        rng = np.random.default_rng(len(fis))
+        k = rng.standard_normal((g.p, g.p))
+        k = k + k.T
+        assert _curvature(k, k, fis).tobytes() == kron_form(k, fis).tobytes()

@@ -240,7 +240,7 @@ class TestCliFit:
         capsys.readouterr()
         assert rc == 0
         lines = trace.read_text().splitlines()
-        assert lines[0] == "sweep\tloglik"
+        assert lines[0] == "iteration\tloglik"
         assert len(lines) > 1
 
     def test_stderr_never_pollutes_stdout(self, tmp_path, capsys, monkeypatch):

@@ -3,12 +3,12 @@ import pytest
 
 import covgraph as cg
 from covgraph.graphs import CovarianceGraph, free_index_set
-from covgraph.icf import _point
 from covgraph.model import (
     ConstrainedCovariance,
     ModelError,
     NotPositiveDefiniteError,
     PatternViolationError,
+    _point,
     deviance,
     fisher_information,
     hessian,
@@ -320,7 +320,7 @@ class TestConditionalParams:
         direct = SIGMA_CHAIN[0, 0] - SIGMA_CHAIN[0, 1:] @ np.linalg.solve(rest, SIGMA_CHAIN[1:, 0])
         assert cp.conditional_cov[0, 0] == pytest.approx(direct, abs=1e-12)
         # the ICF engine reads the inverse conditional covariance off K
-        assert 1.0 / _point(SIGMA_CHAIN, SIGMA_CHAIN).inv[0, 0] == pytest.approx(0.375, abs=1e-12)
+        assert 1.0 / _point(SIGMA_CHAIN, "covariance").inv[0, 0] == pytest.approx(0.375, abs=1e-12)
 
     def test_block_diagonal_zero_outside_block(self):
         g = CovarianceGraph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
