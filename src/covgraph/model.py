@@ -87,9 +87,9 @@ def _chol(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     ``NotPositiveDefiniteError`` naming ``what`` otherwise.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim == 2 and a.shape[0] == a.shape[1] > 0 and np.all(np.isfinite(a)):
+    if a.ndim == 2 and a.shape[0] == a.shape[1] > 0 and np.isfinite(a).all():
         low = _cholesky(a)
-        if low is not None and np.all(np.diag(low) ** 2 > PD_REL_TOL * a.diagonal()):
+        if low is not None and (low.diagonal() ** 2 > PD_REL_TOL * a.diagonal()).all():
             return low
     raise NotPositiveDefiniteError(f"{what} is not positive definite")
 
@@ -118,7 +118,7 @@ def _point(a: np.ndarray, what: str) -> _Point:
     """Factorise ``a`` once; ``NotPositiveDefiniteError`` naming ``what`` unless it passes ``is_pos_def``."""
     low = _chol(a, what)
     inv, _ = dpotrs(low, np.eye(len(a)), lower=1)
-    return _Point(a, (inv + inv.T) / 2.0, 2.0 * float(np.log(np.diag(low)).sum()))
+    return _Point(a, (inv + inv.T) / 2.0, 2.0 * float(np.log(low.diagonal()).sum()))
 
 
 @dataclass(frozen=True)
