@@ -99,7 +99,7 @@ def fit_anderson(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None =
         pd = is_pos_def(new_sigma)
         pd_flags.append(pd)
         if cfg.record_trace:
-            trace.append(profile_loglik(stats, new_sigma, n_adjust=cfg.n_adjust) if pd else None)
+            trace.append(profile_loglik(stats, new_sigma) if pd else None)
         sigma, old = new_sigma, sigma
         detail, residual = stop_reason(
             sigma, old, lambda: stationarity_residual(stats, ConstrainedCovariance(g, sigma)), cfg.tol
@@ -112,7 +112,7 @@ def fit_anderson(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None =
     return FitResult(
         method="ml-anderson",
         estimate=estimate,
-        loglik=profile_loglik(stats, sigma, n_adjust=cfg.n_adjust) if pd_flags and pd_flags[-1] else None,
+        loglik=profile_loglik(stats, sigma) if pd_flags and pd_flags[-1] else None,
         iterations=iteration,
         sigma=sigma if estimate is None else estimate.sigma,
         trace=tuple(trace) if cfg.record_trace else None,

@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--header", default="auto", choices=["auto", "yes", "no"],
             help="whether the data file starts with a label row",
         )
-        sp.add_argument("--n-adjust", action="store_true", help="use n-1 in likelihood values")
+        sp.add_argument("--n-adjust", action="store_true", dest="adjust", help="scale likelihood values by (n-1)/n")
 
     def add_fitting(sp):
         add_common(sp)
@@ -123,6 +123,11 @@ def _load_inputs(args) -> tuple[CovarianceGraph, SampleStats, np.ndarray | None]
     return g, cio.load_stats(args.stats).aligned_to(g.vertices), None
 
 
+def _reported(args, n: int, value: float) -> str:
+    """A log-likelihood, deviance or difference of them as printed: times (n-1)/n under ``--n-adjust``."""
+    return format(value * (n - 1) / n if args.adjust else value, ".17g")
+
+
 def _aligned(g: CovarianceGraph, labels: tuple[str, ...] | None, m: np.ndarray, what: str) -> np.ndarray:
     """A square matrix read from ``what``, in the vertex order of ``g``."""
     perm = label_order(g.vertices, labels, len(m), what)
@@ -138,7 +143,7 @@ def _run_method(method, stats, data, g, args, cfg) -> FitResult:
             raise cio.InputError("method el takes no starting value")
         res = fit_el(data, g)
         try:
-            ll = profile_loglik(stats, res.sigma, n_adjust=args.n_adjust)
+            ll = profile_loglik(stats, res.sigma)
         except ModelError:
             ll = float("nan")
         return dataclasses.replace(res, loglik=ll)
@@ -169,13 +174,7 @@ def cmd_fit(args) -> int:
         start = None
         if args.start:
             start = ConstrainedCovariance(g, _aligned(g, *cio.load_matrix(args.start), args.start))
-        cfg = FitConfig(
-            tol=args.tol,
-            max_iter=args.max_iter,
-            start=start,
-            record_trace=bool(args.trace),
-            n_adjust=args.n_adjust,
-        )
+        cfg = FitConfig(tol=args.tol, max_iter=args.max_iter, start=start, record_trace=bool(args.trace))
         t0 = time.perf_counter()
         res = _run_method(args.method, stats, data, g, args, cfg)
         elapsed = time.perf_counter() - t0
@@ -196,15 +195,15 @@ def cmd_fit(args) -> int:
     if res.inner_solves is not None:
         print(f"inner-solves {res.inner_solves}", file=out)
     if res.loglik is not None:
-        print(f"loglik {format(res.loglik, '.17g')}", file=out)
+        print(f"loglik {_reported(args, stats.n, res.loglik)}", file=out)
     if sigma is not None:
         try:
-            dev, df = deviance(stats, sigma, graph=g, n_adjust=args.n_adjust)
+            dev, df = deviance(stats, sigma, graph=g)
         except ModelError:
             dev = None  # singular estimate (possible for el): no deviance value
         if dev is not None:
             key = "deviance" if args.method in ML_METHODS else "deviance-functional"
-            print(f"{key} {format(dev, '.17g')}", file=out)
+            print(f"{key} {_reported(args, stats.n, dev)}", file=out)
             print(f"df {df}", file=out)
     print(f"detail {res.detail}", file=out)
     if res.residual is not None:
@@ -213,7 +212,8 @@ def cmd_fit(args) -> int:
         print(f"el-log-ratio {format(res.weighted.el_log_ratio, '.17g')}", file=out)
     _note(f"fit finished in {elapsed:.3f}s")
     if args.trace:
-        rows = (f"{k}\t{'' if v is None else format(v, '.17g')}\n" for k, v in enumerate(res.trace or (), 1))
+        rows = (f"{k}\t{'' if v is None else _reported(args, stats.n, v)}\n"
+                for k, v in enumerate(res.trace or (), 1))
         cio._write_text(args.trace, "iteration\tloglik\n" + "".join(rows))
     if sigma is None:
         print("estimate none", file=out)
@@ -264,12 +264,12 @@ def cmd_loglik(args) -> int:
     try:
         g, stats, _ = _load_inputs(args)
         m = _aligned(g, *cio.load_matrix(args.matrix), args.matrix)
-        ll = profile_loglik(stats, m, n_adjust=args.n_adjust)
-        dev, df = deviance(stats, m, graph=g, n_adjust=args.n_adjust)
+        ll = profile_loglik(stats, m)
+        dev, df = deviance(stats, m, graph=g)
     except (cio.InputError, GraphError, ModelError) as exc:
         return _fail(str(exc))
-    print(f"loglik {format(ll, '.17g')}")
-    print(f"deviance-functional {format(dev, '.17g')}")
+    print(f"loglik {_reported(args, stats.n, ll)}")
+    print(f"deviance-functional {_reported(args, stats.n, dev)}")
     print(f"df {df}")
     return EXIT_OK
 
@@ -283,7 +283,7 @@ def cmd_compare(args) -> int:
         _check_distinct("methods", methods)
         if args.family and "ml-icf-multi" not in methods:
             raise cio.InputError("--family needs ml-icf-multi among the compared methods")
-        cfg = FitConfig(tol=args.tol, max_iter=args.max_iter, n_adjust=args.n_adjust)
+        cfg = FitConfig(tol=args.tol, max_iter=args.max_iter)
         logliks = {}
         all_converged = True
         for m in methods:
@@ -293,11 +293,11 @@ def cmd_compare(args) -> int:
     except (cio.InputError, GraphError, ModelError) as exc:
         return _fail(str(exc))
     for m in methods:
-        print(f"loglik {m} {format(logliks[m], '.17g')}")
+        print(f"loglik {m} {_reported(args, stats.n, logliks[m])}")
     for a in range(len(methods)):
         for b in range(a + 1, len(methods)):
             diff = logliks[methods[a]] - logliks[methods[b]]
-            print(f"dloglik {methods[a]} {methods[b]} {format(diff, '.17g')}")
+            print(f"dloglik {methods[a]} {methods[b]} {_reported(args, stats.n, diff)}")
     return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
 
 

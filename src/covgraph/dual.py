@@ -228,7 +228,7 @@ def fit_dual(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None = Non
     return FitResult(
         method="dual",
         estimate=estimate,
-        loglik=profile_loglik(stats, estimate, n_adjust=cfg.n_adjust),
+        loglik=profile_loglik(stats, estimate),
         iterations=iterations,
         detail=detail,
         sigma=estimate.sigma,

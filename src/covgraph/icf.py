@@ -17,7 +17,9 @@ decreases the log-likelihood.
 A sweep keeps K, the inverse of the iterate, next to it.  K is
 recomputed at the start of each sweep by ``model._point``, whose one
 factorisation also checks the iterate is in the cone and gives its
-log-determinant, and refreshed after every update, so an update
+log-determinant; the log-likelihood tests, the trace and the stop
+rule's residual all read that one point, so a kept point is factorised
+once.  K is refreshed after every update, so an update
 factorises nothing larger than its block: the inverse incoming
 conditional covariance is K's block, the inverse of the fixed rest is
 the Schur complement of that block in K, and two rank-|C| terms turn K
@@ -63,8 +65,11 @@ from .model import (
     SampleStats,
     _cholesky,
     _curvature,
+    _kernel,
+    _loglik,
     _Point,
     _point,
+    _stationarity,
     profile_loglik,
     stationarity_residual,
 )
@@ -137,11 +142,6 @@ def _plans(g: CovarianceGraph, blocks: Iterable[Iterable[int]]) -> list[_BlockPl
 
 
 _ZERO = np.zeros(1)
-
-
-def _kernel(s: np.ndarray, x: _Point) -> float:
-    """The log-likelihood kernel -log det sigma - trace(sigma^-1 S) of ``x``; reads ``x.inv``."""
-    return -x.logdet - float(np.vdot(x.inv, s))
 
 
 def _pseudo_moments(
@@ -347,7 +347,8 @@ def _sweep_fit(
     count plain sweeps and Newton steps, and ``newton_steps`` the
     latter; ``detail`` is ``max-iter`` after ``max_iter`` iterations.
     Each kept point is factorised once, for the cone check, the next
-    step's inverse and the log-likelihood.
+    step's inverse, the log-likelihood tests, the trace entry and the
+    stop rule's residual.
     """
     stats = _resolve_stats(stats, g)
     s = stats.s
@@ -369,16 +370,13 @@ def _sweep_fit(
                 cur, residual = step, None
                 newton += 1
                 if cfg.record_trace:
-                    trace.append(profile_loglik(stats, cur.sigma, n_adjust=cfg.n_adjust))
+                    trace.append(_loglik(stats, cur))
                 continue
         judged, judge = judge, False
         prev, cur = cur, _sweep(s, plans, cur)
         if cfg.record_trace:
-            trace.append(profile_loglik(stats, cur.sigma, n_adjust=cfg.n_adjust))
-        detail, residual = stop_reason(
-            cur.sigma, prev.sigma,
-            lambda: stationarity_residual(stats, ConstrainedCovariance(g, cur.sigma)), cfg.tol,
-        )
+            trace.append(_loglik(stats, cur))
+        detail, residual = stop_reason(cur.sigma, prev.sigma, lambda: _stationarity(s, cur, g), cfg.tol)
         if detail:
             break
         if judged:
@@ -393,7 +391,7 @@ def _sweep_fit(
     return FitResult(
         method=method,
         estimate=estimate,
-        loglik=profile_loglik(stats, estimate, n_adjust=cfg.n_adjust),
+        loglik=profile_loglik(stats, estimate),
         iterations=it,
         detail=detail or "max-iter",
         sigma=estimate.sigma,

@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import CovarianceGraph, _content_lines, parse_family_text, parse_graph_text
-from .model import ModelError, SampleStats, is_pos_def, stats_from_moments
+from .model import ModelError, SampleStats, stats_from_moments
 
 __all__ = [
     "InputError",
@@ -199,13 +199,13 @@ def load_stats(path: str | os.PathLike) -> SampleStats:
                     f"is {r}, outside [-1, 1]"
                 )
             corr[k, c] = corr[c, k] = r
-    s = corr * np.outer(sds, sds)
-    if not is_pos_def(s):
-        raise InputError(f"{path}: reconstructed covariance is not positive definite")
     try:
-        return stats_from_moments(n=n, s=s, labels=labels)
+        stats = stats_from_moments(n=n, s=corr * np.outer(sds, sds), labels=labels)
     except ModelError as exc:
         raise InputError(f"{path}: {exc}") from None
+    if not stats.s_pos_def:
+        raise InputError(f"{path}: reconstructed covariance is not positive definite")
+    return stats
 
 
 def load_graph(path: str | os.PathLike) -> CovarianceGraph:

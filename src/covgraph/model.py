@@ -8,6 +8,9 @@ entries reads them through the graph's one ``FreeIndexSet``.  Every
 fitter factorises a matrix by ``_point``, once for its cone check,
 inverse and log-determinant, and builds a free-pair form by
 ``_pair_form``, as ``kron_form`` or as the negated Hessian ``_curvature``.
+The log-likelihood and deviance read ``_kernel`` off a point and the
+stationarity residual ``_stationarity``, so a kept point needs no
+second factorisation.
 """
 
 from __future__ import annotations
@@ -119,6 +122,11 @@ def _point(a: np.ndarray, what: str) -> _Point:
     low = _chol(a, what)
     inv, _ = dpotrs(low, np.eye(len(a)), lower=1)
     return _Point(a, (inv + inv.T) / 2.0, 2.0 * float(np.log(low.diagonal()).sum()))
+
+
+def _kernel(s: np.ndarray, x: _Point) -> float:
+    """The log-likelihood kernel -log det sigma - trace(sigma^-1 S) of ``x``; reads ``x.inv``."""
+    return -x.logdet - float(np.vdot(x.inv, s))
 
 
 @dataclass(frozen=True)
@@ -238,10 +246,6 @@ def _as_matrix(sigma: ConstrainedCovariance | np.ndarray) -> np.ndarray:
     return np.asarray(sigma, dtype=float)
 
 
-def _effective_n(n: int, n_adjust: bool) -> int:
-    return n - 1 if n_adjust else n
-
-
 def kron_form(k: np.ndarray, fis: FreeIndexSet) -> np.ndarray:
     """Free-pair form (A o C + B o B^T) o (d d^T) / 2 of any square ``k``, as ``_pair_form(k, k)``.
 
@@ -251,27 +255,20 @@ def kron_form(k: np.ndarray, fis: FreeIndexSet) -> np.ndarray:
     return _pair_form(k, k, fis)
 
 
-def profile_loglik(
-    stats: SampleStats,
-    sigma: ConstrainedCovariance | np.ndarray,
-    n_adjust: bool = False,
-) -> float:
-    """Gaussian profile log-likelihood of the covariance matrix.
+def profile_loglik(stats: SampleStats, sigma: ConstrainedCovariance | np.ndarray) -> float:
+    """Gaussian profile log-likelihood of the covariance matrix, as ``_loglik`` reads it.
 
-    Equals -(n p / 2) log(2 pi) - (n / 2) log det(sigma)
-    - (n / 2) trace(sigma^-1 S), with n replaced by n - 1 when
-    ``n_adjust`` is set.  Labelled stats are read in the graph's vertex
-    order when ``sigma`` carries its graph, and in their own order
-    otherwise.
+    Labelled stats are read in the graph's vertex order when ``sigma``
+    carries its graph, and in their own order otherwise.
     """
     if isinstance(sigma, ConstrainedCovariance):
         stats = stats.aligned_to(sigma.graph.vertices)
-    m = _as_matrix(sigma)
-    n = _effective_n(stats.n, n_adjust)
-    low = _chol(m, "covariance")
-    logdet = 2.0 * np.log(np.diag(low)).sum()
-    tr = float(np.trace(dpotrs(low, stats.s, lower=1)[0]))
-    return -0.5 * n * (stats.p * np.log(2.0 * np.pi) + logdet + tr)
+    return _loglik(stats, _point(_as_matrix(sigma), "covariance"))
+
+
+def _loglik(stats: SampleStats, x: _Point) -> float:
+    """-(n / 2) (p log(2 pi) + log det sigma + trace(sigma^-1 S)) at ``x``, by ``_kernel``."""
+    return -0.5 * stats.n * (stats.p * np.log(2.0 * np.pi) - _kernel(stats.s, x))
 
 
 def score(stats: SampleStats, sigma: ConstrainedCovariance) -> np.ndarray:
@@ -291,11 +288,13 @@ def fisher_information(sigma: ConstrainedCovariance, n: int) -> np.ndarray:
 def hessian(stats: SampleStats, sigma: ConstrainedCovariance) -> np.ndarray:
     """Second derivative of the profile log-likelihood over the free entries.
 
-    The negation of (n / 2) ``_curvature(K, K S K)``, K = sigma^-1.
+    The negation of (n / 2) ``_curvature(K, T)``, K = sigma^-1 and
+    T = K S K symmetrised, so the result is exactly symmetric.
     """
     stats = stats.aligned_to(sigma.graph.vertices)
     k = _point(sigma.sigma, "covariance").inv
-    return -0.5 * stats.n * _curvature(k, k @ stats.s @ k, free_index_set(sigma.graph))
+    t = k @ stats.s @ k
+    return -0.5 * stats.n * _curvature(k, (t + t.T) / 2.0, free_index_set(sigma.graph))
 
 
 def _curvature(k: np.ndarray, t: np.ndarray, fis: FreeIndexSet) -> np.ndarray:
@@ -358,19 +357,24 @@ def stationarity_residual(stats: SampleStats, sigma: ConstrainedCovariance) -> f
     point of the profile log-likelihood within the pattern.
     """
     stats = stats.aligned_to(sigma.graph.vertices)
-    k = _point(sigma.sigma, "covariance").inv
-    return unit_free_gap(k - k @ stats.s @ k, sigma.sigma, sigma.graph)
+    return _stationarity(stats.s, _point(sigma.sigma, "covariance"), sigma.graph)
+
+
+def _stationarity(s: np.ndarray, x: _Point, g: CovarianceGraph) -> float:
+    """``unit_free_gap`` of K - K S K at ``x``, K = ``x.inv``."""
+    k = x.inv
+    return unit_free_gap(k - k @ s @ k, x.sigma, g)
 
 
 def deviance(
     stats: SampleStats,
     sigma: ConstrainedCovariance | np.ndarray,
     graph: CovarianceGraph | None = None,
-    n_adjust: bool = False,
 ) -> tuple[float, int]:
     """Deviance against the saturated model, with its degrees of freedom.
 
-    Uses n (log det(sigma) - log det(S) + trace(sigma^-1 S) - p); the
+    n times the ``_kernel`` of S less that of sigma, which is
+    n (log det(sigma) - log det(S) + trace(sigma^-1 S) - p); the
     degrees of freedom count the constrained entries, p(p+1)/2 minus
     the number of free pairs, p plus the edge count.
     """
@@ -379,14 +383,7 @@ def deviance(
             raise ModelError("deviance needs a graph when sigma is a plain matrix")
         graph = sigma.graph
     stats = stats.aligned_to(graph.vertices)
-    m = _as_matrix(sigma)
-    if not stats.s_pos_def:
-        raise NotPositiveDefiniteError("sample covariance is not positive definite")
-    low_m = _chol(m, "covariance")
-    logdet_m = 2.0 * np.log(np.diag(low_m)).sum()
-    logdet_s = 2.0 * np.log(np.diag(_chol(stats.s, "sample covariance"))).sum()
-    tr = float(np.trace(dpotrs(low_m, stats.s, lower=1)[0]))
-    n = _effective_n(stats.n, n_adjust)
-    dev = n * (logdet_m - logdet_s + tr - stats.p)
+    saturated = _kernel(stats.s, _point(stats.s, "sample covariance"))
+    dev = stats.n * (saturated - _kernel(stats.s, _point(_as_matrix(sigma), "covariance")))
     df = stats.p * (stats.p + 1) // 2 - (graph.p + graph.n_edges)
     return float(dev), int(df)

@@ -40,15 +40,13 @@ class FitConfig:
     ``start`` overrides the identity starting value of ``ml-icf``,
     ``ml-icf-multi`` and ``ml-anderson`` (see ``_resolve_start``); the
     dual fitter has its own start and rejects one.  ``record_trace`` keeps the
-    log-likelihood of each iteration, and ``n_adjust`` substitutes n - 1 for n in
-    reported likelihood values.
+    log-likelihood of each iteration.
     """
 
     tol: float = 1e-8
     max_iter: int = 5000
     start: np.ndarray | ConstrainedCovariance | None = None
     record_trace: bool = False
-    n_adjust: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "tol", _as_float("tol", self.tol))

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from covgraph.graphs import CovarianceGraph, cliques, free_index_set
 import covgraph.icf as icf
+import covgraph.model as model
 from covgraph.anderson import fit_anderson
 from covgraph.icf import (
     _kernel,
@@ -401,6 +402,31 @@ class TestStopReason:
         cfg = FitConfig(max_iter=np.int64(1))
         assert type(cfg.max_iter) is int and cfg.max_iter == 1
         assert fit_icf(yeast_stats, yeast_gd, cfg).iterations == 1
+
+
+class TestReadOff:
+    """A fit reads its trace and its stop rule's residual off the point it keeps."""
+
+    @pytest.mark.parametrize("fitter", [fit_icf, fit_icf_multi])
+    @pytest.mark.parametrize("graph", ["yeast_gd", "yeast_gs"])
+    def test_the_trace_factorises_nothing(self, fitter, graph, yeast_stats, request, monkeypatch):
+        g = request.getfixturevalue(graph)
+        chol, counts = model._chol, []
+        for record_trace in (False, True):
+            calls = []
+            monkeypatch.setattr(model, "_chol", lambda *args: calls.append(1) or chol(*args))
+            fitter(yeast_stats, g, cfg=FitConfig(record_trace=record_trace))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("fitter", [fit_icf, fit_icf_multi])
+    @pytest.mark.parametrize("graph", ["yeast_gd", "yeast_gs"])
+    def test_trace_and_residual_end_at_the_reported_values(self, fitter, graph, yeast_stats, request):
+        g = request.getfixturevalue(graph)
+        res = fitter(yeast_stats, g, cfg=FitConfig(record_trace=True))
+        assert res.converged
+        assert res.trace[-1] == res.loglik
+        assert res.residual == stationarity_residual(yeast_stats, res.estimate)
 
 
 class TestSquarem:

@@ -759,6 +759,29 @@ class TestCliSimulateLoglikCompare:
         diff = float([l for l in lines if l.startswith("dloglik")][0].split()[-1])
         assert diff >= -1e-9  # the likelihood maximizer wins
 
+    @pytest.mark.parametrize("command", ["loglik", "compare"])
+    def test_n_adjust_scales_every_printed_value(self, tmp_path, capsys, command):
+        # every loglik, deviance-functional and dloglik value, times (n - 1) / n
+        est = tmp_path / "est.tsv"
+        inputs = ["--graph", str(DATA / "gd.graph"), "--stats", str(DATA / "table1.stats")]
+        assert main(["fit", *inputs, "--method", "dual", "--out", str(est)]) == 0
+        capsys.readouterr()
+        extra = ["--matrix", str(est)] if command == "loglik" else [
+            "--methods", "ml-icf,ml-icf-multi,ml-anderson,dual"]
+        printed = {}
+        for flag in (False, True):
+            assert main([command, *inputs, *extra] + (["--n-adjust"] if flag else [])) == 0
+            printed[flag] = [line.rsplit(" ", 1) for line in capsys.readouterr().out.splitlines()]
+        scaled = 0
+        for (key, plain), (same_key, adjusted) in zip(printed[False], printed[True], strict=True):
+            assert key == same_key
+            if key.split()[0] in ("loglik", "deviance-functional", "dloglik"):
+                assert float(adjusted) == pytest.approx(float(plain) * 133 / 134, rel=1e-12)
+                scaled += 1
+            else:
+                assert adjusted == plain
+        assert scaled == (2 if command == "loglik" else 4 + 6)
+
     def test_compare_repeated_methods_exit_one_before_fitting(self, tmp_path, capsys, monkeypatch):
         import covgraph.cli as cli
 

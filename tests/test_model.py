@@ -165,13 +165,6 @@ class TestProfileLoglik:
             assert cholesky_loglik(40, s, sigma) == pytest.approx(loglik_direct(40, s, sigma), rel=1e-12)
         assert cholesky_loglik(40, np.eye(2), np.diag([1.0, -1.0])) is None
 
-    def test_n_adjust_uses_n_minus_one(self, fig1):
-        st = stats_from_moments(50, SIGMA_CHAIN)
-        cc = ConstrainedCovariance(fig1, SIGMA_CHAIN)
-        assert profile_loglik(st, cc, n_adjust=True) == pytest.approx(
-            profile_loglik(st, cc) * 49 / 50, rel=1e-12
-        )
-
     def test_rejects_non_pd(self, fig1):
         st = stats_from_moments(50, SIGMA_CHAIN)
         with pytest.raises(NotPositiveDefiniteError):
@@ -263,6 +256,13 @@ class TestHessian:
         cc = ConstrainedCovariance(fig1, random_patterned_cov(fig1, rng))
         st = stats_from_moments(14, random_spd(4, 40, rng))
         assert np.abs(hessian(st, cc) - dense_hessian(st, cc)).max() < 1e-9
+
+    @pytest.mark.parametrize("graph", ["yeast_gd", "yeast_gs"])
+    def test_exactly_symmetric_at_yeast_fits(self, graph, request, yeast_stats):
+        # T = K S K is symmetrised once, so no rounding breaks the symmetry
+        g = request.getfixturevalue(graph)
+        h = hessian(yeast_stats, cg.fit_icf(yeast_stats.aligned_to(g.vertices), g).estimate)
+        assert np.array_equal(h, h.T)
 
 
 class TestStationarityResidual:
