@@ -29,9 +29,13 @@ from scipy.linalg.lapack import dpotrs
 from .graphs import CovarianceGraph, free_index_set
 from .model import (
     ConstrainedCovariance,
+    NotPositiveDefiniteError,
     SampleStats,
+    _chol,
     _cholesky,
-    is_pos_def,
+    _factored,
+    _loglik,
+    _stationarity,
     kron_form,
     profile_loglik,
     stationarity_residual,
@@ -96,13 +100,25 @@ def fit_anderson(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None =
             detail = "diverged"
             break
         new_sigma = fis.expand(free)
-        pd = is_pos_def(new_sigma)
-        pd_flags.append(pd)
+        # One factorisation gives the flag, the trace entry and the stop
+        # rule's residual; the inverse is formed only for the last two.
+        # Off the cone there is no factor, and the estimate's own check
+        # raises as the stop rule expects.
+        try:
+            root = _chol(new_sigma, "iterate")
+        except NotPositiveDefiniteError:
+            root = None
+        pd_flags.append(root is not None)
         if cfg.record_trace:
-            trace.append(profile_loglik(stats, new_sigma) if pd else None)
+            trace.append(None if root is None else _loglik(stats, _factored(new_sigma, root)))
         sigma, old = new_sigma, sigma
         detail, residual = stop_reason(
-            sigma, old, lambda: stationarity_residual(stats, ConstrainedCovariance(g, sigma)), cfg.tol
+            sigma,
+            old,
+            lambda: stationarity_residual(stats, ConstrainedCovariance(g, sigma))
+            if root is None
+            else _stationarity(stats.s, _factored(sigma, root), g),
+            cfg.tol,
         )
         if detail:
             break

@@ -84,7 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_fitting(fit)
     fit.add_argument("--method", default="ml-icf", choices=METHOD_NAMES)
     fit.add_argument("--family", help="complete-set family file (ml-icf-multi)")
-    fit.add_argument("--start", help="starting matrix file")
+    fit.add_argument(
+        "--start", help="starting matrix file (default: diag(S) for ml-icf and ml-icf-multi, the identity for ml-anderson)"
+    )
     fit.add_argument("--trace", help="write per-iteration log-likelihood here")
     fit.add_argument("--digits", type=int, help="fixed-point output digits")
     fit.add_argument("--out", help="write the estimate matrix to this file")

@@ -35,17 +35,22 @@ kept in the graph's store, once per block, and the small factorisations
 call LAPACK directly.  All regressions are expressed through the empirical
 covariance matrix, so the sample size never enters the per-sweep cost.
 
-The sweeps are accelerated by SQUAREM (Varadhan and Roland 2008): every
-two plain sweeps are followed by one try of a squared extrapolation of
+A fit starts at diag(S) and, where second-order steps are cheap next
+to a sweep, takes them on the free entries from its first iteration
+(the hybrid of Jamshidian and Jennrich 1997): Newton's step from the
+exact score and Hessian of the profile log-likelihood where the negated
+Hessian factorises by Cholesky, and the Fisher-scoring step where it
+does not.  A step, halved a few times at most, is kept only if it stays
+in the cone without lowering the log-likelihood by more than a bound on
+the rounding error of its evaluation; else a sweep cycle runs.  Sweeps
+are accelerated by SQUAREM (Varadhan and Roland 2008): every two plain
+sweeps of a cycle are followed by one try of a squared extrapolation of
 the sweep map, kept only if it stays in the cone and does not lower the
-log-likelihood.  After the first such cycle the fit tries Newton steps
-on the free entries, from the exact score and Hessian of the profile
-log-likelihood (the hybrid of Jamshidian and Jennrich 1997), where they
-are cheap next to a sweep: a step is kept only if the negated Hessian
-factorises by Cholesky and the step, halved a few times at most, stays
-in the cone without lowering the log-likelihood; else a sweep cycle
-runs.  The ascent stays monotone and positive definite, and the stop
-rule only ever measures a plain sweep.
+log-likelihood.  The ascent stays positive definite and monotone up to
+that rounding bound, and the stop rule only ever measures a plain sweep.
+Newton and scoring steps are affine invariant, diag(S) rescales with
+the data and SQUAREM measures its step on the correlation scale, so the
+path does not depend on units.
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ from .model import (
     _Point,
     _point,
     _stationarity,
+    kron_form,
     profile_loglik,
     stationarity_residual,
 )
@@ -255,18 +261,22 @@ def _squarem(s: np.ndarray, x0: _Point, x1: _Point, x2: _Point) -> tuple[_Point,
 
     With r = x1 - x0 and v = x2 - 2 x1 + x0, the step length is
     alpha = -max(1, |r| / |v|) and the candidate x0 - 2 alpha r +
-    alpha^2 v.  It is tried once and kept only if it is in the cone and
-    its log-likelihood is at least that of x2; otherwise x2 is kept.
-    Returns the kept point and whether a tried candidate was rejected.
-    At alpha = -1 the candidate is x2 itself, and a zero |v| or a
-    non-finite alpha gives no step, so none is tried.
+    alpha^2 v.  The norms are Frobenius norms on the correlation scale
+    of S, entry (i, j) weighted by 1 / sqrt(S_ii S_jj), so alpha does
+    not depend on units.  The candidate is tried once and kept only if
+    it is in the cone and its log-likelihood is at least that of x2;
+    otherwise x2 is kept.  Returns the kept point and whether a tried
+    candidate was rejected.  At alpha = -1 the candidate is x2 itself,
+    and a zero |v| or a non-finite alpha gives no step, so none is tried.
     """
+    w = 1.0 / np.sqrt(np.diag(s))
+    w = np.outer(w, w)
     r = x1.sigma - x0.sigma
     v = x2.sigma - x1.sigma - r
-    norm_v = float(np.linalg.norm(v))
+    norm_v = float(np.linalg.norm(v * w))
     if norm_v == 0.0:
         return x2, False
-    alpha = -float(np.linalg.norm(r)) / norm_v
+    alpha = -float(np.linalg.norm(r * w)) / norm_v
     if not -np.inf < alpha < -1.0:
         return x2, False
     try:
@@ -278,37 +288,50 @@ def _squarem(s: np.ndarray, x0: _Point, x1: _Point, x2: _Point) -> tuple[_Point,
     return x2, True
 
 
-# Newton steps are tried when m^3, for m free entries, is at most this
-# many times the p^2 (|C| + |S|) summed over the blocks of one sweep.
+# Newton or scoring steps are tried when m^3, for m free entries, is at
+# most this many times the p^2 (|C| + |S|) summed over the blocks of one sweep.
 _NEWTON_GATE = 15.0
-# A Newton step is halved at most this many times before it is refused.
+# A Newton or scoring step is halved at most this many times before it is refused.
 _HALVINGS = 4
 
 
-def _newton(s: np.ndarray, fis: FreeIndexSet, x: _Point) -> _Point | None:
-    """Newton's step on the free entries from ``x``, or None if it is refused.
+def _newton(s: np.ndarray, fis: FreeIndexSet, x: _Point) -> tuple[_Point, bool] | None:
+    """A Newton or Fisher-scoring step on the free entries from ``x``, or None if it is refused.
 
     The step solves -H d = g, g the score and H the Hessian of the
     profile log-likelihood at ``x``, by Cholesky, in place in the one
-    m x m array that ``_curvature`` builds.  It is refused when -H does
-    not factorise.  Otherwise it is halved until the candidate is in
-    the cone and its kernel is not below that of ``x``, and refused when
-    ``_HALVINGS`` halvings do not get there.  ``x.inv`` is left as it was.
+    m x m array that ``_curvature`` builds.  Where -H does not
+    factorise, the scoring step solves ``kron_form(K)`` d = g instead,
+    the expected information for the observed; it is refused only when
+    that does not factorise either.  The step is halved until the
+    candidate is in the cone and its kernel is not below that of ``x``
+    by more than 8 eps (p + |trace(sigma^-1 S)|), a bound on the
+    rounding error of the kernel's change: near the optimum a step can
+    lose that much to rounding alone.  The change is read off the ratios
+    of the Cholesky pivots and the change of the inverse, whose rounding,
+    unlike that of two kernels, does not grow with the units of S.  A
+    step is refused when ``_HALVINGS`` halvings do not get there, and a
+    kept one comes with whether it raised the kernel by more than that
+    bound.  ``x.inv`` is left as it was.
     """
     k = x.inv
     t = k @ s @ k
     low, info = dpotrf(_curvature(k, t, fis).T, lower=1, overwrite_a=1)
     if info:
-        return None
+        low, info = dpotrf(kron_form(k, fis).T, lower=1, overwrite_a=1)
+        if info:
+            return None
     step = fis.expand(dpotrs(low, fis.adjoint_vec(t - k), lower=1)[0])
-    kernel = _kernel(s, x)
+    slack = 8.0 * np.finfo(float).eps * (len(s) + abs(float(np.vdot(x.inv, s))))
     for _ in range(_HALVINGS + 1):
         try:
             trial = _point(x.sigma + step, "iterate")
         except NotPositiveDefiniteError:
             trial = None
-        if trial is not None and _kernel(s, trial) >= kernel:
-            return trial
+        if trial is not None:
+            gain = -2.0 * float(np.log(trial.pivots / x.pivots).sum()) - float(np.vdot(trial.inv - x.inv, s))
+            if gain >= -slack:
+                return trial, gain > slack
         step *= 0.5
     return None
 
@@ -322,30 +345,33 @@ def _sweep_fit(
 ) -> FitResult:
     """Cycle block updates over ``blocks`` (vertex positions) to convergence.
 
-    The first cycle runs two plain sweeps and one try of ``_squarem``,
-    the squared extrapolation of the sweep map F (Varadhan and Roland
-    2008, Scand. J. Statist. 35).  After it, each iterate tries a
-    Newton step on the free entries (``_newton``), as in the
-    EM-then-Newton hybrid of Jamshidian and Jennrich (1997, JRSS B 59):
-    Newton steps go on while their unit-free change is at least ``tol``,
-    and a shorter one is followed by a plain sweep, from whose result
-    Newton is tried again.  A refused step falls back to a cycle of two
-    plain sweeps and one SQUAREM try, after which Newton is tried again.
-    Every kept point is in the cone and never below the one before in
-    log-likelihood, so the ascent is monotone, and its off-pattern
+    The fit starts at diag(S) unless ``cfg.start`` says otherwise, and
+    from its first iteration tries a Newton or Fisher-scoring step on
+    the free entries (``_newton``), as in the EM-then-Newton hybrid of
+    Jamshidian and Jennrich (1997, JRSS B 59).  Steps go on while their
+    unit-free change is at least ``tol``, and a shorter one is followed
+    by a plain sweep, from whose result a step is tried again.  A
+    refused step, and a kept one that raised the kernel by no more than
+    its rounding bound, fall back to a cycle of two plain sweeps and one try
+    of ``_squarem``, the squared extrapolation of the sweep map F
+    (Varadhan and Roland 2008, Scand. J. Statist. 35), after which a
+    step is tried again.  Every kept point is in the cone, and never
+    below the one before in log-likelihood by more than that bound, so
+    the ascent is monotone up to rounding, and its off-pattern
     entries are exactly zero.
 
-    Newton steps cost O(m^3) in the m = p + |E| free entries, and a
-    sweep O(p^2 (|C| + |S|)) summed over its blocks.  They are tried
-    only when m^3 is at most ``_NEWTON_GATE`` times that sum; otherwise
-    the fit is the plain SQUAREM-accelerated ascent.
+    Newton and scoring steps cost O(m^3) in the m = p + |E| free
+    entries, and a sweep O(p^2 (|C| + |S|)) summed over its blocks.
+    They are tried only when m^3 is at most ``_NEWTON_GATE`` times that
+    sum; otherwise the fit is the plain SQUAREM-accelerated ascent.
 
     ``stop_reason`` only ever measures a plain sweep, F(x) against x,
-    never an extrapolation jump or a Newton step, so a fit it stops
+    never an extrapolation jump or a Newton or scoring step, so a fit it stops
     ends on a sweep, which keeps the sample block of a block without
     spouses exactly.  ``iterations``, ``max_iter`` and the trace
-    count plain sweeps and Newton steps, and ``newton_steps`` the
-    latter; ``detail`` is ``max-iter`` after ``max_iter`` iterations.
+    count plain sweeps and Newton or scoring steps, and
+    ``newton_steps`` the latter; ``detail`` is ``max-iter`` after
+    ``max_iter`` iterations.
     Each kept point is factorised once, for the cone check, the next
     step's inverse, the log-likelihood tests, the trace entry and the
     stop rule's residual.
@@ -356,23 +382,26 @@ def _sweep_fit(
     fis = free_index_set(g)
     sweep_cost = sum(plan.block.size + plan.spo.size for plan in plans) * g.p**2
     use_newton = len(fis) ** 3 <= _NEWTON_GATE * sweep_cost
-    cur = _point(np.array(_resolve_start(g, cfg).sigma), "iterate")
+    cur = _point(np.array(_resolve_start(g, cfg, np.diag(np.diag(s))).sigma), "iterate")
     trace: list[float] = []
     detail = residual = None
     it = rejected = newton = 0
     cycle_start = None
     judge = False  # the last step was a short Newton step, for a plain sweep to judge
+    flat = False  # the last Newton step gained no more than rounding, so a sweep cycle follows
     for it in range(1, cfg.max_iter + 1):
-        if use_newton and it > 2 and cycle_start is None and not judge:
-            step = _newton(s, fis, cur)
-            if step is not None:
-                judge = unit_free_change(step.sigma, cur.sigma) < cfg.tol
+        if use_newton and cycle_start is None and not (judge or flat):
+            kept = _newton(s, fis, cur)
+            if kept is not None:
+                step, gained = kept
+                flat = not gained
+                judge = gained and unit_free_change(step.sigma, cur.sigma) < cfg.tol
                 cur, residual = step, None
                 newton += 1
                 if cfg.record_trace:
                     trace.append(_loglik(stats, cur))
                 continue
-        judged, judge = judge, False
+        judged, judge, flat = judge, False, False
         prev, cur = cur, _sweep(s, plans, cur)
         if cfg.record_trace:
             trace.append(_loglik(stats, cur))

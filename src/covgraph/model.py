@@ -110,18 +110,24 @@ def _check_finite(data: np.ndarray) -> None:
 
 
 class _Point(NamedTuple):
-    """A positive-definite matrix with its symmetrised inverse and log-determinant."""
+    """A positive-definite matrix with its symmetrised inverse, log-determinant and Cholesky pivots."""
 
     sigma: np.ndarray
     inv: np.ndarray
     logdet: float
+    pivots: np.ndarray  # the diagonal of its Cholesky factor
 
 
 def _point(a: np.ndarray, what: str) -> _Point:
     """Factorise ``a`` once; ``NotPositiveDefiniteError`` naming ``what`` unless it passes ``is_pos_def``."""
-    low = _chol(a, what)
+    return _factored(a, _chol(a, what))
+
+
+def _factored(a: np.ndarray, low: np.ndarray) -> _Point:
+    """The point of ``a`` read off ``low``, its lower Cholesky factor from ``_chol``."""
     inv, _ = dpotrs(low, np.eye(len(a)), lower=1)
-    return _Point(a, (inv + inv.T) / 2.0, 2.0 * float(np.log(low.diagonal()).sum()))
+    pivots = low.diagonal().copy()
+    return _Point(a, (inv + inv.T) / 2.0, 2.0 * float(np.log(pivots).sum()), pivots)
 
 
 def _kernel(s: np.ndarray, x: _Point) -> float:

@@ -37,10 +37,10 @@ class FitConfig:
     ``tol`` is a finite, positive, unit-free real number, not a bool, kept as a float: see
     ``stop_reason``; the dual fitter stops once its residual is at most ``tol``.
     ``max_iter`` is a whole number of at least 1, not a bool, kept as an int.
-    ``start`` overrides the identity starting value of ``ml-icf``,
-    ``ml-icf-multi`` and ``ml-anderson`` (see ``_resolve_start``); the
-    dual fitter has its own start and rejects one.  ``record_trace`` keeps the
-    log-likelihood of each iteration.
+    ``start`` overrides the default start, diag(S) for ``ml-icf`` and
+    ``ml-icf-multi`` and the identity for ``ml-anderson`` (see
+    ``_resolve_start``); the dual fitter has its own start and rejects
+    one.  ``record_trace`` keeps the log-likelihood of each iteration.
     """
 
     tol: float = 1e-8
@@ -59,15 +59,16 @@ class FitConfig:
             raise ModelError("max_iter must be at least 1")
 
 
-def _resolve_start(g: CovarianceGraph, cfg: FitConfig) -> ConstrainedCovariance:
+def _resolve_start(g: CovarianceGraph, cfg: FitConfig, default: np.ndarray | None = None) -> ConstrainedCovariance:
     """The starting value ``cfg`` asks for, checked against ``g``.
 
-    The identity when ``cfg.start`` is None; a start of another graph
-    raises ``ModelError``, and a plain matrix must be a valid patterned
-    covariance of ``g``.
+    When ``cfg.start`` is None, ``default``: the ICF fitters pass
+    diag(S), and ``ml-anderson`` passes nothing and starts at the
+    identity.  A start of another graph raises ``ModelError``, and a
+    plain matrix must be a valid patterned covariance of ``g``.
     """
     if cfg.start is None:
-        return ConstrainedCovariance.identity(g)
+        return ConstrainedCovariance.identity(g) if default is None else ConstrainedCovariance(g, default)
     if isinstance(cfg.start, ConstrainedCovariance):
         if cfg.start.graph != g:
             raise ModelError("starting value belongs to a different graph")
@@ -94,14 +95,14 @@ class FitResult:
     the raw final matrix.  ``loglik`` is None for ``el``.  ``detail`` is
     the stop reason (converged, stalled, max-iter, diverged,
     singular-system or not-pd), ``iterations`` the iterations: for the
-    ICF fitters the plain sweeps plus the Newton steps, for ``dual`` one
-    for the closed form, if it ran, plus the Newton steps, and for
-    ``el`` the accepted Newton steps;
+    ICF fitters the plain sweeps plus the Newton or scoring steps, for
+    ``dual`` one for the closed form, if it ran, plus the Newton steps,
+    and for ``el`` the accepted Newton steps;
     ``pd_flags`` the per-iterate positive-definiteness record where the
     method tracks it, ``residual`` the method's own unit-free defining
     residual at exit, ``rejected_extrapolations`` the number of
     extrapolation steps the ICF fitters tried and threw away, and
-    ``newton_steps`` the number of Newton steps they kept.  Only
+    ``newton_steps`` the number of Newton or scoring steps they kept.  Only
     ``el`` sets ``inner_solves``, the inner dual problems it solved, and
     ``weighted``, its optimal weighting.
     """

@@ -9,7 +9,7 @@ import covgraph.anderson
 from covgraph.anderson import fit_anderson
 from covgraph.graphs import CovarianceGraph, free_index_set
 from covgraph.icf import fit_icf
-from covgraph.model import ModelError, hessian, kron_form, stats_from_moments, stationarity_residual
+from covgraph.model import ModelError, NotPositiveDefiniteError, hessian, kron_form, stats_from_moments, stationarity_residual
 from covgraph.results import FitConfig, stop_reason
 
 from conftest import SIGMA_CHAIN, lattice_graph, random_patterned_cov, random_spd, random_stats
@@ -291,6 +291,33 @@ class TestStopRule:
         m = np.array([[1.0, 2.0], [2.0, 1.0]])
         residual = lambda: stationarity_residual(st, cg.ConstrainedCovariance(g, m))  # noqa: E731
         assert stop_reason(m, m, residual, 1e-8) == ("not-pd", None)
+
+    def test_small_step_off_the_cone_stops_as_not_pd(self, monkeypatch, yeast_stats, yeast_gd):
+        # with every iterate judged off the cone, by the flag's
+        # factorisation and by the estimate check, a small step is not-pd
+        def off_cone(*args):
+            raise NotPositiveDefiniteError("not positive definite")
+
+        monkeypatch.setattr(covgraph.anderson, "_chol", off_cone)
+        monkeypatch.setattr(covgraph.anderson, "ConstrainedCovariance", off_cone)
+        res = fit_anderson(yeast_stats, yeast_gd, FitConfig(record_trace=True))
+        assert res.detail == "not-pd" and not any(res.pd_flags)
+        assert res.trace == (None,) * res.iterations
+        assert res.estimate is None and res.loglik is None and res.residual is None
+
+    @pytest.mark.parametrize("graph", ["yeast_gd", "yeast_gs"])
+    def test_each_iterate_is_factorised_once(self, graph, yeast_stats, request, monkeypatch):
+        # the start's check, one factorisation per iterate for its flag,
+        # trace entry and stop check, and the estimate's check and log-likelihood
+        g = request.getfixturevalue(graph)
+        chol, counts = cg.model._chol, []
+        for record_trace in (False, True):
+            calls = []
+            for module in (cg.model, covgraph.anderson):
+                monkeypatch.setattr(module, "_chol", lambda *args: calls.append(1) or chol(*args))
+            res = fit_anderson(yeast_stats, g, FitConfig(record_trace=record_trace))
+            counts.append(len(calls))
+        assert res.converged and counts == [res.iterations + 3] * 2
 
     @pytest.mark.parametrize("module, fit", [("icf", fit_icf), ("anderson", fit_anderson)])
     def test_final_residual_is_read_once(self, module, fit, monkeypatch, yeast_stats, yeast_gd):

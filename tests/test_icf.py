@@ -365,13 +365,16 @@ class TestStopReason:
         assert not res.converged and res.detail == "max-iter"
 
     def test_stalled_when_tol_is_below_rounding(self):
-        # the single clique block takes the sample covariance exactly, so
-        # the second sweep does not move while the residual stays at
-        # rounding level, far above 100 * tol
+        # Newton steps reach S to rounding, and the first that raises the
+        # log-likelihood by no more than rounding hands over to a sweep
+        # cycle.  The single clique block takes the sample covariance
+        # exactly, so the cycle's second sweep does not move while the
+        # residual stays at rounding level, far above 100 * tol
         rng = np.random.default_rng(17)
         st = stats_from_moments(40, random_spd(3, 40, rng))
         res = fit_icf_multi(st, complete_graph(3), cfg=FitConfig(tol=1e-30))
-        assert res.detail == "stalled" and res.iterations == 2
+        assert res.detail == "stalled" and res.newton_steps > 0
+        assert res.iterations == res.newton_steps + 2
         assert not res.converged and 0.0 < res.residual < 1e-12
 
     @pytest.mark.parametrize(
@@ -568,13 +571,9 @@ def test_one_sweep_matches_direct_inverse_oracle(problem):
     st_ = stats_from_moments(3 * g.p + 10, random_spd(g.p, 3 * g.p + 10, rng))
     start = random_patterned_cov(g, rng)
     blocks = family_blocks(g, family)
-    cfg = FitConfig(max_iter=1, start=start)
-    if family == "vertex":
-        res = fit_icf(st_, g, cfg)
-    else:
-        res = fit_icf_multi(st_, g, cliques(g), cfg)
+    got = _sweep(st_.s, _plans(g, blocks), _point(start, "iterate")).sigma
     expected = icf_sweep(st_.s, start, g.adjacency, blocks)
-    assert np.abs(res.sigma - expected).max() <= 1e-10 * np.abs(expected).max()
+    assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
 def unit_free(a, b):
@@ -685,26 +684,48 @@ class TestNewtonSteps:
             assert res.converged and res.newton_steps > 0
             assert np.array_equal(res.sigma[:k, :k], st_.s[:k, :k])
 
-    def test_step_is_refused_where_the_negated_hessian_does_not_factorise(self, fig1):
-        # at sigma = I with S = I / 100, -H is (n / 2) B(I, -0.98 I): negative definite
+    def test_scoring_step_where_the_negated_hessian_does_not_factorise(self, fig1):
+        # at sigma = I with S = I / 100, -H is (n / 2) B(I, -0.98 I):
+        # negative definite, so the step solves kron_form(K) d = K S K - K
         s = 0.01 * np.eye(4)
+        fis = free_index_set(fig1)
         x = _point(np.eye(4), "iterate")
         k = x.inv.copy()
-        assert _newton(s, free_index_set(fig1), x) is None
+        assert _cholesky(_curvature(k, k @ s @ k, fis)) is None
+        step, gained = _newton(s, fis, x)
+        scoring = fis.expand(np.linalg.solve(kron_form(k, fis), fis.adjoint_vec(k @ s @ k - k)))
+        assert np.abs(step.sigma - (x.sigma + scoring)).max() <= 1e-15
+        assert gained and np.allclose(step.sigma, s, rtol=0.0, atol=1e-15)
         assert np.array_equal(x.inv, k)
 
+    @pytest.mark.parametrize("graph", ["yeast_gd", "yeast_gs"])
+    def test_a_step_at_the_optimum_is_kept_without_a_gain(self, graph, yeast_stats, request):
+        # there the step is rounding alone, and so is any loss it makes
+        # (on gd it lowers the kernel): kept, and marked as no gain, never
+        # halved away and refused
+        g = request.getfixturevalue(graph)
+        res = fit_icf(yeast_stats, g, FitConfig(tol=1e-12))
+        x = _point(np.array(res.sigma), "iterate")
+        kept = _newton(yeast_stats.aligned_to(g.vertices).s, free_index_set(g), x)
+        assert kept is not None
+        step, gained = kept
+        assert not gained and unit_free(step.sigma, x.sigma) < 1e-12
+
     def test_refused_step_falls_back_to_a_sweep(self):
-        # after the first cycle of this small-sample problem -H has a
-        # negative eigenvalue, so the third iteration is a sweep
-        g, st_ = small_sample_problem(2)
-        plans = _plans(g, [[v] for v in range(g.p)])
-        x0 = _point(np.eye(g.p), "iterate")
-        x1 = _sweep(st_.s, plans, x0)
-        x, _ = _squarem(st_.s, x0, x1, _sweep(st_.s, plans, x1))
+        # after the first step of this small-sample problem -H factorises,
+        # but neither Newton's step nor any of its halvings stays in the
+        # cone without lowering the log-likelihood, so the second
+        # iteration is a sweep
+        g, st_ = small_sample_problem(27)
+        fis = free_index_set(g)
+        first = fit_icf(st_, g, FitConfig(max_iter=1))
+        assert first.newton_steps == 1
+        x = _point(np.array(first.sigma), "iterate")
         k = x.inv
-        assert _cholesky(_curvature(k, k @ st_.s @ k, free_index_set(g))) is None
-        res = fit_icf(st_, g, FitConfig(max_iter=3))
-        assert res.iterations == 3 and res.newton_steps == 0
+        assert _cholesky(_curvature(k, k @ st_.s @ k, fis)) is not None
+        assert _newton(st_.s, fis, x) is None
+        res = fit_icf(st_, g, FitConfig(max_iter=2))
+        assert res.iterations == 2 and res.newton_steps == 1
         assert fit_icf(st_, g).converged
 
     def test_always_refused_steps_give_the_plain_accelerated_ascent(self, yeast_stats, yeast_gd, monkeypatch):
@@ -714,7 +735,9 @@ class TestNewtonSteps:
             for fitter in (fit_icf, fit_icf_multi):
                 plain[fitter] = fitter(yeast_stats, yeast_gd, cfg=FitConfig(record_trace=True))
                 assert plain[fitter].newton_steps == 0
+        # neither Newton's system nor the scoring one factorises
         monkeypatch.setattr(icf, "_curvature", lambda k, t, fis: -np.eye(len(fis)))
+        monkeypatch.setattr(icf, "kron_form", lambda k, fis: -np.eye(len(fis)))
         for fitter in (fit_icf, fit_icf_multi):
             res = fitter(yeast_stats, yeast_gd, cfg=FitConfig(record_trace=True))
             assert res.newton_steps == 0 and res.converged
@@ -737,6 +760,53 @@ class TestNewtonSteps:
                 tracemalloc.stop()
             assert res.converged and res.newton_steps == 0
             assert peak < 8 * m * m, peak
+
+
+def lattice_copies(seed):
+    """A 10 x 10 lattice problem with n = 300 and two copies of it.
+
+    The first copy rescales the columns of the data by exp(U(-3, 3)); the
+    second lists the graph's vertices in another order.
+    """
+    g = lattice_graph(10)
+    rng = np.random.default_rng(seed)
+    low = np.linalg.cholesky(random_patterned_cov(g, rng))
+    x = rng.standard_normal((300, g.p)) @ low.T
+    labels = list(g.vertices)
+    scaled = sample_stats(x * np.exp(rng.uniform(-3.0, 3.0, g.p)), labels)
+    order = rng.permutation(g.p)
+    permuted = CovarianceGraph([labels[i] for i in order], g.edges)
+    return [(sample_stats(x, labels), g), (scaled, g), (sample_stats(x, labels), permuted)]
+
+
+class TestUnitFreePath:
+    """From diag(S), a fit takes the same steps whatever the units and the vertex order."""
+
+    @staticmethod
+    def counts(res):
+        return res.iterations, res.newton_steps, res.rejected_extrapolations, res.detail
+
+    @pytest.mark.parametrize("fitter", [fit_icf, fit_icf_multi])
+    def test_counts_below_the_gate(self, fitter):
+        fits = [fitter(st_, g) for st_, g in lattice_copies(1)]
+        assert fits[0].converged and fits[0].newton_steps > 0
+        assert [self.counts(res) for res in fits[1:]] == [self.counts(fits[0])] * 2
+
+    @pytest.mark.parametrize("fitter", [fit_icf, fit_icf_multi])
+    def test_counts_above_the_gate(self, fitter, monkeypatch):
+        # the sweeps visit the vertices in the graph's order, so only the units change here
+        monkeypatch.setattr(icf, "_NEWTON_GATE", 0.0)
+        fits = [fitter(st_, g) for st_, g in lattice_copies(1)[:2]]
+        assert fits[0].converged and fits[0].newton_steps == 0
+        assert self.counts(fits[1]) == self.counts(fits[0])
+
+    @pytest.mark.parametrize("fitter", [fit_icf, fit_icf_multi])
+    def test_a_converged_fit_ends_on_one_sweep(self, fitter):
+        # the step that gains no more than rounding hands over to the
+        # sweep that stops the fit; the first cycle's sweeps are gone
+        st_, g = lattice_copies(1)[0]
+        res = fitter(st_, g)
+        assert res.converged and res.iterations - res.newton_steps == 1
 
 
 def four_term_form(x, y, fis):
