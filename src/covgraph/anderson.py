@@ -103,7 +103,8 @@ def fit_anderson(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None =
         # One factorisation gives the flag, the trace entry and the stop
         # rule's residual; the inverse is formed only for the last two.
         # Off the cone there is no factor, and the estimate's own check
-        # raises as the stop rule expects.
+        # raises as the stop rule expects.  It is not named ``low``: the
+        # form's factor must outlive the step, as said above.
         try:
             root = _chol(new_sigma, "iterate")
         except NotPositiveDefiniteError:

@@ -387,8 +387,8 @@ def _sweep_fit(
     detail = residual = None
     it = rejected = newton = 0
     cycle_start = None
-    judge = False  # the last step was a short Newton step, for a plain sweep to judge
-    flat = False  # the last Newton step gained no more than rounding, so a sweep cycle follows
+    judge = False  # the last step was short, for a plain sweep to judge
+    flat = False  # the last step gained no more than rounding, so a sweep cycle follows
     for it in range(1, cfg.max_iter + 1):
         if use_newton and cycle_start is None and not (judge or flat):
             kept = _newton(s, fis, cur)
