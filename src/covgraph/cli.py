@@ -177,6 +177,9 @@ def cmd_fit(args) -> int:
         if args.start:
             start = ConstrainedCovariance(g, _aligned(g, *cio.load_matrix(args.start), args.start))
         cfg = FitConfig(tol=args.tol, max_iter=args.max_iter, start=start, record_trace=bool(args.trace))
+        for path in (args.out, args.trace):
+            if path:
+                cio._check_writable(path)  # before the fit, not after it has run
         t0 = time.perf_counter()
         res = _run_method(args.method, stats, data, g, args, cfg)
         elapsed = time.perf_counter() - t0

@@ -25,14 +25,13 @@ On any other graph, damped Newton steps minimize f from the diagonal
 concentration of S.  f is convex and self-concordant, so the steps
 converge from any start, and quadratically near the optimum (Boyd and
 Vandenberghe 2004, Convex Optimization, 9.5-9.6).  The Hessian over
-the free entries is the free-pair form of H (x) H, with H the inverse
-of the iterate: the system of Anderson's iteration (``kron_form``).
-So a step solves it against the adjoint of H - K by Cholesky.  The
-step is then halved until the candidate is in the cone and passes
-Armijo's test; one factorisation of a candidate (``model._point``, as
-for every block, sum and iterate here) gives the cone check, its
-inverse and log-determinant, and so f.  A step costs O(m^3) in the m = p + |E| free
-entries.  A graph's cliques are built only for the closed form.
+the free entries is the free-pair form of H (x) H, H the inverse of
+the iterate (``kron_form``, Anderson's system).  A step, as in ICF, is
+``model._damped_step``: it solves that form against the adjoint of
+H - K by Cholesky and halves the step until the candidate, factorised
+once by ``model._point`` as is every block, sum and iterate here, is in
+the cone and passes Armijo's test.  It costs O(m^3) in the m = p + |E|
+free entries.  A graph's cliques are built only for the closed form.
 
 Both engines stop on the same unit-free residual of H - K: the closed
 form feeds the Newton loop, which takes no step once the residual is
@@ -44,15 +43,13 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from .graphs import CovarianceGraph, _kept, cliques, free_index_set
 from .model import (
     ConstrainedCovariance,
     ModelError,
-    NotPositiveDefiniteError,
     SampleStats,
-    _cholesky,
+    _damped_step,
     _point,
     kron_form,
     profile_loglik,
@@ -64,9 +61,9 @@ __all__ = ["fit_dual", "dual_residual", "is_decomposable"]
 
 # Armijo's sufficient-decrease fraction for a Newton step.
 _ARMIJO = 1e-4
-# A line search that halves the step this often without an accepted
-# candidate ends the fit as stalled.
-_HALVINGS = 50
+# A line search that tries the step this often, halved between tries,
+# without a kept candidate ends the fit as stalled.
+_TRIES = 50
 
 
 def _mcs_order(adj: np.ndarray) -> list[int]:
@@ -198,29 +195,16 @@ def fit_dual(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None = Non
             detail = "max-iter"
             break
         value = float(np.vdot(k, cur.sigma)) - cur.logdet
-        low = _cholesky(kron_form(cur.inv, fis))
-        if low is None:
-            detail = "singular-system"
-            break
-        descent = fis.adjoint_vec(gap)  # the negated gradient
-        free = dpotrs(low, descent, lower=1)[0]
-        decrease = float(descent @ free)  # the squared Newton decrement
-        # Below this floor Armijo's test would only see rounding; this
-        # close, the full step is safe once it is in the cone.
-        at_floor = decrease <= 1e-12 * max(1.0, abs(value))
-        step = fis.expand(free)
-        t = 1.0
-        for _ in range(_HALVINGS):
-            try:
-                cand = _point(cur.sigma + t * step, "dual iterate")
-            except NotPositiveDefiniteError:
-                pass  # outside the cone
-            else:
-                if at_floor or float(np.vdot(k, cand.sigma)) - cand.logdet <= value - _ARMIJO * t * decrease:
-                    break
-            t *= 0.5
-        else:
-            detail = "stalled"
+
+        def armijo(cand, t, decrease):
+            # Below this floor Armijo's test would only see rounding; this
+            # close, the full step is safe once it is in the cone.
+            at_floor = decrease <= 1e-12 * max(1.0, abs(value))
+            return at_floor or float(np.vdot(k, cand.sigma)) - cand.logdet <= value - _ARMIJO * t * decrease
+
+        cand = _damped_step(cur, (lambda: kron_form(cur.inv, fis),), fis.adjoint_vec(gap), fis, _TRIES, armijo)
+        if isinstance(cand, str):
+            detail = cand
             break
         cur = cand
         iterations += 1

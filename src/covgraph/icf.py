@@ -60,7 +60,7 @@ from typing import Iterable
 
 import numpy as np
 from scipy.linalg.blas import dgemm, dtrsm
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrs
 
 from .graphs import CovarianceGraph, FreeIndexSet, _kept, free_index_set
 from .model import (
@@ -70,6 +70,7 @@ from .model import (
     SampleStats,
     _cholesky,
     _curvature,
+    _damped_step,
     _kernel,
     _loglik,
     _Point,
@@ -291,49 +292,33 @@ def _squarem(s: np.ndarray, x0: _Point, x1: _Point, x2: _Point) -> tuple[_Point,
 # Newton or scoring steps are tried when m^3, for m free entries, is at
 # most this many times the p^2 (|C| + |S|) summed over the blocks of one sweep.
 _NEWTON_GATE = 15.0
-# A Newton or scoring step is halved at most this many times before it is refused.
-_HALVINGS = 4
+# A Newton or scoring step is tried at most this often, halved between tries.
+_TRIES = 5
 
 
 def _newton(s: np.ndarray, fis: FreeIndexSet, x: _Point) -> tuple[_Point, bool] | None:
     """A Newton or Fisher-scoring step on the free entries from ``x``, or None if it is refused.
 
-    The step solves -H d = g, g the score and H the Hessian of the
-    profile log-likelihood at ``x``, by Cholesky, in place in the one
-    m x m array that ``_curvature`` builds.  Where -H does not
-    factorise, the scoring step solves ``kron_form(K)`` d = g instead,
-    the expected information for the observed; it is refused only when
-    that does not factorise either.  The step is halved until the
-    candidate is in the cone and its kernel is not below that of ``x``
-    by more than 8 eps (p + |trace(sigma^-1 S)|), a bound on the
-    rounding error of the kernel's change: near the optimum a step can
-    lose that much to rounding alone.  The change is read off the ratios
-    of the Cholesky pivots and the change of the inverse, whose rounding,
-    unlike that of two kernels, does not grow with the units of S.  A
-    step is refused when ``_HALVINGS`` halvings do not get there, and a
-    kept one comes with whether it raised the kernel by more than that
-    bound.  ``x.inv`` is left as it was.
+    ``model._damped_step`` solves -H d = g, g the score and H the Hessian
+    of the profile log-likelihood at ``x``, or the scoring step
+    ``kron_form(K)`` d = g where -H does not factorise, and keeps the
+    first try whose kernel is not below that of ``x`` by more than 8 eps
+    (p + |trace(sigma^-1 S)|), a bound on the rounding error of its
+    change, read off the ratios of the Cholesky pivots and the change of
+    the inverse: unlike that of two kernels, it does not grow with the
+    units of S.  A kept step comes with whether it raised the kernel by
+    more than that bound.  ``x.inv`` is left as it was.
     """
     k = x.inv
     t = k @ s @ k
-    low, info = dpotrf(_curvature(k, t, fis).T, lower=1, overwrite_a=1)
-    if info:
-        low, info = dpotrf(kron_form(k, fis).T, lower=1, overwrite_a=1)
-        if info:
-            return None
-    step = fis.expand(dpotrs(low, fis.adjoint_vec(t - k), lower=1)[0])
-    slack = 8.0 * np.finfo(float).eps * (len(s) + abs(float(np.vdot(x.inv, s))))
-    for _ in range(_HALVINGS + 1):
-        try:
-            trial = _point(x.sigma + step, "iterate")
-        except NotPositiveDefiniteError:
-            trial = None
-        if trial is not None:
-            gain = -2.0 * float(np.log(trial.pivots / x.pivots).sum()) - float(np.vdot(trial.inv - x.inv, s))
-            if gain >= -slack:
-                return trial, gain > slack
-        step *= 0.5
-    return None
+    slack = 8.0 * np.finfo(float).eps * (len(s) + abs(float(np.vdot(k, s))))
+
+    def gain(y: _Point) -> float:
+        return -2.0 * float(np.log(y.pivots / x.pivots).sum()) - float(np.vdot(y.inv - k, s))
+
+    forms = (lambda: _curvature(k, t, fis), lambda: kron_form(k, fis))
+    kept = _damped_step(x, forms, fis.adjoint_vec(t - k), fis, _TRIES, lambda y, *_: gain(y) >= -slack)
+    return None if isinstance(kept, str) else (kept, gain(kept) > slack)
 
 
 def _sweep_fit(

@@ -7,16 +7,16 @@ deviance against the saturated model.  Whatever is indexed by the free
 entries reads them through the graph's one ``FreeIndexSet``.  Every
 fitter factorises a matrix by ``_point``, once for its cone check,
 inverse and log-determinant, and builds a free-pair form by
-``_pair_form``, as ``kron_form`` or as the negated Hessian ``_curvature``.
+``_pair_form``, as ``kron_form`` or as the negated Hessian ``_curvature``,
+and ICF and the dual take their second-order steps by ``_damped_step``.
 The log-likelihood and deviance read ``_kernel`` off a point and the
-stationarity residual ``_stationarity``, so a kept point needs no
-second factorisation.
+stationarity residual ``_stationarity``, so a kept point is factorised once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -347,6 +347,37 @@ def _pair_form(x: np.ndarray, y: np.ndarray, fis: FreeIndexSet) -> np.ndarray:
     np.add(a, a.T, out=b)
     ee += b
     return out
+
+
+def _damped_step(x: _Point, forms: Sequence[Callable[[], np.ndarray]], rhs: np.ndarray, fis: FreeIndexSet,
+                 tries: int, accept: Callable[[_Point, float, float], bool]) -> _Point | str:
+    """The first of x + t d, t = 1, 1/2, ... over ``tries`` tries, in the cone and kept by ``accept``.
+
+    d solves F d = ``rhs`` for the first form F that ``forms`` build
+    whose upper triangle factorises, in place, by Cholesky; ``accept``
+    gets the candidate, t and the decrement rhs . d.  Returns
+    ``singular-system`` if no form factorises, ``stalled`` if no try is kept.
+    """
+    for form in forms:
+        low, info = dpotrf(form().T, lower=1, overwrite_a=1)
+        if not info:
+            break
+    else:
+        return "singular-system"
+    d = dpotrs(low, rhs, lower=1)[0]
+    decrement = float(rhs @ d)
+    step = fis.expand(d)
+    t = 1.0
+    for _ in range(tries):
+        try:
+            trial = _point(x.sigma + t * step, "iterate")
+        except NotPositiveDefiniteError:
+            pass  # outside the cone
+        else:
+            if accept(trial, t, decrement):
+                return trial
+        t *= 0.5
+    return "stalled"
 
 
 def unit_free_gap(gap: np.ndarray, sigma: np.ndarray, g: CovarianceGraph) -> float:

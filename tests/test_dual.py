@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import covgraph as cg
 from covgraph.dual import _clique_order, _mcs_order, dual_residual, fit_dual, is_decomposable
-from covgraph.graphs import CovarianceGraph, cliques, graph_from_matrix
+from covgraph.graphs import CovarianceGraph, cliques, free_index_set, graph_from_matrix
 from covgraph.icf import fit_icf
 from covgraph.io import load_graph
-from covgraph.model import ModelError, NotPositiveDefiniteError, sample_stats, stats_from_moments
+from covgraph.model import ModelError, NotPositiveDefiniteError, kron_form, sample_stats, stats_from_moments
 from covgraph.results import FitConfig
 
 from conftest import DATA, lattice_graph, random_graph, random_patterned_cov, random_spd
@@ -294,20 +296,51 @@ class TestNewton:
         assert res.iterations == 1
         assert res.residual == dual_residual(st, res.sigma, g)
 
+    def test_one_step_is_the_full_newton_step(self):
+        # from the diagonal concentration of S, the step solves
+        # kron_form(H) d = adjoint(H - S^-1), H the inverse of the start
+        g = lattice_graph(5)
+        st = stats_from_moments(60, random_spd(25, 60, np.random.default_rng(6)))
+        fis = free_index_set(g)
+        k = np.linalg.inv(st.s)
+        h = np.diag(np.diag(k))
+        step = fis.expand(np.linalg.solve(kron_form(h, fis), fis.adjoint_vec(h - k)))
+        want = np.linalg.inv(h) + step
+        res = fit_dual(st, g, FitConfig(max_iter=1))
+        assert res.iterations == 1
+        assert np.abs(res.sigma - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_step_keeps_one_free_pair_array(self):
+        # the form is factorised in place: the peak of a warm fit stays
+        # below 4 m x m arrays of doubles (4.73 when the form was copied)
+        g = lattice_graph(10)
+        rng = np.random.default_rng(0)
+        st = sample_stats(rng.standard_normal((300, g.p)) @ np.linalg.cholesky(random_patterned_cov(g, rng)).T)
+        m = len(free_index_set(g))
+        fit_dual(st, g)  # the graph's store is filled by the first fit
+        tracemalloc.start()
+        try:
+            res = fit_dual(st, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged and res.iterations > 1
+        assert peak < 4 * m * m * 8
+
     @staticmethod
     def reject_off_diagonal(monkeypatch):
-        # a cone check that refuses every iterate with an edge entry, so the
-        # diagonal start passes and no step can
-        import covgraph.dual as dual
+        # a cone check that refuses every step's candidate with an edge
+        # entry, so the diagonal start passes and no step can
+        import covgraph.model as model
 
-        point = dual._point
+        point = model._point
 
         def refusing(a, what):
-            if what == "dual iterate" and np.any(a != np.diag(np.diag(a))):
+            if what == "iterate" and np.any(a != np.diag(np.diag(a))):
                 raise NotPositiveDefiniteError(f"{what} is not positive definite")
             return point(a, what)
 
-        monkeypatch.setattr(dual, "_point", refusing)
+        monkeypatch.setattr(model, "_point", refusing)
 
     def test_line_search_without_descent_stalls(self, monkeypatch, yeast_stats, yeast_gd):
         self.reject_off_diagonal(monkeypatch)
@@ -329,7 +362,7 @@ class TestNewton:
     def test_system_that_does_not_factorise_is_typed(self, monkeypatch, yeast_stats, yeast_gd):
         import covgraph.dual as dual
 
-        monkeypatch.setattr(dual, "_cholesky", lambda a: None)
+        monkeypatch.setattr(dual, "kron_form", lambda k, fis: -np.eye(len(fis)))
         res = fit_dual(yeast_stats.aligned_to(yeast_gd.vertices), yeast_gd)
         assert res.detail == "singular-system" and not res.converged
         assert res.iterations == 0
@@ -347,13 +380,16 @@ class TestNewton:
     def test_decomposable_pass_factorises_no_candidate(self, monkeypatch, yeast_stats, yeast_gs):
         # the inverse the pass returns feeds the stop rule as it is
         import covgraph.dual as dual
+        import covgraph.model as model
 
         calls = []
-        point = dual._point
-        monkeypatch.setattr(dual, "_point", lambda a, what: calls.append(what) or point(a, what))
+        point = model._point
+        for module in (dual, model):  # the fit's own points, and a Newton step's candidates
+            monkeypatch.setattr(module, "_point", lambda a, what: calls.append(what) or point(a, what))
         res = fit_dual(yeast_stats.aligned_to(yeast_gs.vertices), yeast_gs)
         assert res.converged and res.iterations == 1
-        assert calls.count("dual iterate") == 1  # the closed form's sum, and no candidate
+        assert calls.count("dual iterate") == 1  # the closed form's sum
+        assert "iterate" not in calls  # and no candidate
 
 
 class TestKeptInverse:

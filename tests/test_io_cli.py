@@ -357,15 +357,20 @@ class TestCliFit:
 
     @pytest.mark.parametrize("flag", ["--out", "--trace"])
     def test_unwritable_output_exits_one_with_a_message(self, tmp_path, capsys, monkeypatch, flag):
+        import covgraph.cli as cli
+
         monkeypatch.setenv("COVGRAPH_QUIET", "1")
+        fits = []
+        monkeypatch.setattr(cli, "fit_icf", lambda *args: fits.append(args) or cg.fit_icf(*args))
         target = tmp_path / "missing-dir" / "file.tsv"
         rc = main([
             "fit", "--graph", str(DATA / "fig1.graph"),
             "--stats", str(_chain_stats(tmp_path)), "--method", "ml-icf", flag, str(target),
         ])
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
         assert rc == 1 and not target.exists()
-        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+        assert captured.err.startswith(f"error: cannot write {target}: ") and captured.err.count("\n") == 1
+        assert captured.out == "" and fits == []  # checked before the fit, not after it has run
 
     def test_family_file_accepted(self, tmp_path, capsys):
         fam = tmp_path / "fam.txt"
