@@ -8,10 +8,12 @@ from covgraph.model import (
     ModelError,
     NotPositiveDefiniteError,
     PatternViolationError,
+    _damped_step,
     _point,
     deviance,
     fisher_information,
     hessian,
+    kron_form,
     profile_loglik,
     sample_stats,
     score,
@@ -263,6 +265,24 @@ class TestHessian:
         g = request.getfixturevalue(graph)
         h = hessian(yeast_stats, cg.fit_icf(yeast_stats.aligned_to(g.vertices), g).estimate)
         assert np.array_equal(h, h.T)
+
+
+class TestDampedStep:
+    def test_reads_the_upper_triangle_and_factorises_in_place(self, fig1):
+        # ICF's negated Hessian is exact only in its upper triangle, and a
+        # copy of the form for its factor would double the step's memory
+        fis = free_index_set(fig1)
+        x = _point(np.eye(4), "iterate")
+        form = kron_form(np.linalg.inv(random_patterned_cov(fig1, np.random.default_rng(3))), fis)
+        built = form.copy()
+        built[np.tril_indices(len(fis), -1)] = np.nan
+        rhs = 0.01 * np.random.default_rng(4).standard_normal(len(fis))
+        seen = []
+        kept = _damped_step(x, (lambda: built,), rhs, fis, 1, lambda y, t, dec: seen.append((t, dec)) or True)
+        d = np.linalg.solve(form, rhs)
+        assert np.abs(kept.sigma - (x.sigma + fis.expand(d))).max() <= 1e-14
+        assert seen == [(1.0, pytest.approx(rhs @ d, rel=1e-12))]
+        assert np.abs(np.triu(built) - np.linalg.cholesky(form).T).max() <= 1e-14
 
 
 class TestStationarityResidual:
