@@ -312,7 +312,7 @@ class TestNewton:
 
     def test_step_keeps_one_free_pair_array(self):
         # the form is factorised in place: the peak of a warm fit stays
-        # below 4 m x m arrays of doubles (4.73 when the form was copied)
+        # below 4 m x m arrays of doubles, where a copy for the factor reads 4.73
         g = lattice_graph(10)
         rng = np.random.default_rng(0)
         st = sample_stats(rng.standard_normal((300, g.p)) @ np.linalg.cholesky(random_patterned_cov(g, rng)).T)
