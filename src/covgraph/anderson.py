@@ -29,7 +29,6 @@ from scipy.linalg.lapack import dpotrs
 from .graphs import CovarianceGraph, free_index_set
 from .model import (
     ConstrainedCovariance,
-    NotPositiveDefiniteError,
     SampleStats,
     _chol,
     _cholesky,
@@ -105,10 +104,7 @@ def fit_anderson(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None =
         # Off the cone there is no factor, and the estimate's own check
         # raises as the stop rule expects.  It is not named ``low``: the
         # form's factor must outlive the step, as said above.
-        try:
-            root = _chol(new_sigma, "iterate")
-        except NotPositiveDefiniteError:
-            root = None
+        root = _chol(new_sigma)
         pd_flags.append(root is not None)
         if cfg.record_trace:
             trace.append(None if root is None else _loglik(stats, _factored(new_sigma, root)))
@@ -129,7 +125,7 @@ def fit_anderson(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None =
     return FitResult(
         method="ml-anderson",
         estimate=estimate,
-        loglik=profile_loglik(stats, sigma) if pd_flags and pd_flags[-1] else None,
+        loglik=profile_loglik(stats, sigma if estimate is None else estimate) if pd_flags and pd_flags[-1] else None,
         iterations=iteration,
         sigma=sigma if estimate is None else estimate.sigma,
         trace=tuple(trace) if cfg.record_trace else None,

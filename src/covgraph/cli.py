@@ -203,7 +203,7 @@ def cmd_fit(args) -> int:
         print(f"loglik {_reported(args, stats.n, res.loglik)}", file=out)
     if sigma is not None:
         try:
-            dev, df = deviance(stats, sigma, graph=g)
+            dev, df = deviance(stats, sigma if res.estimate is None else res.estimate, graph=g)
         except ModelError:
             dev = None  # singular estimate (possible for el): no deviance value
         if dev is not None:

@@ -146,7 +146,7 @@ def dual_residual(stats: SampleStats, sigma: np.ndarray, g: CovarianceGraph) -> 
     Both inverses come from Cholesky factorisations, as in ``fit_dual``.
     """
     stats = stats.aligned_to(g.vertices)
-    gap = _point(sigma, "dual iterate").inv - _point(stats.s, "sample covariance").inv
+    gap = _point(sigma, "dual iterate").inv - stats._factorised.inv
     return unit_free_gap(gap, sigma, g)
 
 
@@ -173,7 +173,7 @@ def fit_dual(stats: SampleStats, g: CovarianceGraph, cfg: FitConfig | None = Non
     if cfg.start is not None:
         raise ModelError("the dual fit takes no starting value")
     stats = _resolve_stats(stats, g)
-    k = _point(stats.s, "sample covariance").inv
+    k = stats._factorised.inv
     fis = free_index_set(g)
 
     if _kept(g, "decomposable", lambda: is_decomposable(g)):

@@ -113,8 +113,6 @@ class _BlockPlan:
     row_grid: tuple  # np.ix_(free_rows, free_rows)
     col_grid: tuple  # np.ix_(free_cols, free_cols)
     eye: np.ndarray  # the |C| x |C| identity
-    rowcol: np.ndarray  # flat positions of the block rows and columns of a p x p array
-    source: np.ndarray  # where each of them is read from in [coef, block covariance, 0]
 
 
 def _plan(g: CovarianceGraph, idx: Iterable[int]) -> _BlockPlan:
@@ -124,21 +122,8 @@ def _plan(g: CovarianceGraph, idx: Iterable[int]) -> _BlockPlan:
     spo = np.flatnonzero(near)
     # The transposed grid's row-major nonzeros are the column-major ones.
     cols, rows = np.nonzero(g.adjacency[np.ix_(spo, block)])
-    # The block rows of the refitted m read [coef, block covariance, 0]
-    # at ``rows_from``; its block columns are their transpose.  An entry of
-    # the block's own square is listed twice, once from each side, and
-    # reads the symmetric block covariance at (a, b) and at (b, a).
-    p, nb, ns = g.p, block.size, spo.size
-    rows_from = np.full((nb, p), nb * (ns + nb))
-    rows_from[:, spo] = np.arange(nb * ns).reshape(nb, ns)
-    rows_from[:, block] = nb * ns + np.arange(nb * nb).reshape(nb, nb)
-    every = np.arange(p)
-    rowcol = np.concatenate(((block[:, None] * p + every).ravel(), (every[:, None] * p + block).ravel()))
-    source = np.concatenate((rows_from.ravel(), rows_from.T.ravel()))
     return _BlockPlan(
-        block, spo, rows, cols,
-        np.ix_(block, block), np.ix_(rows, rows), np.ix_(cols, cols), np.eye(block.size),
-        rowcol, source,
+        block, spo, rows, cols, np.ix_(block, block), np.ix_(rows, rows), np.ix_(cols, cols), np.eye(block.size)
     )
 
 
@@ -146,9 +131,6 @@ def _plans(g: CovarianceGraph, blocks: Iterable[Iterable[int]]) -> list[_BlockPl
     """The plans of ``blocks``, each built on first use and kept on ``g``."""
     keys = [tuple(sorted(b)) for b in blocks]
     return [_kept(g, ("icf", key), lambda: _plan(g, key)) for key in keys]
-
-
-_ZERO = np.zeros(1)
 
 
 def _pseudo_moments(
@@ -169,8 +151,8 @@ def _update(s: np.ndarray, m: np.ndarray, k: np.ndarray, plan: _BlockPlan) -> No
     """Refit the block's rows and columns of ``m`` in place, the rest fixed.
 
     ``k`` holds the inverse of ``m`` on entry and is refreshed in place
-    to the inverse of the refitted ``m``.  Both are C-contiguous, and
-    each gets its block rows and columns by one flat-index write.
+    to the inverse of the refitted ``m``; it must be C-contiguous, so
+    that BLAS can refresh it through its F-ordered transpose.
     """
     block, spo, rows, cols = plan.block, plan.spo, plan.free_rows, plan.free_cols
     # Weight matrix: the inverse incoming conditional covariance is K_CC.
@@ -202,9 +184,11 @@ def _update(s: np.ndarray, m: np.ndarray, k: np.ndarray, plan: _BlockPlan) -> No
         raise ModelError("conditional covariance collapsed; sample covariance ill-conditioned")
 
     block_cov = lam_new + coef @ w[spo] @ coef.T
-    values = np.concatenate((coef.ravel(), ((block_cov + block_cov.T) / 2.0).ravel(), _ZERO))
-    assert m.flags.c_contiguous, "the flat view of m would be a copy"
-    m.reshape(-1)[plan.rowcol] = values[plan.source]
+    refit = np.zeros((block.size, len(s)))  # the block rows of the refitted m
+    refit[:, spo] = coef
+    refit[:, block] = (block_cov + block_cov.T) / 2.0
+    m[block] = refit
+    m[:, block] = refit.T
 
     # Block inverse of the refitted m: the rest inverse plus y^T y with
     # y = lam^-1/2 E and E = [I on the block, -coef times W^T].  K is
@@ -217,7 +201,8 @@ def _update(s: np.ndarray, m: np.ndarray, k: np.ndarray, plan: _BlockPlan) -> No
     e[:, block] = plan.eye
     y = dtrsm(1.0, low_lam, e, lower=1)
     kt = dgemm(-1.0, z, z, 1.0, k.T, trans_a=1, overwrite_c=1)
-    k.reshape(-1)[plan.rowcol] = 0.0
+    k[block] = 0.0
+    k[:, block] = 0.0
     kt = dgemm(1.0, y, y, 1.0, kt, trans_a=1, overwrite_c=1)
     assert np.may_share_memory(kt, k), "dgemm copied K instead of updating it"
 
@@ -367,6 +352,7 @@ def _sweep_fit(
     fis = free_index_set(g)
     sweep_cost = sum(plan.block.size + plan.spo.size for plan in plans) * g.p**2
     use_newton = len(fis) ** 3 <= _NEWTON_GATE * sweep_cost
+    # Its own point, not the start's kept one: ``_sweep`` uses up its inverse.
     cur = _point(np.array(_resolve_start(g, cfg, np.diag(np.diag(s))).sigma), "iterate")
     trace: list[float] = []
     detail = residual = None

@@ -10,12 +10,14 @@ inverse and log-determinant, and builds a free-pair form by
 ``_pair_form``, as ``kron_form`` or as the negated Hessian ``_curvature``,
 and ICF and the dual take their second-order steps by ``_damped_step``.
 The log-likelihood and deviance read ``_kernel`` off a point and the
-stationarity residual ``_stationarity``, so a kept point is factorised once.
+stationarity residual ``_stationarity``, and an estimate or S reads its
+point off the factor of its own check, so each is factorised once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -66,11 +68,7 @@ def is_pos_def(a: np.ndarray) -> bool:
     multiple correlation on the earlier variables, so the verdict does
     not depend on units.
     """
-    try:
-        _chol(a)
-    except NotPositiveDefiniteError:
-        return False
-    return True
+    return _chol(a) is not None
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray | None:
@@ -83,17 +81,19 @@ def _cholesky(a: np.ndarray) -> np.ndarray | None:
     return None if info else low
 
 
-def _chol(a: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Lower Cholesky factor of ``a``, which must pass ``is_pos_def``.
+def _chol(a: np.ndarray, what: str | None = None) -> np.ndarray | None:
+    """Lower Cholesky factor of ``a`` if it passes ``is_pos_def``, else None.
 
-    One factorisation serves the check and the caller; raises
-    ``NotPositiveDefiniteError`` naming ``what`` otherwise.
+    One factorisation serves the check and the caller; given ``what``, a
+    failed check raises ``NotPositiveDefiniteError`` naming it instead.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim == 2 and a.shape[0] == a.shape[1] > 0 and np.isfinite(a).all():
         low = _cholesky(a)
         if low is not None and (low.diagonal() ** 2 > PD_REL_TOL * a.diagonal()).all():
             return low
+    if what is None:
+        return None
     raise NotPositiveDefiniteError(f"{what} is not positive definite")
 
 
@@ -148,6 +148,7 @@ class SampleStats:
     s: np.ndarray
     labels: tuple[str, ...] | None = None
     s_pos_def: bool = field(init=False)
+    _low: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_sample_size(self.n)
@@ -162,11 +163,19 @@ class SampleStats:
             raise ModelError("label count does not match dimension")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "s_pos_def", is_pos_def(s))
+        object.__setattr__(self, "_low", _chol(s))
+        object.__setattr__(self, "s_pos_def", self._low is not None)
 
     @property
     def p(self) -> int:
         return self.s.shape[0]
+
+    @cached_property
+    def _factorised(self) -> _Point:
+        """S's point, read off the kept factor; ``NotPositiveDefiniteError`` unless ``s_pos_def``."""
+        if self._low is None:
+            raise NotPositiveDefiniteError("sample covariance is not positive definite")
+        return _factored(self.s, self._low)
 
     def aligned_to(self, labels: Sequence[str]) -> "SampleStats":
         """The variables in ``labels`` order, matched by ``label_order``; ``self`` if already so."""
@@ -215,6 +224,7 @@ class ConstrainedCovariance:
 
     graph: CovarianceGraph
     sigma: np.ndarray
+    _low: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.array(self.sigma, dtype=float)  # a copy: the caller's array stays writeable
@@ -232,8 +242,7 @@ class ConstrainedCovariance:
                 "nonzeros outside the graph's edges: "
                 f"entry ({self.graph.vertices[i]}, {self.graph.vertices[j]}) must be zero"
             )
-        if not is_pos_def(m):
-            raise NotPositiveDefiniteError("constrained covariance is not positive definite")
+        object.__setattr__(self, "_low", _chol(m, "constrained covariance"))
         m.setflags(write=False)
         object.__setattr__(self, "sigma", m)
 
@@ -245,11 +254,17 @@ class ConstrainedCovariance:
     def identity(cls, graph: CovarianceGraph) -> "ConstrainedCovariance":
         return cls(graph, np.eye(graph.p))
 
+    @cached_property
+    def _factorised(self) -> _Point:
+        """The matrix's point, read off the factor its cone check kept."""
+        return _factored(self.sigma, self._low)
 
-def _as_matrix(sigma: ConstrainedCovariance | np.ndarray) -> np.ndarray:
+
+def _as_point(sigma: ConstrainedCovariance | np.ndarray) -> _Point:
+    """The point of an estimate, factorised once, or of a plain matrix, factorised here."""
     if isinstance(sigma, ConstrainedCovariance):
-        return sigma.sigma
-    return np.asarray(sigma, dtype=float)
+        return sigma._factorised
+    return _point(np.asarray(sigma, dtype=float), "covariance")
 
 
 def kron_form(k: np.ndarray, fis: FreeIndexSet) -> np.ndarray:
@@ -269,7 +284,7 @@ def profile_loglik(stats: SampleStats, sigma: ConstrainedCovariance | np.ndarray
     """
     if isinstance(sigma, ConstrainedCovariance):
         stats = stats.aligned_to(sigma.graph.vertices)
-    return _loglik(stats, _point(_as_matrix(sigma), "covariance"))
+    return _loglik(stats, _as_point(sigma))
 
 
 def _loglik(stats: SampleStats, x: _Point) -> float:
@@ -280,14 +295,14 @@ def _loglik(stats: SampleStats, x: _Point) -> float:
 def score(stats: SampleStats, sigma: ConstrainedCovariance) -> np.ndarray:
     """Gradient of the profile log-likelihood over the free entries."""
     stats = stats.aligned_to(sigma.graph.vertices)
-    k = _point(sigma.sigma, "covariance").inv
+    k = sigma._factorised.inv
     m = k @ stats.s @ k - k
     return 0.5 * stats.n * free_index_set(sigma.graph).adjoint_vec(m)
 
 
 def fisher_information(sigma: ConstrainedCovariance, n: int) -> np.ndarray:
     """Expected negated Hessian over the free entries; symmetric PD."""
-    k = _point(sigma.sigma, "covariance").inv
+    k = sigma._factorised.inv
     return 0.5 * n * kron_form(k, free_index_set(sigma.graph))
 
 
@@ -298,7 +313,7 @@ def hessian(stats: SampleStats, sigma: ConstrainedCovariance) -> np.ndarray:
     T = K S K symmetrised, so the result is exactly symmetric.
     """
     stats = stats.aligned_to(sigma.graph.vertices)
-    k = _point(sigma.sigma, "covariance").inv
+    k = sigma._factorised.inv
     t = k @ stats.s @ k
     return -0.5 * stats.n * _curvature(k, (t + t.T) / 2.0, free_index_set(sigma.graph))
 
@@ -394,7 +409,7 @@ def stationarity_residual(stats: SampleStats, sigma: ConstrainedCovariance) -> f
     point of the profile log-likelihood within the pattern.
     """
     stats = stats.aligned_to(sigma.graph.vertices)
-    return _stationarity(stats.s, _point(sigma.sigma, "covariance"), sigma.graph)
+    return _stationarity(stats.s, sigma._factorised, sigma.graph)
 
 
 def _stationarity(s: np.ndarray, x: _Point, g: CovarianceGraph) -> float:
@@ -420,7 +435,6 @@ def deviance(
             raise ModelError("deviance needs a graph when sigma is a plain matrix")
         graph = sigma.graph
     stats = stats.aligned_to(graph.vertices)
-    saturated = _kernel(stats.s, _point(stats.s, "sample covariance"))
-    dev = stats.n * (saturated - _kernel(stats.s, _point(_as_matrix(sigma), "covariance")))
+    dev = stats.n * (_kernel(stats.s, stats._factorised) - _kernel(stats.s, _as_point(sigma)))
     df = stats.p * (stats.p + 1) // 2 - (graph.p + graph.n_edges)
     return float(dev), int(df)

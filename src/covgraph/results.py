@@ -131,7 +131,8 @@ def unit_free_change(new: np.ndarray, old: np.ndarray) -> float:
     d = np.diag(new)
     if not np.all(d > 0.0):
         return np.inf
-    return float((np.abs(new - old) / np.sqrt(np.outer(d, d))).max())
+    d = np.sqrt(d)  # d_i d_j itself can underflow to 0 or overflow
+    return float((np.abs(new - old) / np.outer(d, d)).max())
 
 
 def stop_reason(

@@ -27,7 +27,7 @@ from .graphs import CovarianceGraph, cliques, graph_from_matrix
 from .icf import fit_icf
 from .icf_multi import fit_icf_multi
 from .model import ConstrainedCovariance, ModelError, is_pos_def, sample_stats
-from .results import FitConfig, _as_int
+from .results import FitConfig, _as_float, _as_int
 
 __all__ = [
     "SimSpec",
@@ -60,12 +60,13 @@ class SimSpec:
     ``sigma_true`` and the actual covariance is df / (df - 2) times it,
     which is what errors are measured against.  Methods and sample
     sizes must each be given, distinct, and every sample size at least 2;
-    sizes, ``replications`` and ``seed`` are whole numbers, kept as ints.
+    sizes, ``replications`` and ``seed`` are whole numbers, kept as ints,
+    and ``df`` a finite real number, not a bool.
     """
 
     sigma_true: np.ndarray
     distribution: str = "gaussian"
-    df: int = 5
+    df: float = 5
     sample_sizes: tuple[int, ...] = (100,)
     replications: int = 200
     seed: int = 0
@@ -81,9 +82,10 @@ class SimSpec:
         object.__setattr__(self, "sample_sizes", tuple(_as_int("sample sizes", n) for n in self.sample_sizes))
         if self.distribution not in ("gaussian", "t"):
             raise ModelError(f"unknown distribution {self.distribution!r}")
-        if self.distribution == "t":
-            if self.df <= 4:
-                raise ModelError("t simulations need df > 4 for finite fourth moments")
+        if not np.isfinite(_as_float("df", self.df)):
+            raise ModelError("df must be finite")
+        if self.distribution == "t" and self.df <= 4:
+            raise ModelError("t simulations need df > 4 for finite fourth moments")
         if self.replications < 1:
             raise ModelError("need at least one replication")
         unknown = [m_ for m_ in self.methods if m_ not in METHOD_NAMES]

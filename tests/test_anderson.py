@@ -10,7 +10,7 @@ from covgraph.anderson import fit_anderson
 from covgraph.graphs import CovarianceGraph, free_index_set
 from covgraph.icf import fit_icf
 from covgraph.model import ModelError, NotPositiveDefiniteError, hessian, kron_form, stats_from_moments, stationarity_residual
-from covgraph.results import FitConfig, stop_reason
+from covgraph.results import FitConfig, stop_reason, unit_free_change
 
 from conftest import SIGMA_CHAIN, lattice_graph, random_patterned_cov, random_spd, random_stats
 from oracles import SingularSystemError, anderson_system, pair_quadratic, plain_anderson
@@ -285,6 +285,13 @@ class TestStopRule:
         m = np.diag([1.0, -2.0])
         assert stop_reason(m, m, lambda: 0.0, 1e-8) == (None, None)
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_step_size_is_unit_free_at_extreme_scales(self, scale):
+        # the product of two such diagonal entries underflows to 0 or overflows
+        new, old = np.array([[1.0, 0.5], [0.5, 1.0]]), np.eye(2)
+        assert unit_free_change(scale * new, scale * old) == pytest.approx(0.5, rel=1e-15)
+        assert unit_free_change(scale * new, scale * new) == 0.0
+
     def test_small_step_outside_the_cone_is_not_pd(self):
         g = complete_graph(2)
         st = stats_from_moments(10, np.eye(2))
@@ -298,7 +305,7 @@ class TestStopRule:
         def off_cone(*args):
             raise NotPositiveDefiniteError("not positive definite")
 
-        monkeypatch.setattr(covgraph.anderson, "_chol", off_cone)
+        monkeypatch.setattr(covgraph.anderson, "_chol", lambda *args: None)
         monkeypatch.setattr(covgraph.anderson, "ConstrainedCovariance", off_cone)
         res = fit_anderson(yeast_stats, yeast_gd, FitConfig(record_trace=True))
         assert res.detail == "not-pd" and not any(res.pd_flags)
@@ -308,7 +315,8 @@ class TestStopRule:
     @pytest.mark.parametrize("graph", ["yeast_gd", "yeast_gs"])
     def test_each_iterate_is_factorised_once(self, graph, yeast_stats, request, monkeypatch):
         # the start's check, one factorisation per iterate for its flag,
-        # trace entry and stop check, and the estimate's check and log-likelihood
+        # trace entry and stop check, and the estimate's check, whose factor
+        # the log-likelihood reads
         g = request.getfixturevalue(graph)
         chol, counts = cg.model._chol, []
         for record_trace in (False, True):
@@ -317,7 +325,7 @@ class TestStopRule:
                 monkeypatch.setattr(module, "_chol", lambda *args: calls.append(1) or chol(*args))
             res = fit_anderson(yeast_stats, g, FitConfig(record_trace=record_trace))
             counts.append(len(calls))
-        assert res.converged and counts == [res.iterations + 3] * 2
+        assert res.converged and counts == [res.iterations + 2] * 2
 
     @pytest.mark.parametrize("module, fit", [("icf", fit_icf), ("anderson", fit_anderson)])
     def test_final_residual_is_read_once(self, module, fit, monkeypatch, yeast_stats, yeast_gd):

@@ -4,8 +4,10 @@ Every ``__all__`` entry must resolve in its module, and every public
 name the package root re-exports must be listed by some module's
 ``__all__``, so a name deleted from a module cannot linger as an export.
 Read from the source trees: no module but the package root imports a
-name it never uses, and every private module-level name is referenced
-somewhere in the package, so code that lost its caller is noticed.
+name it never uses, every private module-level name is referenced
+somewhere in the package, and every field of a private dataclass or
+NamedTuple is read as an attribute somewhere in it, so code or a kept
+value that lost its reader is noticed.
 """
 
 import ast
@@ -87,3 +89,25 @@ def test_every_private_module_level_name_is_referenced():
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
     assert [f"{module}.{name}" for module, name in defined if name not in referenced] == []
+
+
+def is_record(node):
+    """Whether a class is declared as a dataclass or a NamedTuple."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(getattr(d, "id", None) == "dataclass" for d in decorators) or any(
+        getattr(b, "id", None) == "NamedTuple" for b in node.bases
+    )
+
+
+def test_every_field_of_a_private_record_is_read():
+    fields = []
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name.startswith("_") and is_record(node):
+                fields += [(module, node.name, s.target.id) for s in node.body if isinstance(s, ast.AnnAssign)]
+    assert {"_BlockPlan", "_Point"} <= {record for _, record, _ in fields}
+    read = {
+        node.attr for tree in TREES.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    assert [f"{module}.{record}.{name}" for module, record, name in fields if name not in read] == []

@@ -387,6 +387,24 @@ class TestDeviance:
         assert df == 3
 
 
+class TestKeptFactor:
+    """An estimate and the sample statistics are factorised by their own checks, and inverted once."""
+
+    def test_reads_of_an_estimate_factorise_nothing_again(self, monkeypatch, yeast_stats, yeast_gd):
+        import covgraph.model as model
+
+        st = yeast_stats.aligned_to(yeast_gd.vertices)
+        st = cg.SampleStats(n=st.n, mean=st.mean, s=st.s, labels=st.labels)
+        est = ConstrainedCovariance(yeast_gd, cg.fit_icf(st, yeast_gd).sigma)
+        calls = []
+        for name in ("_cholesky", "dpotrs"):
+            fn = getattr(model, name)
+            monkeypatch.setattr(model, name, lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
+        profile_loglik(st, est), deviance(st, est), stationarity_residual(st, est)
+        score(st, est), hessian(st, est), fisher_information(est, st.n)
+        assert calls == ["dpotrs"] * 2  # the inverses of the estimate and of S
+
+
 def _labelled_reads():
     from covgraph.dual import dual_residual
     from covgraph.icf import block_update, icf_update_vertex

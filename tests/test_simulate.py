@@ -85,6 +85,20 @@ class TestSimSpec:
         with pytest.raises(ModelError, match="df"):
             SimSpec(sigma_true=SIGMA_CHAIN, distribution="t", df=4, replications=1)
 
+    @pytest.mark.parametrize(
+        "df, message",
+        [("5", "df must be a real number, not '5'"), (True, "df must be a real number, not True"),
+         (np.inf, "df must be finite"), (np.nan, "df must be finite")],
+    )
+    def test_rejects_df_that_is_not_a_finite_real_number(self, df, message):
+        # a string used to raise an untyped TypeError, and an infinite df gave an all-NaN truth
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            SimSpec(sigma_true=SIGMA_CHAIN, distribution="t", df=df, replications=1)
+
+    def test_fractional_df_is_valid(self):
+        spec = SimSpec(sigma_true=SIGMA_CHAIN, distribution="t", df=5.5, replications=1)
+        assert np.allclose(spec.truth, SIGMA_CHAIN * 5.5 / 3.5)
+
     def test_rejects_unknown_method(self):
         with pytest.raises(ModelError, match="unknown methods"):
             SimSpec(sigma_true=SIGMA_CHAIN, methods=("nope",), replications=1)
